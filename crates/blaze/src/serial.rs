@@ -73,6 +73,17 @@ impl DataLayout {
             .sum()
     }
 
+    /// Whether two records carry equal broadcast leaves. A batch ships
+    /// the broadcast leaves of its first record only (see
+    /// [`serialize`](Self::serialize)), so records may share a batch only
+    /// when this holds.
+    pub fn same_broadcast(&self, a: &HostValue, b: &HostValue) -> bool {
+        self.slots
+            .iter()
+            .filter(|s| s.leaf.broadcast)
+            .all(|s| navigate(a, &s.leaf.path) == navigate(b, &s.leaf.path))
+    }
+
     /// Serializes a batch of records into per-buffer flat vectors
     /// (`buffer[task * count + k]` layout).
     ///

@@ -549,21 +549,27 @@ impl<'r> ServingRuntime<'r> {
                 .expect("batches only form on accelerator routes");
             match accel.operator {
                 RddOp::Map => {
-                    // One coalesced kernel invocation; split the output
-                    // back per request by record counts.
-                    let mut concat = Vec::new();
-                    let mut lens = Vec::with_capacity(b.members.len());
-                    for &rid in &b.members {
-                        let recs = &requests[rid as usize].records;
-                        lens.push(recs.len());
-                        concat.extend_from_slice(recs);
-                    }
-                    let (out, _) = accel.run_batch(&concat)?;
+                    // The kernel sees the broadcast leaves of its first
+                    // record only, so each maximal run of consecutive
+                    // members with equal broadcast leaves is one coalesced
+                    // invocation; its output splits back per request by
+                    // record counts.
+                    let records = |rid: u64| requests[rid as usize].records.as_slice();
+                    let shares_batch = |x: &u64, y: &u64| match (records(*x), records(*y)) {
+                        ([a, ..], [b, ..]) => accel.input_layout.same_broadcast(a, b),
+                        _ => false,
+                    };
                     let mut split = Vec::with_capacity(b.members.len());
-                    let mut off = 0;
-                    for (&rid, &len) in b.members.iter().zip(&lens) {
-                        split.push((rid, out[off..off + len].to_vec()));
-                        off += len;
+                    for run in b.members.chunk_by(shares_batch) {
+                        let concat: Vec<_> =
+                            run.iter().flat_map(|&rid| records(rid)).cloned().collect();
+                        let (out, _) = accel.run_batch(&concat)?;
+                        let mut off = 0;
+                        for &rid in run {
+                            let len = records(rid).len();
+                            split.push((rid, out[off..off + len].to_vec()));
+                            off += len;
+                        }
                     }
                     Ok(split)
                 }

@@ -13,6 +13,7 @@ use s2fa_obs::Profiler;
 use s2fa_sjvm::builder::{Expr, FnBuilder};
 use s2fa_sjvm::{ClassTable, HostValue, JType, KernelSpec, MethodTable, RddOp, Shape};
 use s2fa_trace::{Event, NullSink, RingSink};
+use s2fa_workloads::all_workloads;
 
 /// Hand-built map kernel: out_1[i] = in_1[i] * 2, with a time model.
 fn doubler(id: &str) -> Accelerator {
@@ -550,5 +551,69 @@ fn profiler_spans_cover_the_serving_phases() {
     let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
     for phase in ["serve", "loadgen", "simulate", "execute_batches"] {
         assert!(names.contains(&phase), "missing span `{phase}`: {names:?}");
+    }
+}
+
+#[test]
+fn coalesced_map_requests_keep_their_own_broadcast_state() {
+    // LR's weights are a broadcast leaf: Blaze ships them once per
+    // `run_batch`, from the first record. Each LR request draws its own
+    // weights, so requests coalesced into one batch must not share an
+    // invocation, and every reply must match the interpreter on its own
+    // record.
+    let lr = all_workloads()
+        .into_iter()
+        .find(|w| w.name == "LR")
+        .expect("LR workload");
+    let generated = s2fa::compile_kernel(&lr.spec).expect("LR compiles");
+    let registry = AcceleratorRegistry::new();
+    registry.register(Accelerator {
+        id: "lr".into(),
+        kernel: generated.cfunc,
+        operator: lr.spec.operator,
+        input_layout: generated.input_layout,
+        output_layout: generated.output_layout,
+        time_model: Some(AccelTimeModel {
+            per_task_ms: 0.01,
+            setup_ms: 0.2,
+        }),
+    });
+    let mix: Vec<TenantSpec> = (0..3)
+        .map(|t| TenantSpec {
+            name: format!("lr{t}"),
+            accel_id: "lr".into(),
+            fallback: lr.spec.clone(),
+            rate_per_ms: 4.0,
+            requests: 12,
+            records_per_request: 2,
+            gen_input: lr.gen_input,
+            seed: 0x1A + t,
+        })
+        .collect();
+    let cfg = ServingConfig {
+        max_inflight: 1000,
+        queue_capacity: 1000,
+        ..Default::default()
+    };
+    let requests = s2fa_blaze::serving::generate(&mix);
+    let out = serve(&registry, cfg, &mix);
+    assert!(
+        out.stats.batch_sizes.keys().any(|s| *s > 1),
+        "expected coalesced batches, got {:?}",
+        out.stats.batch_sizes
+    );
+    let mut interp = s2fa_sjvm::Interp::new(&lr.spec.classes, &lr.spec.methods);
+    for (req, o) in requests.iter().zip(&out.outcomes) {
+        let Disposition::Completed { output, path, .. } = &o.disposition else {
+            panic!("request {} not completed", o.request);
+        };
+        assert_eq!(*path, ExecutionPath::Offloaded);
+        assert_eq!(output.len(), req.records.len());
+        for (rec, got) in req.records.iter().zip(output) {
+            let (want, _) = interp
+                .run(lr.spec.entry, std::slice::from_ref(rec))
+                .expect("interpreter runs");
+            assert_eq!(got, &want, "request {}", req.id);
+        }
     }
 }

@@ -9,9 +9,16 @@
 //! Equivalence of (1) and (2) on every workload is the core guarantee of
 //! the bytecode-to-C compiler: "the S2FA framework is able to compile any
 //! Java/Scala method that satisfies the constraints ... to an FPGA kernel".
+//! It must also survive the Merlin transforms at any design point, not
+//! only at the expert's.
 
-use s2fa::compile_kernel;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+use s2fa::{compile_kernel, S2faOptions};
 use s2fa_blaze::Accelerator;
+use s2fa_dse::DesignSpace;
+use s2fa_hlsir::analysis;
+use s2fa_merlin::apply_structural;
 use s2fa_sjvm::{HostValue, Interp, RddOp};
 use s2fa_workloads::all_workloads;
 
@@ -143,4 +150,54 @@ fn batch_sizes_do_not_change_results() {
             );
         }
     }
+}
+
+#[test]
+fn random_design_points_after_merlin_transforms_agree() {
+    // Uniform points of each kernel's identified design space, normalized
+    // and applied the way `S2fa::compile` packages its winner.
+    const POINTS: u64 = 4;
+    let mut tiled = 0;
+    for w in all_workloads() {
+        let generated = compile_kernel(&w.spec).expect("compiles");
+        let summary = analysis::summarize(&generated.cfunc, S2faOptions::default().tasks_hint)
+            .expect("analyzes");
+        let space = DesignSpace::build(&summary);
+        let mut interp = Interp::new(&w.spec.classes, &w.spec.methods);
+        for point in 0..POINTS {
+            let mut rng = SmallRng::seed_from_u64(0xD1FF ^ point);
+            let mut design = space.decode(&space.space().random(&mut rng));
+            design.normalize(&summary);
+            let (kernel, _) = apply_structural(&generated.cfunc, &design);
+            tiled += usize::from(kernel.loop_ids().len() > generated.cfunc.loop_ids().len());
+            let accel = Accelerator {
+                id: w.name.to_string(),
+                kernel,
+                operator: w.spec.operator,
+                input_layout: generated.input_layout.clone(),
+                output_layout: generated.output_layout.clone(),
+                time_model: None,
+            };
+            let records = (w.gen_input)(3, 0x5EED + point);
+            let (hw, _) = accel
+                .run_batch(&records)
+                .unwrap_or_else(|e| panic!("{} point {point}: {e}", w.name));
+            for (i, rec) in records.iter().enumerate() {
+                let padded = pad_to_shape(rec, &w.spec.input_shape);
+                let (jvm, _) = interp
+                    .run(w.spec.entry, std::slice::from_ref(&padded))
+                    .expect("jvm runs");
+                assert_eq!(
+                    canon(&jvm),
+                    canon(&hw[i]),
+                    "{} point {point} ({design:?}): record {i} diverged",
+                    w.name
+                );
+            }
+        }
+    }
+    assert!(
+        tiled > 0,
+        "no random design point tiled a loop: the structural path went untested"
+    );
 }
