@@ -36,12 +36,12 @@
 
 use rand::{rngs::SmallRng, SeedableRng};
 use s2fa::compile_kernel;
-use s2fa_bench::results::{self, Json};
+use s2fa_bench::results;
 use s2fa_dse::{DesignSpace, EvalEngine};
 use s2fa_hlsir::analysis;
 use s2fa_hlssim::Estimator;
 use s2fa_merlin::DesignConfig;
-use s2fa_obs::{analyze_batch_loop, BatchLoopProfile, Profiler};
+use s2fa_obs::{analyze_batch_loop, BatchLoopProfile, Json, Profiler};
 use s2fa_tuner::{Config, Measurement, Objective, ThreadedObjective};
 use s2fa_workloads::sw;
 use std::time::Instant;
@@ -119,16 +119,15 @@ fn evals_per_sec(mut run_batch: impl FnMut()) -> f64 {
 }
 
 fn batch_loop_json(p: &BatchLoopProfile) -> Json {
-    let n = |v: u64| Json::n(v as f64);
     Json::obj(vec![
-        ("batches", n(p.batches)),
-        ("wall_ns", n(p.wall_ns)),
-        ("submit_ns", n(p.submit_ns)),
-        ("estimate_ns", n(p.estimate_ns)),
-        ("wait_ns", n(p.wait_ns)),
-        ("merge_ns", n(p.merge_ns)),
-        ("idle_ns", n(p.idle_ns)),
-        ("attributed_fraction", Json::n(p.attributed_fraction())),
+        ("batches", Json::int(p.batches)),
+        ("wall_ns", Json::int(p.wall_ns)),
+        ("submit_ns", Json::int(p.submit_ns)),
+        ("estimate_ns", Json::int(p.estimate_ns)),
+        ("wait_ns", Json::int(p.wait_ns)),
+        ("merge_ns", Json::int(p.merge_ns)),
+        ("idle_ns", Json::int(p.idle_ns)),
+        ("attributed_fraction", Json::num(p.attributed_fraction())),
     ])
 }
 
@@ -352,21 +351,21 @@ fn main() {
     );
 
     let doc = Json::obj(vec![
-        ("kernel", Json::s("S-W")),
-        ("batch", Json::n(BATCH as f64)),
-        ("rounds", Json::n(ROUNDS as f64)),
-        ("host_cores", Json::n(cores as f64)),
-        ("uncached_evals_per_sec", Json::n(uncached)),
-        ("warm_cache_evals_per_sec", Json::n(warm)),
-        ("cache_speedup", Json::n(cache_speedup)),
+        ("kernel", Json::str("S-W")),
+        ("batch", Json::int(BATCH as u64)),
+        ("rounds", Json::int(ROUNDS as u64)),
+        ("host_cores", Json::int(cores as u64)),
+        ("uncached_evals_per_sec", Json::num(uncached)),
+        ("warm_cache_evals_per_sec", Json::num(warm)),
+        ("cache_speedup", Json::num(cache_speedup)),
         (
             "cold_chain",
             Json::obj(vec![
-                ("chain_len", Json::n(CHAIN as f64)),
-                ("passes", Json::n(COLD_PASSES as f64)),
-                ("cold_chain_evals_per_sec", Json::n(cold_chain)),
-                ("cache_misses", Json::n(cold_stats.misses as f64)),
-                ("cache_hits", Json::n(cold_stats.hits as f64)),
+                ("chain_len", Json::int(CHAIN as u64)),
+                ("passes", Json::int(COLD_PASSES as u64)),
+                ("cold_chain_evals_per_sec", Json::num(cold_chain)),
+                ("cache_misses", Json::int(cold_stats.misses)),
+                ("cache_hits", Json::int(cold_stats.hits)),
             ]),
         ),
         (
@@ -376,29 +375,29 @@ fn main() {
                     .iter()
                     .map(|(t, r, stages)| {
                         Json::obj(vec![
-                            ("threads", Json::n(*t as f64)),
-                            ("evals_per_sec", Json::n(*r)),
-                            ("efficiency_vs_cores", Json::n(efficiency(*t, *r))),
+                            ("threads", Json::int(*t as u64)),
+                            ("evals_per_sec", Json::num(*r)),
+                            ("efficiency_vs_cores", Json::num(efficiency(*t, *r))),
                             ("stages", batch_loop_json(stages)),
                         ])
                     })
                     .collect(),
             ),
         ),
-        ("thread_speedup", Json::n(thread_speedup)),
-        ("cache_hits", Json::n(warm_stats.hits as f64)),
+        ("thread_speedup", Json::num(thread_speedup)),
+        ("cache_hits", Json::int(warm_stats.hits as u64)),
         (
             "cache_lookups",
-            Json::n((warm_stats.hits + warm_stats.misses) as f64),
+            Json::num((warm_stats.hits + warm_stats.misses) as f64),
         ),
         (
             "profiling",
             Json::obj(vec![
-                ("plain_evals_per_sec", Json::n(plain)),
-                ("disabled_evals_per_sec", Json::n(disabled)),
-                ("enabled_evals_per_sec", Json::n(enabled)),
-                ("disabled_overhead_pct", Json::n(disabled_overhead_pct)),
-                ("enabled_overhead_pct", Json::n(enabled_overhead_pct)),
+                ("plain_evals_per_sec", Json::num(plain)),
+                ("disabled_evals_per_sec", Json::num(disabled)),
+                ("enabled_evals_per_sec", Json::num(enabled)),
+                ("disabled_overhead_pct", Json::num(disabled_overhead_pct)),
+                ("enabled_overhead_pct", Json::num(enabled_overhead_pct)),
                 (
                     "disabled_within_2pct",
                     Json::Bool(disabled_overhead_pct < 2.0),

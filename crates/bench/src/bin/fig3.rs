@@ -12,10 +12,11 @@
 
 use s2fa::compile_kernel;
 use s2fa_bench::chart::{convergence_rows, downsample, Series};
-use s2fa_bench::results::{save, Json};
+use s2fa_bench::results::save;
 use s2fa_dse::{run_dse, vanilla_options, DseOptions, DseOutcome, StoppingKind};
 use s2fa_hlsir::analysis;
 use s2fa_hlssim::Estimator;
+use s2fa_obs::Json;
 use s2fa_workloads::all_workloads;
 
 /// Minutes at which the series are sampled for the text plot.
@@ -150,7 +151,7 @@ fn main() {
         Json::Arr(
             downsample(&o.convergence, 64)
                 .iter()
-                .map(|&(m, v)| Json::Arr(vec![Json::n(m), Json::n(v / base)]))
+                .map(|&(m, v)| Json::Arr(vec![Json::num(m), Json::num(v / base)]))
                 .collect(),
         )
     };
@@ -161,14 +162,14 @@ fn main() {
                 .iter()
                 .map(|r| {
                     Json::obj(vec![
-                        ("kernel", Json::s(r.name)),
-                        ("normalization_base_ms", Json::n(r.base)),
+                        ("kernel", Json::str(r.name)),
+                        ("normalization_base_ms", Json::num(r.base)),
                         ("s2fa", series(&r.s2fa, r.base)),
                         ("opentuner", series(&r.vanilla, r.base)),
                         ("trivial_stop", series(&r.trivial, r.base)),
-                        ("s2fa_end_minutes", Json::n(r.s2fa.elapsed_minutes)),
-                        ("s2fa_best_ms", Json::n(r.s2fa.best_value())),
-                        ("opentuner_best_ms", Json::n(r.vanilla.best_value())),
+                        ("s2fa_end_minutes", Json::num(r.s2fa.elapsed_minutes)),
+                        ("s2fa_best_ms", Json::num(r.s2fa.best_value())),
+                        ("opentuner_best_ms", Json::num(r.vanilla.best_value())),
                     ])
                 })
                 .collect(),

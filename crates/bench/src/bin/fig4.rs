@@ -9,9 +9,10 @@
 use s2fa::report::geomean;
 use s2fa::{S2fa, S2faOptions};
 use s2fa_bench::chart::log_bar;
-use s2fa_bench::results::{save, Json};
+use s2fa_bench::results::save;
 use s2fa_bench::{jvm_ns_per_task, speedup, BASELINE_TASKS, SAMPLE_TASKS};
 use s2fa_hlsir::analysis;
+use s2fa_obs::Json;
 use s2fa_workloads::all_workloads;
 
 struct Row {
@@ -122,24 +123,24 @@ fn main() {
     save(
         "fig4",
         &Json::obj(vec![
-            ("baseline_tasks", Json::n(BASELINE_TASKS as f64)),
+            ("baseline_tasks", Json::int(BASELINE_TASKS)),
             (
                 "kernels",
                 Json::Arr(
                     rows.iter()
                         .map(|r| {
                             Json::obj(vec![
-                                ("name", Json::s(r.name)),
-                                ("category", Json::s(r.category)),
-                                ("manual_speedup", Json::n(r.manual)),
-                                ("s2fa_speedup", Json::n(r.auto)),
+                                ("name", Json::str(r.name)),
+                                ("category", Json::str(r.category)),
+                                ("manual_speedup", Json::num(r.manual)),
+                                ("s2fa_speedup", Json::num(r.auto)),
                             ])
                         })
                         .collect(),
                 ),
             ),
-            ("s2fa_geomean", Json::n(auto_geo)),
-            ("s2fa_vs_manual_pct", Json::n(avg_of_manual)),
+            ("s2fa_geomean", Json::num(auto_geo)),
+            ("s2fa_vs_manual_pct", Json::num(avg_of_manual)),
         ]),
     );
 }

@@ -71,7 +71,9 @@
 //! verdicts and `E303` replication races are search-space facts and
 //! only reported). `--format json`
 //! emits a machine-readable document; `--save` also writes it to
-//! `results/lint_report.json` for the CI golden diff.
+//! `results/lint_report.json` for the CI golden diff. The document is
+//! validated against `docs/lint_report.schema.json` first; a violation
+//! prints nothing, saves nothing, and exits 1.
 //!
 //! `--dataflow-prescreen` (automatic flow) attaches the dependence
 //! facts of `hlsir::dataflow` to the kernel summary before the DSE, so
@@ -86,7 +88,7 @@ use s2fa::lint::{
     Legality, Severity,
 };
 use s2fa::{S2fa, S2faOptions};
-use s2fa_bench::results::{save, Json};
+use s2fa_bench::results::save;
 use s2fa_blaze::{AcceleratorRegistry, ServingConfig, ServingRuntime, TenantSpec};
 use s2fa_dse::{DesignSpace, EvalEngine};
 use s2fa_hlsir::analysis;
@@ -94,7 +96,7 @@ use s2fa_hlssim::{report, Estimator};
 use s2fa_merlin::{apply_structural, DesignConfig};
 use s2fa_obs::{
     aggregate_spans, analyze_batch_loop, correlate, validate, verify_spans, CorrelatorSink,
-    Histogram, Json as ObsJson, Profile, Profiler,
+    Histogram, Json, Profile, Profiler,
 };
 use s2fa_trace::{JsonlSink, NullSink, TraceSink};
 use s2fa_tuner::{Config, Measurement, Objective, ThreadedObjective};
@@ -559,11 +561,11 @@ fn run_lint(args: &Args) -> i32 {
                 (
                     tag.to_string(),
                     Json::obj(vec![
-                        ("errors", Json::n(errors as f64)),
-                        ("warnings", Json::n((diags.len() - errors) as f64)),
+                        ("errors", Json::int(errors as u64)),
+                        ("warnings", Json::int((diags.len() - errors) as u64)),
                         (
                             "codes",
-                            Json::Arr(diags.iter().map(|d| Json::s(d.code.code)).collect()),
+                            Json::Arr(diags.iter().map(|d| Json::str(d.code.code)).collect()),
                         ),
                     ]),
                 )
@@ -618,19 +620,19 @@ fn run_lint(args: &Args) -> i32 {
         }
 
         kernels.push(Json::obj(vec![
-            ("name", Json::s(w.name)),
+            ("name", Json::str(w.name)),
             (
                 "wellformed",
                 Json::obj(vec![
-                    ("errors", Json::n(wf_errors as f64)),
-                    ("warnings", Json::n(wf_warnings as f64)),
+                    ("errors", Json::int(wf_errors as u64)),
+                    ("warnings", Json::int(wf_warnings as u64)),
                     (
                         "diagnostics",
                         Json::Arr(
                             wellformed
                                 .diagnostics
                                 .iter()
-                                .map(|d| Json::s(d.to_string()))
+                                .map(|d| Json::str(d.to_string()))
                                 .collect(),
                         ),
                     ),
@@ -639,33 +641,40 @@ fn run_lint(args: &Args) -> i32 {
             (
                 "dataflow",
                 Json::obj(vec![
-                    ("errors", Json::n(df_defects as f64)),
-                    ("races", Json::n(df_races as f64)),
-                    ("warnings", Json::n(df_warnings as f64)),
+                    ("errors", Json::int(df_defects as u64)),
+                    ("races", Json::int(df_races as u64)),
+                    ("warnings", Json::int(df_warnings as u64)),
                     (
                         "diagnostics",
                         Json::Arr(
                             dataflow
                                 .diagnostics
                                 .iter()
-                                .map(|d| Json::s(d.to_string()))
+                                .map(|d| Json::str(d.to_string()))
                                 .collect(),
                         ),
                     ),
                 ]),
             ),
-            ("transform_new_errors", Json::n(introduced.len() as f64)),
+            ("transform_new_errors", Json::num(introduced.len() as f64)),
             ("seeds", Json::Obj(seed_docs)),
-            ("dead_fraction", Json::n(dead)),
+            ("dead_fraction", Json::num(dead)),
         ]));
     }
 
     let doc = Json::obj(vec![
-        ("schema", Json::s("s2fa-lint-report/v2")),
+        ("schema", Json::str("s2fa-lint-report/v2")),
         ("kernels", Json::Arr(kernels)),
-        ("total_errors", Json::n(total_errors as f64)),
+        ("total_errors", Json::int(total_errors)),
         ("clean", Json::Bool(total_errors == 0)),
     ]);
+    if !conforms(
+        &doc,
+        include_str!("../../../../docs/lint_report.schema.json"),
+        "lint report violates docs/lint_report.schema.json",
+    ) {
+        return 1;
+    }
     if args.format == Format::Json {
         print!("{}", doc.render());
     } else {
@@ -679,6 +688,20 @@ fn run_lint(args: &Args) -> i32 {
         save("lint_report", &doc);
     }
     i32::from(total_errors > 0)
+}
+
+/// Validates `doc` against a checked-in JSON schema, printing `what` and
+/// every violation to stderr; `false` means the document must not ship.
+fn conforms(doc: &Json, schema: &str, what: &str) -> bool {
+    let schema = Json::parse(schema).expect("checked-in schema parses");
+    let violations = validate(&schema, doc);
+    if !violations.is_empty() {
+        eprintln!("{what}:");
+        for v in &violations {
+            eprintln!("  {v}");
+        }
+    }
+    violations.is_empty()
 }
 
 /// Batch geometry of the dedicated thread sweep: the satellite-bench
@@ -776,15 +799,12 @@ fn run_profile(args: &Args) -> i32 {
     };
 
     // 3. Validate against the checked-in schema before shipping anything.
-    let schema = ObsJson::parse(include_str!("../../../../docs/profile.schema.json"))
-        .expect("checked-in schema parses");
     let doc = profile.to_json();
-    let violations = validate(&schema, &doc);
-    if !violations.is_empty() {
-        eprintln!("profile violates docs/profile.schema.json:");
-        for v in &violations {
-            eprintln!("  {v}");
-        }
+    if !conforms(
+        &doc,
+        include_str!("../../../../docs/profile.schema.json"),
+        "profile violates docs/profile.schema.json",
+    ) {
         return 1;
     }
 
@@ -835,7 +855,7 @@ fn run_report(args: &Args) -> i32 {
             return 2;
         }
     };
-    let json = match ObsJson::parse(&text) {
+    let json = match Json::parse(&text) {
         Ok(j) => j,
         Err(e) => {
             eprintln!("`{path}` is not JSON: {e}");

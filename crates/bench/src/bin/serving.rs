@@ -34,11 +34,11 @@
 //! so nothing may take the JVM path). Any violation exits non-zero.
 
 use s2fa::{S2fa, S2faOptions};
-use s2fa_bench::results::{save, Json};
+use s2fa_bench::results::save;
 use s2fa_blaze::{AccelTimeModel, ServeOutcome};
 use s2fa_blaze::{AcceleratorRegistry, ServingConfig, ServingRuntime, TenantSpec};
 use s2fa_hlsir::analysis;
-use s2fa_obs::{Histogram, Profiler};
+use s2fa_obs::{Histogram, Json, Profiler};
 use s2fa_trace::NullSink;
 use s2fa_workloads::all_workloads;
 
@@ -154,7 +154,7 @@ fn run_regime(
         stats
             .batch_sizes
             .iter()
-            .map(|(size, count)| (size.to_string(), Json::n(*count as f64)))
+            .map(|(size, count)| (size.to_string(), Json::int(*count)))
             .collect(),
     );
     let per_tenant = Json::Arr(
@@ -169,39 +169,39 @@ fn run_regime(
                     .count();
                 let rejected = t.requests - done;
                 Json::obj(vec![
-                    ("tenant", Json::s(t.name.clone())),
-                    ("rate_per_ms", Json::n(t.rate_per_ms)),
-                    ("completed", Json::n(done as f64)),
-                    ("rejected", Json::n(rejected as f64)),
+                    ("tenant", Json::str(t.name.clone())),
+                    ("rate_per_ms", Json::num(t.rate_per_ms)),
+                    ("completed", Json::int(done as u64)),
+                    ("rejected", Json::int(rejected as u64)),
                 ])
             })
             .collect(),
     );
 
     let doc = Json::obj(vec![
-        ("regime", Json::s(label)),
-        ("utilization", Json::n(utilization)),
-        ("offered_rps", Json::n(offered_per_ms * 1000.0)),
-        ("throughput_rps", Json::n(throughput_per_ms * 1000.0)),
+        ("regime", Json::str(label)),
+        ("utilization", Json::num(utilization)),
+        ("offered_rps", Json::num(offered_per_ms * 1000.0)),
+        ("throughput_rps", Json::num(throughput_per_ms * 1000.0)),
         (
             "latency_ms",
             Json::obj(vec![
-                ("p50", Json::n(us(snap.p50))),
-                ("p90", Json::n(us(snap.p90))),
-                ("p99", Json::n(us(snap.p99))),
-                ("mean", Json::n(snap.mean() / 1000.0)),
-                ("max", Json::n(us(snap.max))),
+                ("p50", Json::num(us(snap.p50))),
+                ("p90", Json::num(us(snap.p90))),
+                ("p99", Json::num(us(snap.p99))),
+                ("mean", Json::num(snap.mean() / 1000.0)),
+                ("max", Json::num(us(snap.max))),
             ]),
         ),
-        ("submitted", Json::n(stats.submitted as f64)),
-        ("completed", Json::n(stats.completed() as f64)),
-        ("rejected", Json::n(stats.rejected as f64)),
-        ("fallback_fraction", Json::n(stats.fallback_fraction())),
-        ("max_queue_depth", Json::n(stats.max_queue_depth as f64)),
-        ("batches", Json::n(stats.batches as f64)),
-        ("mean_batch_size", Json::n(stats.mean_batch_size())),
+        ("submitted", Json::int(stats.submitted)),
+        ("completed", Json::num(stats.completed() as f64)),
+        ("rejected", Json::int(stats.rejected)),
+        ("fallback_fraction", Json::num(stats.fallback_fraction())),
+        ("max_queue_depth", Json::int(stats.max_queue_depth)),
+        ("batches", Json::int(stats.batches)),
+        ("mean_batch_size", Json::num(stats.mean_batch_size())),
         ("batch_sizes", batch_sizes),
-        ("makespan_ms", Json::n(stats.makespan_ms)),
+        ("makespan_ms", Json::num(stats.makespan_ms)),
         ("per_tenant", per_tenant),
     ]);
     (doc, outcome)
@@ -210,42 +210,28 @@ fn run_regime(
 /// `--smoke` artifact checks; returns human-readable violations.
 fn validate_doc(doc: &Json) -> Vec<String> {
     let mut bad = Vec::new();
-    let Json::Obj(top) = doc else {
-        return vec!["artifact root is not an object".into()];
-    };
-    let field = |pairs: &[(String, Json)], k: &str| -> Option<Json> {
-        pairs.iter().find(|(n, _)| n == k).map(|(_, v)| v.clone())
-    };
-    let Some(Json::Arr(regimes)) = field(top, "regimes") else {
+    let Some(regimes) = doc.get("regimes").and_then(Json::as_arr) else {
         return vec!["artifact has no `regimes` array".into()];
     };
     if regimes.len() < 3 {
         bad.push(format!("expected >= 3 regimes, found {}", regimes.len()));
     }
-    for r in &regimes {
-        let Json::Obj(pairs) = r else {
+    for r in regimes {
+        if r.as_obj().is_none() {
             bad.push("regime entry is not an object".into());
             continue;
-        };
-        let name = match field(pairs, "regime") {
-            Some(Json::Str(s)) => s,
-            _ => "?".to_string(),
-        };
-        let num = |k: &str| -> Option<f64> {
-            match field(pairs, k) {
-                Some(Json::Num(v)) => Some(v),
-                _ => None,
-            }
-        };
+        }
+        let name = r.get("regime").and_then(Json::as_str).unwrap_or("?");
+        let num = |k: &str| r.get(k).and_then(Json::as_f64);
         match num("throughput_rps") {
             Some(t) if t > 0.0 => {}
             _ => bad.push(format!("{name}: throughput_rps missing or not positive")),
         }
-        match field(pairs, "latency_ms") {
-            Some(Json::Obj(lat)) => {
+        match r.get("latency_ms") {
+            Some(lat @ Json::Obj(_)) => {
                 for k in ["p50", "p90", "p99"] {
-                    match field(&lat, k) {
-                        Some(Json::Num(v)) if v.is_finite() && v >= 0.0 => {}
+                    match lat.get(k).and_then(Json::as_f64) {
+                        Some(v) if v.is_finite() && v >= 0.0 => {}
                         _ => bad.push(format!("{name}: latency_ms.{k} missing/non-finite")),
                     }
                 }
@@ -357,18 +343,18 @@ fn main() {
     }
 
     let doc = Json::obj(vec![
-        ("bench", Json::s("serving")),
+        ("bench", Json::str("serving")),
         ("smoke", Json::Bool(smoke)),
-        ("nodes", Json::n(config.nodes as f64)),
-        ("max_batch", Json::n(config.max_batch as f64)),
-        ("max_wait_ms", Json::n(config.max_wait_ms)),
-        ("max_inflight", Json::n(config.max_inflight as f64)),
-        ("queue_capacity", Json::n(config.queue_capacity as f64)),
-        ("requests_per_tenant", Json::n(requests as f64)),
-        ("records_per_request", Json::n(records_per_request as f64)),
+        ("nodes", Json::int(config.nodes as u64)),
+        ("max_batch", Json::int(config.max_batch as u64)),
+        ("max_wait_ms", Json::num(config.max_wait_ms)),
+        ("max_inflight", Json::int(config.max_inflight as u64)),
+        ("queue_capacity", Json::int(config.queue_capacity as u64)),
+        ("requests_per_tenant", Json::int(requests as u64)),
+        ("records_per_request", Json::int(records_per_request as u64)),
         (
             "kernels",
-            Json::Arr(served.iter().map(|s| Json::s(s.name)).collect()),
+            Json::Arr(served.iter().map(|s| Json::str(s.name)).collect()),
         ),
         ("regimes", Json::Arr(regime_docs)),
     ]);

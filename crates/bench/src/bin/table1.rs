@@ -6,9 +6,10 @@
 //! ```
 
 use s2fa::compile_kernel;
-use s2fa_bench::results::{save, Json};
+use s2fa_bench::results::save;
 use s2fa_dse::DesignSpace;
 use s2fa_hlsir::analysis;
+use s2fa_obs::Json;
 use s2fa_workloads::all_workloads;
 
 fn main() {
@@ -57,11 +58,14 @@ fn main() {
             log10
         );
         json_rows.push(Json::obj(vec![
-            ("kernel", Json::s(w.name)),
-            ("loops", Json::n(s.loops.len() as f64)),
-            ("interface_buffers", Json::n(n_buffers as f64)),
-            ("tunable_params", Json::n(ds.space().params().len() as f64)),
-            ("design_points_log10", Json::n(log10)),
+            ("kernel", Json::str(w.name)),
+            ("loops", Json::num(s.loops.len() as f64)),
+            ("interface_buffers", Json::int(n_buffers as u64)),
+            (
+                "tunable_params",
+                Json::num(ds.space().params().len() as f64),
+            ),
+            ("design_points_log10", Json::num(log10)),
         ]));
     }
     save("table1", &Json::Arr(json_rows));

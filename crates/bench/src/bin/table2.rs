@@ -7,7 +7,8 @@
 
 use s2fa::report::{resource_table, ResourceRow};
 use s2fa::{S2fa, S2faOptions};
-use s2fa_bench::results::{save, Json};
+use s2fa_bench::results::save;
+use s2fa_obs::Json;
 use s2fa_workloads::all_workloads;
 
 /// The paper's Table 2 values, for side-by-side comparison.
@@ -80,13 +81,13 @@ fn main() {
             rows.iter()
                 .map(|r| {
                     Json::obj(vec![
-                        ("kernel", Json::s(r.kernel.clone())),
-                        ("category", Json::s(r.category.clone())),
-                        ("bram_pct", Json::n(r.bram_pct)),
-                        ("dsp_pct", Json::n(r.dsp_pct)),
-                        ("ff_pct", Json::n(r.ff_pct)),
-                        ("lut_pct", Json::n(r.lut_pct)),
-                        ("freq_mhz", Json::n(r.freq_mhz)),
+                        ("kernel", Json::str(r.kernel.clone())),
+                        ("category", Json::str(r.category.clone())),
+                        ("bram_pct", Json::num(r.bram_pct)),
+                        ("dsp_pct", Json::num(r.dsp_pct)),
+                        ("ff_pct", Json::num(r.ff_pct)),
+                        ("lut_pct", Json::num(r.lut_pct)),
+                        ("freq_mhz", Json::num(r.freq_mhz)),
                     ])
                 })
                 .collect(),

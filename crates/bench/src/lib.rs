@@ -21,4 +21,3 @@ pub mod chart;
 pub mod results;
 
 pub use baseline::{fpga_time_ms, jvm_ns_per_task, speedup, BASELINE_TASKS, SAMPLE_TASKS};
-pub use results::Json;

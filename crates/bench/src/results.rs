@@ -1,130 +1,8 @@
-//! Minimal JSON emission for experiment results.
-//!
-//! The experiment binaries print human-readable tables *and* drop
-//! machine-readable JSON under `results/` so plots and regression checks
-//! can consume the numbers without scraping stdout. The writer is a tiny
-//! purpose-built emitter (no external JSON dependency is needed for
-//! write-only output).
+//! Writes experiment results under `results/`, where plots and
+//! regression checks read them instead of scraping stdout.
 
-use std::fmt::Write as _;
+use s2fa_obs::Json;
 use std::path::Path;
-
-/// A JSON value under construction.
-#[derive(Debug, Clone)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A finite number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object with ordered keys.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Object constructor from pairs.
-    pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-
-    /// String helper.
-    pub fn s(v: impl Into<String>) -> Json {
-        Json::Str(v.into())
-    }
-
-    /// Number helper (non-finite values map to `null`, which JSON
-    /// requires).
-    pub fn n(v: f64) -> Json {
-        if v.is_finite() {
-            Json::Num(v)
-        } else {
-            Json::Null
-        }
-    }
-
-    /// Renders with 2-space indentation.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
-        let pad1 = "  ".repeat(indent + 1);
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Json::Num(v) => {
-                if v.fract() == 0.0 && v.abs() < 9.0e15 {
-                    let _ = write!(out, "{}", *v as i64);
-                } else {
-                    let _ = write!(out, "{v}");
-                }
-            }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, it) in items.iter().enumerate() {
-                    out.push_str(&pad1);
-                    it.write(out, indent + 1);
-                    if i + 1 < items.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                out.push_str(&pad);
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    out.push_str(&pad1);
-                    Json::Str(k.clone()).write(out, indent + 1);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                    if i + 1 < pairs.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                out.push_str(&pad);
-                out.push('}');
-            }
-        }
-    }
-}
 
 /// Writes a JSON document under `results/<name>.json` (relative to the
 /// workspace root when run via cargo) and reports the path on stdout.
@@ -138,40 +16,5 @@ pub fn save(name: &str, doc: &Json) {
     match std::fs::write(&path, doc.render()) {
         Ok(()) => println!("(results written to {})", path.display()),
         Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn renders_nested_documents() {
-        let doc = Json::obj(vec![
-            ("name", Json::s("S-W")),
-            ("speedup", Json::n(125.9)),
-            ("feasible", Json::Bool(true)),
-            ("trace", Json::Arr(vec![Json::n(1.0), Json::n(0.5)])),
-            ("nan_is_null", Json::n(f64::NAN)),
-        ]);
-        let r = doc.render();
-        assert!(r.contains("\"name\": \"S-W\""));
-        assert!(r.contains("\"speedup\": 125.9"));
-        assert!(r.contains("\"feasible\": true"));
-        assert!(r.contains("\"nan_is_null\": null"));
-        // integral floats render as integers
-        assert!(r.contains("1,"));
-    }
-
-    #[test]
-    fn escapes_strings() {
-        let r = Json::s("a\"b\\c\nd").render();
-        assert_eq!(r.trim(), r#""a\"b\\c\nd""#);
-    }
-
-    #[test]
-    fn empty_collections() {
-        assert_eq!(Json::Arr(vec![]).render().trim(), "[]");
-        assert_eq!(Json::Obj(vec![]).render().trim(), "{}");
     }
 }

@@ -41,19 +41,19 @@
 //! aggregated span tree, the per-thread-count batch-loop attribution
 //! (spawn/dispatch/estimate/collect/merge + honest idle), folded stacks
 //! for flamegraphs, and the JSON profile `s2fa_cli profile` writes and
-//! `s2fa_cli report` re-renders ([`json`] holds the crate's own parser;
-//! [`schema`] the validator CI's `profile-smoke` job runs).
+//! `s2fa_cli report` re-renders ([`Json`] is the workspace's one JSON
+//! type, re-exported from `s2fa-trace`; [`schema`] the validator CI's
+//! `profile-smoke` job runs).
 
 pub mod correlate;
-pub mod json;
 pub mod metrics;
 pub mod report;
 pub mod schema;
 pub mod span;
 
 pub use correlate::{correlate, CorrelatorSink, MinuteSample, SpanMinutes};
-pub use json::Json;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use report::{aggregate_spans, analyze_batch_loop, BatchLoopProfile, Profile, SpanNode};
+pub use s2fa_trace::Json;
 pub use schema::validate;
 pub use span::{verify_spans, Lane, Profiler, SpanRecord};

@@ -15,9 +15,9 @@
 //!   timing-free *structure* view for golden diffs in CI.
 
 use crate::correlate::SpanMinutes;
-use crate::json::Json;
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
 use crate::span::SpanRecord;
+use s2fa_trace::Json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -233,31 +233,10 @@ pub struct Profile {
 impl Profile {
     /// Serializes the profile (schema: `docs/profile.schema.json`).
     pub fn to_json(&self) -> Json {
+        // Keys in alphabetical order, here and in the helpers below:
+        // saved profiles are diffed against each other, so their layout
+        // stays sorted and stable.
         Json::obj([
-            ("version", Json::int(1)),
-            ("kernel", Json::str(&self.kernel)),
-            ("mode", Json::str(&self.mode)),
-            (
-                "span_tree",
-                Json::Arr(self.tree.iter().map(node_to_json).collect()),
-            ),
-            ("metrics", metrics_to_json(&self.metrics)),
-            (
-                "correlation",
-                Json::Arr(
-                    self.correlation
-                        .iter()
-                        .map(|c| {
-                            Json::obj([
-                                ("span", Json::str(&c.span)),
-                                ("events", Json::int(c.events)),
-                                ("first_minute", Json::Num(c.first_minute)),
-                                ("last_minute", Json::Num(c.last_minute)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
             (
                 "batch_loop",
                 Json::Arr(
@@ -265,20 +244,44 @@ impl Profile {
                         .iter()
                         .map(|b| {
                             Json::obj([
-                                ("threads", Json::int(b.threads)),
+                                ("attributed_fraction", Json::num(b.attributed_fraction())),
                                 ("batches", Json::int(b.batches)),
-                                ("wall_ns", Json::int(b.wall_ns)),
-                                ("submit_ns", Json::int(b.submit_ns)),
                                 ("estimate_ns", Json::int(b.estimate_ns)),
-                                ("wait_ns", Json::int(b.wait_ns)),
-                                ("merge_ns", Json::int(b.merge_ns)),
                                 ("idle_ns", Json::int(b.idle_ns)),
-                                ("attributed_fraction", Json::Num(b.attributed_fraction())),
+                                ("merge_ns", Json::int(b.merge_ns)),
+                                ("submit_ns", Json::int(b.submit_ns)),
+                                ("threads", Json::int(b.threads)),
+                                ("wait_ns", Json::int(b.wait_ns)),
+                                ("wall_ns", Json::int(b.wall_ns)),
                             ])
                         })
                         .collect(),
                 ),
             ),
+            (
+                "correlation",
+                Json::Arr(
+                    self.correlation
+                        .iter()
+                        .map(|c| {
+                            Json::obj([
+                                ("events", Json::int(c.events)),
+                                ("first_minute", Json::num(c.first_minute)),
+                                ("last_minute", Json::num(c.last_minute)),
+                                ("span", Json::str(&c.span)),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+            ("kernel", Json::str(&self.kernel)),
+            ("metrics", metrics_to_json(&self.metrics)),
+            ("mode", Json::str(&self.mode)),
+            (
+                "span_tree",
+                Json::Arr(self.tree.iter().map(node_to_json).collect()),
+            ),
+            ("version", Json::int(1)),
         ])
     }
 
@@ -514,14 +517,14 @@ fn structure_paths(paths: &mut Vec<String>, node: &SpanNode, prefix: &str) {
 
 fn node_to_json(node: &SpanNode) -> Json {
     Json::obj([
-        ("name", Json::str(&node.name)),
-        ("count", Json::int(node.count)),
-        ("total_ns", Json::int(node.total_ns)),
-        ("self_ns", Json::int(node.self_ns())),
         (
             "children",
             Json::Arr(node.children.iter().map(node_to_json).collect()),
         ),
+        ("count", Json::int(node.count)),
+        ("name", Json::str(&node.name)),
+        ("self_ns", Json::int(node.self_ns())),
+        ("total_ns", Json::int(node.total_ns)),
     ])
 }
 
@@ -566,7 +569,7 @@ fn metrics_to_json(m: &MetricsSnapshot) -> Json {
             Json::Obj(
                 m.gauges
                     .iter()
-                    .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
+                    .map(|(k, v)| (k.clone(), Json::num(*v as f64)))
                     .collect(),
             ),
         ),
@@ -580,11 +583,11 @@ fn metrics_to_json(m: &MetricsSnapshot) -> Json {
                             k.clone(),
                             Json::obj([
                                 ("count", Json::int(h.count)),
-                                ("sum", Json::int(h.sum)),
                                 ("max", Json::int(h.max)),
                                 ("p50", Json::int(h.p50)),
                                 ("p90", Json::int(h.p90)),
                                 ("p99", Json::int(h.p99)),
+                                ("sum", Json::int(h.sum)),
                             ]),
                         )
                     })
@@ -761,9 +764,35 @@ mod tests {
             batch_loop: vec![analyze_batch_loop(&threaded_batch(), 2)],
         };
         let j = profile.to_json();
+        assert_keys_sorted(&j);
         let text = j.render();
         let back = Profile::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, profile);
+    }
+
+    /// Profiles are written with every object's keys in sorted order.
+    fn assert_keys_sorted(j: &Json) {
+        match j {
+            Json::Obj(pairs) => {
+                let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+                assert!(keys.is_sorted(), "unsorted keys {keys:?}");
+                pairs.iter().for_each(|(_, v)| assert_keys_sorted(v));
+            }
+            Json::Arr(items) => items.iter().for_each(assert_keys_sorted),
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn negative_or_fractional_counts_are_rejected() {
+        for bad in ["-5", "1.5"] {
+            let text = format!(
+                r#"{{"correlation": [{{"span": "tune", "events": {bad},
+                    "first_minute": 0, "last_minute": 1}}]}}"#
+            );
+            let err = Profile::from_json(&Json::parse(&text).unwrap()).unwrap_err();
+            assert_eq!(err, "missing integer `events`");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! `items`, `enum`, `const`, `minimum`, `minItems`. Unknown keywords
 //! are ignored (as JSON Schema specifies).
 
-use crate::json::Json;
+use s2fa_trace::Json;
 
 /// Validates `value` against `schema`, returning every violation as a
 /// `path: message` string (empty vec = valid).
@@ -42,10 +42,10 @@ fn type_matches(want: &str, v: &Json) -> bool {
     }
 }
 
-fn check(schema: &Json, value: &Json, path: &str, errors: &mut Vec<String>) {
-    let Some(s) = schema.as_obj() else {
+fn check(s: &Json, value: &Json, path: &str, errors: &mut Vec<String>) {
+    if s.as_obj().is_none() {
         return; // `true` / non-object schemas accept everything
-    };
+    }
 
     if let Some(t) = s.get("type") {
         let allowed: Vec<&str> = match t {
@@ -65,7 +65,10 @@ fn check(schema: &Json, value: &Json, path: &str, errors: &mut Vec<String>) {
 
     if let Some(c) = s.get("const") {
         if c != value {
-            errors.push(format!("{path}: does not match const {}", compact(c)));
+            errors.push(format!(
+                "{path}: does not match const {}",
+                c.render_compact()
+            ));
         }
     }
 
@@ -81,25 +84,23 @@ fn check(schema: &Json, value: &Json, path: &str, errors: &mut Vec<String>) {
         }
     }
 
-    if let Some(obj) = value.as_obj() {
+    if let Some(members) = value.as_obj() {
         if let Some(Json::Arr(required)) = s.get("required") {
             for key in required.iter().filter_map(|j| j.as_str()) {
-                if !obj.contains_key(key) {
+                if value.get(key).is_none() {
                     errors.push(format!("{path}: missing required member `{key}`"));
                 }
             }
         }
-        let props = s.get("properties").and_then(Json::as_obj);
-        if let Some(props) = props {
-            for (key, sub) in props {
-                if let Some(v) = obj.get(key) {
-                    check(sub, v, &format!("{path}.{key}"), errors);
-                }
+        let props = s.get("properties");
+        for (key, sub) in props.and_then(Json::as_obj).unwrap_or_default() {
+            if let Some(v) = value.get(key) {
+                check(sub, v, &format!("{path}.{key}"), errors);
             }
         }
         if s.get("additionalProperties") == Some(&Json::Bool(false)) {
-            for key in obj.keys() {
-                if props.is_none_or(|p| !p.contains_key(key)) {
+            for (key, _) in members {
+                if props.and_then(|p| p.get(key)).is_none() {
                     errors.push(format!("{path}: unexpected member `{key}`"));
                 }
             }
@@ -121,10 +122,6 @@ fn check(schema: &Json, value: &Json, path: &str, errors: &mut Vec<String>) {
             }
         }
     }
-}
-
-fn compact(j: &Json) -> String {
-    j.render().trim_end().replace('\n', " ")
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Typed pipeline events and their single-line JSON form.
 
-use std::fmt::Write as _;
+use crate::json::Json;
 
 /// One structured observability event.
 ///
@@ -253,18 +253,18 @@ impl Event {
 
     /// Serializes the event as one line of JSON (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(96);
-        s.push('{');
-        push_str_field(&mut s, "type", self.kind());
+        let mut fields = vec![("type", Json::str(self.kind()))];
         match self {
             Event::RunStart {
                 kernel,
                 budget_minutes,
                 partitions,
             } => {
-                push_str_field(&mut s, "kernel", kernel);
-                push_num_field(&mut s, "budget_minutes", *budget_minutes);
-                push_int_field(&mut s, "partitions", *partitions);
+                fields.extend([
+                    ("kernel", Json::str(kernel)),
+                    ("budget_minutes", Json::num(*budget_minutes)),
+                    ("partitions", Json::int(*partitions)),
+                ]);
             }
             Event::Eval {
                 minute,
@@ -275,50 +275,60 @@ impl Event {
                 best_value,
                 improved,
             } => {
-                push_num_field(&mut s, "minute", *minute);
+                fields.push(("minute", Json::num(*minute)));
                 if let Some(p) = partition {
-                    push_int_field(&mut s, "partition", *p);
+                    fields.push(("partition", Json::int(*p)));
                 }
-                push_int_field(&mut s, "iteration", *iteration);
-                push_str_field(&mut s, "technique", technique);
-                push_num_field(&mut s, "value", *value);
-                push_num_field(&mut s, "best_value", *best_value);
-                push_bool_field(&mut s, "improved", *improved);
+                fields.extend([
+                    ("iteration", Json::int(*iteration)),
+                    ("technique", Json::str(technique)),
+                    ("value", Json::num(*value)),
+                    ("best_value", Json::num(*best_value)),
+                    ("improved", Json::Bool(*improved)),
+                ]);
             }
             Event::CacheStats {
                 hits,
                 misses,
                 overwrites,
             } => {
-                push_int_field(&mut s, "hits", *hits);
-                push_int_field(&mut s, "misses", *misses);
-                push_int_field(&mut s, "overwrites", *overwrites);
+                fields.extend([
+                    ("hits", Json::int(*hits)),
+                    ("misses", Json::int(*misses)),
+                    ("overwrites", Json::int(*overwrites)),
+                ]);
             }
             Event::Prune { rule } => {
-                push_str_field(&mut s, "rule", rule);
+                fields.push(("rule", Json::str(rule)));
             }
             Event::TechniquePull {
                 technique,
                 iteration,
             } => {
-                push_str_field(&mut s, "technique", technique);
-                push_int_field(&mut s, "iteration", *iteration);
+                fields.extend([
+                    ("technique", Json::str(technique)),
+                    ("iteration", Json::int(*iteration)),
+                ]);
             }
             Event::TechniqueReward {
                 technique,
                 improved,
             } => {
-                push_str_field(&mut s, "technique", technique);
-                push_bool_field(&mut s, "improved", *improved);
+                fields.extend([
+                    ("technique", Json::str(technique)),
+                    ("improved", Json::Bool(*improved)),
+                ]);
             }
             Event::PartitionStart {
                 partition,
                 worker,
                 minute,
             } => {
-                push_int_field(&mut s, "partition", *partition);
-                push_int_field(&mut s, "worker", *worker);
-                push_num_field(&mut s, "minute", *minute);
+                fields.extend([
+                    ("partition", Json::int(*partition)),
+                    ("worker", Json::int(*worker)),
+                    ("minute", Json::num(*minute)),
+                ]);
             }
             Event::PartitionStop {
                 partition,
@@ -329,22 +339,26 @@ impl Event {
                 best_value,
                 reason,
             } => {
-                push_int_field(&mut s, "partition", *partition);
-                push_int_field(&mut s, "worker", *worker);
-                push_num_field(&mut s, "minute", *minute);
-                push_int_field(&mut s, "evaluations", *evaluations);
-                push_int_field(&mut s, "killed_evals", *killed_evals);
-                push_num_field(&mut s, "best_value", *best_value);
-                push_str_field(&mut s, "reason", reason);
+                fields.extend([
+                    ("partition", Json::int(*partition)),
+                    ("worker", Json::int(*worker)),
+                    ("minute", Json::num(*minute)),
+                    ("evaluations", Json::int(*evaluations)),
+                    ("killed_evals", Json::int(*killed_evals)),
+                    ("best_value", Json::num(*best_value)),
+                    ("reason", Json::str(reason)),
+                ]);
             }
             Event::RunStop {
                 minute,
                 evaluations,
                 reason,
             } => {
-                push_num_field(&mut s, "minute", *minute);
-                push_int_field(&mut s, "evaluations", *evaluations);
-                push_str_field(&mut s, "reason", reason);
+                fields.extend([
+                    ("minute", Json::num(*minute)),
+                    ("evaluations", Json::int(*evaluations)),
+                    ("reason", Json::str(reason)),
+                ]);
             }
             Event::Submit {
                 ms,
@@ -352,19 +366,23 @@ impl Event {
                 tenant,
                 accel,
             } => {
-                push_num_field(&mut s, "ms", *ms);
-                push_int_field(&mut s, "request", *request);
-                push_int_field(&mut s, "tenant", *tenant);
-                push_str_field(&mut s, "accel", accel);
+                fields.extend([
+                    ("ms", Json::num(*ms)),
+                    ("request", Json::int(*request)),
+                    ("tenant", Json::int(*tenant)),
+                    ("accel", Json::str(accel)),
+                ]);
             }
             Event::Admit {
                 ms,
                 request,
                 inflight,
             } => {
-                push_num_field(&mut s, "ms", *ms);
-                push_int_field(&mut s, "request", *request);
-                push_int_field(&mut s, "inflight", *inflight);
+                fields.extend([
+                    ("ms", Json::num(*ms)),
+                    ("request", Json::int(*request)),
+                    ("inflight", Json::int(*inflight)),
+                ]);
             }
             Event::Reject {
                 ms,
@@ -372,10 +390,12 @@ impl Event {
                 tenant,
                 reason,
             } => {
-                push_num_field(&mut s, "ms", *ms);
-                push_int_field(&mut s, "request", *request);
-                push_int_field(&mut s, "tenant", *tenant);
-                push_str_field(&mut s, "reason", reason);
+                fields.extend([
+                    ("ms", Json::num(*ms)),
+                    ("request", Json::int(*request)),
+                    ("tenant", Json::int(*tenant)),
+                    ("reason", Json::str(reason)),
+                ]);
             }
             Event::Enqueue {
                 ms,
@@ -383,10 +403,12 @@ impl Event {
                 accel,
                 depth,
             } => {
-                push_num_field(&mut s, "ms", *ms);
-                push_int_field(&mut s, "request", *request);
-                push_str_field(&mut s, "accel", accel);
-                push_int_field(&mut s, "depth", *depth);
+                fields.extend([
+                    ("ms", Json::num(*ms)),
+                    ("request", Json::int(*request)),
+                    ("accel", Json::str(accel)),
+                    ("depth", Json::int(*depth)),
+                ]);
             }
             Event::BatchFormed {
                 ms,
@@ -396,12 +418,14 @@ impl Event {
                 tasks,
                 cause,
             } => {
-                push_num_field(&mut s, "ms", *ms);
-                push_int_field(&mut s, "batch", *batch);
-                push_str_field(&mut s, "accel", accel);
-                push_int_field(&mut s, "size", *size);
-                push_int_field(&mut s, "tasks", *tasks);
-                push_str_field(&mut s, "cause", cause);
+                fields.extend([
+                    ("ms", Json::num(*ms)),
+                    ("batch", Json::int(*batch)),
+                    ("accel", Json::str(accel)),
+                    ("size", Json::int(*size)),
+                    ("tasks", Json::int(*tasks)),
+                    ("cause", Json::str(cause)),
+                ]);
             }
             Event::Execute {
                 ms,
@@ -409,10 +433,12 @@ impl Event {
                 node,
                 service_ms,
             } => {
-                push_num_field(&mut s, "ms", *ms);
-                push_int_field(&mut s, "batch", *batch);
-                push_int_field(&mut s, "node", *node);
-                push_num_field(&mut s, "service_ms", *service_ms);
+                fields.extend([
+                    ("ms", Json::num(*ms)),
+                    ("batch", Json::int(*batch)),
+                    ("node", Json::int(*node)),
+                    ("service_ms", Json::num(*service_ms)),
+                ]);
             }
             Event::Reply {
                 ms,
@@ -421,62 +447,17 @@ impl Event {
                 latency_ms,
                 path,
             } => {
-                push_num_field(&mut s, "ms", *ms);
-                push_int_field(&mut s, "request", *request);
-                push_int_field(&mut s, "tenant", *tenant);
-                push_num_field(&mut s, "latency_ms", *latency_ms);
-                push_str_field(&mut s, "path", path);
+                fields.extend([
+                    ("ms", Json::num(*ms)),
+                    ("request", Json::int(*request)),
+                    ("tenant", Json::int(*tenant)),
+                    ("latency_ms", Json::num(*latency_ms)),
+                    ("path", Json::str(path)),
+                ]);
             }
         }
-        s.push('}');
-        s
+        Json::obj(fields).render_compact()
     }
-}
-
-fn push_key(s: &mut String, key: &str) {
-    if !s.ends_with('{') {
-        s.push(',');
-    }
-    let _ = write!(s, "\"{key}\":");
-}
-
-fn push_str_field(s: &mut String, key: &str, value: &str) {
-    push_key(s, key);
-    s.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(s, "\\u{:04x}", c as u32);
-            }
-            c => s.push(c),
-        }
-    }
-    s.push('"');
-}
-
-/// Numbers must be valid JSON: non-finite values (infeasible objectives
-/// are `+inf`) map to `null`.
-fn push_num_field(s: &mut String, key: &str, value: f64) {
-    push_key(s, key);
-    if value.is_finite() {
-        let _ = write!(s, "{value}");
-    } else {
-        s.push_str("null");
-    }
-}
-
-fn push_int_field(s: &mut String, key: &str, value: u64) {
-    push_key(s, key);
-    let _ = write!(s, "{value}");
-}
-
-fn push_bool_field(s: &mut String, key: &str, value: bool) {
-    push_key(s, key);
-    let _ = write!(s, "{value}");
 }
 
 #[cfg(test)]

@@ -44,9 +44,11 @@
 pub mod agg;
 pub mod clock;
 pub mod event;
+pub mod json;
 pub mod sink;
 
 pub use agg::{TechniqueStats, TechniqueTable};
 pub use clock::BatchClock;
 pub use event::Event;
+pub use json::Json;
 pub use sink::{JsonlSink, NullSink, RingSink, TraceSink};
