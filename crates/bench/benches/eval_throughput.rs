@@ -23,6 +23,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::{rngs::SmallRng, SeedableRng};
 use s2fa::compile_kernel;
 use s2fa_dse::{DesignSpace, EvalEngine};
+use s2fa_engine::WorkerPool;
 use s2fa_hlsir::analysis;
 use s2fa_hlssim::Estimator;
 use s2fa_tuner::{Config, Measurement, Objective, ThreadedObjective};
@@ -104,7 +105,8 @@ fn bench_threads(c: &mut Criterion) {
     let mut g = c.benchmark_group("eval_throughput");
     for threads in [1usize, 8] {
         g.bench_function(format!("threads/{threads}/256_evals"), |b| {
-            let mut obj = ThreadedObjective::new(&eval, threads);
+            let pool = WorkerPool::new(threads - 1);
+            let mut obj = ThreadedObjective::new(&eval, &pool);
             b.iter(|| std::hint::black_box(obj.measure_batch(&configs)))
         });
     }

@@ -38,6 +38,7 @@ use rand::{rngs::SmallRng, SeedableRng};
 use s2fa::compile_kernel;
 use s2fa_bench::results;
 use s2fa_dse::{DesignSpace, EvalEngine};
+use s2fa_engine::WorkerPool;
 use s2fa_hlsir::analysis;
 use s2fa_hlssim::Estimator;
 use s2fa_merlin::DesignConfig;
@@ -97,8 +98,8 @@ fn mutation_chain(ds: &DesignSpace, rng: &mut SmallRng, len: usize) -> Vec<Desig
 }
 
 fn evals_per_sec(mut run_batch: impl FnMut()) -> f64 {
-    // one untimed warm-up round so lazy setup (the persistent worker
-    // pool, cache fills for the warm regime) stays out of the measurement
+    // one untimed warm-up round so lazy setup (cache fills for the warm
+    // regime) stays out of the measurement
     run_batch();
     // Best-of-N short windows over the same total work: this host is a
     // shared 1-core container, and a single long window folds other
@@ -153,7 +154,8 @@ fn run_smoke() {
     };
     const SMOKE_ROUNDS: usize = 10;
     let rate_at = |threads: usize| -> f64 {
-        let mut obj = ThreadedObjective::new(&eval, threads);
+        let pool = WorkerPool::new(threads - 1);
+        let mut obj = ThreadedObjective::new(&eval, &pool);
         std::hint::black_box(obj.measure_batch(&configs)); // warm-up
         let t0 = Instant::now();
         for _ in 0..SMOKE_ROUNDS {
@@ -281,12 +283,13 @@ fn main() {
     };
     let mut threaded: Vec<(usize, f64, BatchLoopProfile)> = Vec::new();
     for threads in THREADS {
-        let mut obj = ThreadedObjective::new(&eval, threads);
+        let pool = WorkerPool::new(threads - 1);
+        let mut obj = ThreadedObjective::new(&eval, &pool);
         let rate = evals_per_sec(|| {
             std::hint::black_box(obj.measure_batch(&configs));
         });
         let profiler = Profiler::enabled();
-        let mut obj = ThreadedObjective::new(&eval, threads).with_profiler(&profiler);
+        let mut obj = ThreadedObjective::new(&eval, &pool).with_profiler(&profiler);
         for _ in 0..4 {
             std::hint::black_box(obj.measure_batch(&configs));
         }
@@ -303,12 +306,13 @@ fn main() {
         let out: Vec<Measurement> = configs.iter().map(eval).collect();
         std::hint::black_box(out);
     });
-    let mut obj = ThreadedObjective::new(&eval, 1);
+    let serial = WorkerPool::new(0);
+    let mut obj = ThreadedObjective::new(&eval, &serial);
     let disabled = evals_per_sec(|| {
         std::hint::black_box(obj.measure_batch(&configs));
     });
     let enabled_profiler = Profiler::enabled();
-    let mut obj = ThreadedObjective::new(&eval, 1).with_profiler(&enabled_profiler);
+    let mut obj = ThreadedObjective::new(&eval, &serial).with_profiler(&enabled_profiler);
     let enabled = evals_per_sec(|| {
         std::hint::black_box(obj.measure_batch(&configs));
     });

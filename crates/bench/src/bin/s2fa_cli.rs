@@ -8,7 +8,7 @@
 //! cargo run --release -p s2fa-bench --bin s2fa_cli -- --kernel KMeans --trace kmeans.jsonl
 //! cargo run --release -p s2fa-bench --bin s2fa_cli -- --kernel KMeans --metrics metrics.json
 //! cargo run --release -p s2fa-bench --bin s2fa_cli -- --kernel KMeans --prescreen
-//! cargo run --release -p s2fa-bench --bin s2fa_cli -- --kernel S-W --eval-threads 4 --chunk 64
+//! cargo run --release -p s2fa-bench --bin s2fa_cli -- --kernel S-W --eval-threads 4
 //! cargo run --release -p s2fa-bench --bin s2fa_cli -- lint
 //! cargo run --release -p s2fa-bench --bin s2fa_cli -- lint --format json --save
 //! cargo run --release -p s2fa-bench --bin s2fa_cli -- profile --kernel S-W
@@ -26,14 +26,13 @@
 //! `--metrics <path>` attaches a metrics-only profiler (histograms and
 //! counters live, span lanes inert) and dumps the registry standalone to
 //! `<path>` after the run — per-eval latency, cache probe/lock-wait,
-//! bandit pull, batch fan-out/join distributions, and the persistent
-//! worker pool's job/chunk counters (a utilization line is printed when
-//! the pool was live).
+//! bandit pull, batch fan-out/join distributions, and the worker pool's
+//! job/chunk counters (summarized in a printed utilization line).
 //!
-//! `--eval-threads <n>` sizes the persistent evaluation worker pool the
-//! DSE batch path fans out over (default: one per host core);
-//! `--chunk <n>` fixes the work-unit size per pool dispatch (default 0
-//! = auto-sized from batch length and worker count).
+//! `--eval-threads <n>` sets the DSE's host executors: the calling thread
+//! plus a worker pool of `n - 1` threads that runs the partitions and
+//! their tuning batches (default: the host's available parallelism).
+//! Pool chunks are always sized from the job length and executor count.
 //!
 //! `profile` runs one kernel's automatic flow under full host-side
 //! profiling and writes the flight-recorder artifacts:
@@ -42,9 +41,9 @@
 //! document for the CI golden diff, and folded stacks for flamegraph
 //! tooling — then prints the human-readable report. A dedicated sweep
 //! phase re-measures the threaded batch loop at each `--threads` count
-//! (512-point batches on an uncached engine) so the report attributes
-//! the batch loop's wall-time — spawn, dispatch, estimate, collect,
-//! merge, idle — per thread count.
+//! (512-point batches on an uncached engine, a `threads - 1` worker pool
+//! per count) so the report attributes the batch loop's wall-time —
+//! submit, estimate, wait, merge, idle — per thread count.
 //!
 //! `report` re-renders a previously written profile without running
 //! anything.
@@ -91,6 +90,7 @@ use s2fa::{S2fa, S2faOptions};
 use s2fa_bench::results::save;
 use s2fa_blaze::{AcceleratorRegistry, ServingConfig, ServingRuntime, TenantSpec};
 use s2fa_dse::{DesignSpace, EvalEngine};
+use s2fa_engine::WorkerPool;
 use s2fa_hlsir::analysis;
 use s2fa_hlssim::{report, Estimator};
 use s2fa_merlin::{apply_structural, DesignConfig};
@@ -122,7 +122,6 @@ struct Args {
     metrics: Option<String>,
     threads: Vec<usize>,
     eval_threads: Option<usize>,
-    chunk: Option<usize>,
     profile_path: Option<String>,
     prescreen: bool,
     dataflow_prescreen: bool,
@@ -156,7 +155,6 @@ fn parse_args() -> Result<Args, String> {
         metrics: None,
         threads: vec![1, 2, 4, 8],
         eval_threads: None,
-        chunk: None,
         profile_path: None,
         prescreen: false,
         dataflow_prescreen: false,
@@ -234,14 +232,6 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|e| format!("bad --eval-threads: {e}"))?,
                 );
             }
-            "--chunk" => {
-                args.chunk = Some(
-                    it.next()
-                        .ok_or("--chunk needs a size (0 = auto)")?
-                        .parse()
-                        .map_err(|e| format!("bad --chunk: {e}"))?,
-                );
-            }
             "--format" => {
                 args.format = match it.next().ok_or("--format needs text|json")?.as_str() {
                     "text" => Format::Text,
@@ -297,11 +287,10 @@ fn parse_args() -> Result<Args, String> {
 
 const USAGE: &str = "usage: s2fa_cli --kernel <name> [--budget <minutes>] [--tasks <n>] \
 [--manual] [--emit-c] [--report] [--prescreen] [--dataflow-prescreen] [--eval-threads <n>] \
-[--chunk <n>] \
 [--trace <path>] [--metrics <path>] | --list\n       \
 s2fa_cli lint [--kernel <name>] [--tasks <n>] [--format text|json] [--save]\n       \
 s2fa_cli profile --kernel <name> [--budget <minutes>] [--tasks <n>] [--threads 1,2,4,8] \
-[--chunk <n>]\n       \
+[--eval-threads <n>]\n       \
 s2fa_cli report (--kernel <name> | --profile <path>)\n       \
 s2fa_cli serve [--kernel <name>] [--requests <n>] [--util <x>] [--nodes <n>] \
 [--trace <path>]";
@@ -351,9 +340,6 @@ fn main() {
     options.dse.dataflow_prescreen = args.dataflow_prescreen;
     if let Some(t) = args.eval_threads {
         options.dse.eval_threads = t;
-    }
-    if let Some(c) = args.chunk {
-        options.dse.eval_chunk = c;
     }
     let sink: Option<Arc<JsonlSink>> = args.trace.as_deref().map(|path| {
         Arc::new(JsonlSink::create(path).unwrap_or_else(|e| {
@@ -734,9 +720,6 @@ fn run_profile(args: &Args) -> i32 {
     if let Some(t) = args.eval_threads {
         options.dse.eval_threads = t;
     }
-    if let Some(c) = args.chunk {
-        options.dse.eval_chunk = c;
-    }
 
     // 1. The profiled pipeline run, with the dual-clock correlator
     // shadowing the virtual-minute event stream.
@@ -755,8 +738,8 @@ fn run_profile(args: &Args) -> i32 {
     let metrics = profiler.metrics().expect("enabled profiler").snapshot();
 
     // 2. The dedicated batch-loop sweep: same kernel, uncached engine (so
-    // every eval pays the estimator walk), one ThreadedObjective per
-    // thread count, batches of SWEEP_BATCH random points. Batches run
+    // every eval pays the estimator walk), one pool and ThreadedObjective
+    // per thread count, batches of SWEEP_BATCH random points. Batches run
     // serially within a sweep, which is what lets `analyze_batch_loop`
     // associate worker spans to batches by containment.
     let summary = &compiled.summary;
@@ -775,9 +758,8 @@ fn run_profile(args: &Args) -> i32 {
                 minutes: e.hls_minutes,
             }
         };
-        let mut obj = ThreadedObjective::new(&eval, threads)
-            .with_chunk(args.chunk.unwrap_or(0))
-            .with_profiler(&sweep);
+        let pool = WorkerPool::new(threads.max(1) - 1);
+        let mut obj = ThreadedObjective::new(&eval, &pool).with_profiler(&sweep);
         let mut rng = SmallRng::seed_from_u64(SWEEP_SEED);
         for _ in 0..SWEEP_BATCHES {
             let configs: Vec<Config> = (0..SWEEP_BATCH)

@@ -13,9 +13,10 @@
 //! All estimator calls go through one shared [`EvalEngine`]: the
 //! partitioner's probe pass, every partition's seeds, and the tuning loops
 //! hit the same memo table, so overlapping design points are synthesized
-//! once. Partitions run with *full* budget on a work-stealing pool of real
-//! OS threads (each tuning batch additionally fans out over
-//! `eval_threads`), and the virtual FCFS schedule of Fig. 2 is then
+//! once. Partitions run with *full* budget as one job on the run's single
+//! [`WorkerPool`] (`eval_threads - 1` workers plus the calling thread;
+//! each tuning batch fans out as a nested job on the same pool), and the
+//! virtual FCFS schedule of Fig. 2 over `workers` virtual cores is then
 //! *simulated* deterministically at merge time: partitions are assigned in
 //! index order to the virtual worker that frees first, and each
 //! partition's trajectory is truncated to the budget that worker had left.
@@ -48,8 +49,7 @@ use s2fa_tuner::{
     Measurement, NoImprovement, StopReason, StoppingCriterion, ThreadedObjective, TimeLimitOnly,
     TraceEvent, TuningOptions, TuningOutcome, TuningRun,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Which early-stopping criterion a DSE run uses.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,7 +80,9 @@ pub struct DseOptions {
     pub seeds: bool,
     /// Early-stopping criterion (§4.3.3).
     pub stopping: StoppingKind,
-    /// Worker cores (8 on the f1.2xlarge host).
+    /// Virtual worker cores of the FCFS schedule (8 on the f1.2xlarge
+    /// host). Read only when the merge simulates that schedule; it starts
+    /// no host thread.
     pub workers: usize,
     /// Candidates evaluated in parallel *within* one tuning run (vanilla
     /// OpenTuner uses the 8 cores this way; S2FA uses 1 because its cores
@@ -92,9 +94,12 @@ pub struct DseOptions {
     pub rng_seed: u64,
     /// Partitioner settings.
     pub partitioner: Partitioner,
-    /// Real OS threads measuring one tuning batch in parallel. Purely a
-    /// wall-clock knob: outcomes are identical for any value (the virtual
-    /// clock is governed by `parallel_evals` and `workers`).
+    /// Host executors of the run: its one [`WorkerPool`] gets
+    /// `eval_threads - 1` workers, and the calling thread is the last.
+    /// Partitions and tuning batches share them. Purely a wall-clock
+    /// knob: outcomes are identical for any value (the virtual clock is
+    /// governed by `parallel_evals` and `workers`). Defaults to the
+    /// host's available parallelism.
     pub eval_threads: usize,
     /// Enable the shared memoized estimate cache. Also purely a
     /// wall-clock knob: hits re-charge the stored virtual HLS minutes, so
@@ -115,11 +120,6 @@ pub struct DseOptions {
     /// verdict degenerates to the resource screen, so existing goldens
     /// stay bit-identical.
     pub dataflow_prescreen: bool,
-    /// Work-unit size (configs per pool chunk) for the persistent
-    /// evaluation pool; `0` picks an automatic size from the batch length
-    /// and executor count. Purely a wall-clock knob — the deterministic
-    /// index-slot merge makes outcomes identical for any chunking.
-    pub eval_chunk: usize,
 }
 
 impl Default for DseOptions {
@@ -129,8 +129,8 @@ impl Default for DseOptions {
 }
 
 impl DseOptions {
-    /// The full S2FA flow: partition + seeds + entropy stopping, 8 workers,
-    /// 4-hour cap.
+    /// The full S2FA flow: partition + seeds + entropy stopping, 8 virtual
+    /// workers, 4-hour cap.
     pub fn s2fa() -> DseOptions {
         DseOptions {
             partition: true,
@@ -141,13 +141,18 @@ impl DseOptions {
             budget_minutes: 240.0,
             rng_seed: 2018,
             partitioner: Partitioner::default(),
-            eval_threads: 8,
+            eval_threads: host_parallelism(),
             caching: true,
             prescreen: false,
             dataflow_prescreen: false,
-            eval_chunk: 0,
         }
     }
+}
+
+/// The host's available parallelism (1 if it cannot be read): the
+/// default `eval_threads`.
+fn host_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// The Fig. 3 baseline: vanilla OpenTuner on the same 8 cores.
@@ -161,11 +166,10 @@ pub fn vanilla_options() -> DseOptions {
         budget_minutes: 240.0,
         rng_seed: 2018,
         partitioner: Partitioner::default(),
-        eval_threads: 8,
+        eval_threads: host_parallelism(),
         caching: true,
         prescreen: false,
         dataflow_prescreen: false,
-        eval_chunk: 0,
     }
 }
 
@@ -349,12 +353,11 @@ fn truncate_to_budget(out: &TuningOutcome, budget: f64, full_budget: f64) -> Tru
 
 /// Runs a DSE for one kernel and returns the merged outcome.
 ///
-/// Deterministic given `opts.rng_seed` — independent of `workers` as a
-/// thread pool (only its virtual core count matters), of `eval_threads`,
-/// of `caching`, and of OS scheduling: real threads only decide *when*
+/// Deterministic given `opts.rng_seed` — independent of `eval_threads`,
+/// of `caching`, and of OS scheduling: host threads only decide *when*
 /// each partition's deterministic trajectory is computed, never what it
-/// contains, and the FCFS schedule over virtual workers is simulated at
-/// merge time from per-partition virtual durations.
+/// contains, and the FCFS schedule over the `workers` virtual cores is
+/// simulated at merge time from per-partition virtual durations.
 pub fn run_dse(summary: &KernelSummary, estimator: &Estimator, opts: &DseOptions) -> DseOutcome {
     run_dse_traced(summary, estimator, opts, Arc::new(NullSink))
 }
@@ -382,8 +385,8 @@ pub fn run_dse_traced(
 /// With an enabled profiler the driver records a span forest over the
 /// whole exploration — a `dse` root lane with
 /// `space_identification` / `partition` / `seeds` / `explore` / `merge`
-/// stage children, a `tune` span per partition on each pool thread's
-/// lane, and the evaluator's `batch`/`worker` shape from
+/// stage children, a `tune` span per partition on its own lane, and the
+/// evaluator's `batch`/`pool_chunk` shape from
 /// [`ThreadedObjective`] — and feeds the metrics registry
 /// (`eval_ns`, `bandit_pull_ns`, cache probe/lock-wait, …).
 ///
@@ -474,90 +477,50 @@ pub fn run_dse_profiled(
     lane.close(seeds_span);
 
     let explore_span = lane.open("explore");
-    // 3. Explore every partition at full budget on a work-stealing pool:
-    // threads pull the next unstarted partition first-come-first-served.
-    // Each partition's trajectory depends only on its own RNG stream and
-    // the shared (order-insensitive) cache, so pull order is irrelevant.
-    //
-    // One persistent evaluation pool serves every partition thread for the
-    // whole run: workers are spawned here once and each submitting thread
-    // helps execute its own job, so `eval_threads` equals total executors.
-    let eval_pool = (opts.eval_threads > 1)
-        .then(|| Arc::new(WorkerPool::new(opts.eval_threads.saturating_sub(1))));
-    let pool = opts.workers.max(1).min(jobs.len().max(1));
-    let cursor = AtomicUsize::new(0);
-    let full: Vec<TuningOutcome> = {
-        let mut slots: Vec<Option<TuningOutcome>> = (0..jobs.len()).map(|_| None).collect();
-        let chunks: Vec<Vec<(usize, TuningOutcome)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..pool)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let jobs = &jobs;
-                    let engine = &engine;
-                    let ds = &ds;
-                    let eval_pool = &eval_pool;
-                    scope.spawn(move || {
-                        let eval = |cfg: &s2fa_tuner::Config| -> Measurement {
-                            let est = engine.evaluate(&ds.decode(cfg));
-                            Measurement {
-                                value: est.objective(),
-                                minutes: est.hls_minutes,
-                            }
-                        };
-                        let mut obj = ThreadedObjective::new(&eval, opts.eval_threads)
-                            .with_chunk(opts.eval_chunk)
-                            .with_profiler(profiler);
-                        if let Some(pool) = &eval_pool {
-                            obj = obj.with_pool(Arc::clone(pool));
-                        }
-                        let mut pool_lane = profiler.lane();
-                        let mut out = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= jobs.len() {
-                                break;
-                            }
-                            let job = &jobs[i];
-                            let mut stopper = make_stopper(opts.stopping, job.space.params().len());
-                            let run = TuningRun::new(
-                                job.space.clone(),
-                                TuningOptions {
-                                    budget_minutes: opts.budget_minutes,
-                                    parallel_evals: opts.parallel_evals,
-                                    seeds: job.seeds.clone(),
-                                    rng_seed: opts.rng_seed.wrapping_add(job.index as u64 * 7919),
-                                    max_evaluations: 1_000_000,
-                                },
-                            )
-                            .with_profiler(profiler);
-                            let tune_span = pool_lane.open("tune");
-                            out.push((i, run.run(&mut obj, stopper.as_mut())));
-                            pool_lane.close(tune_span);
-                            engine.flush_cache_stats();
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect()
-        });
-        for (i, outcome) in chunks.into_iter().flatten() {
-            slots[i] = Some(outcome);
+    // 3. Explore every partition at full budget as one job on the run's
+    // only host executor: pool workers and this thread claim partitions
+    // first-come-first-served, and each tuning batch of more than one
+    // point fans out as a nested job on the same pool. Each partition's
+    // trajectory depends only on its own RNG stream and the shared
+    // (order-insensitive) cache, so claim order is irrelevant.
+    let pool = WorkerPool::new(opts.eval_threads.max(1) - 1);
+    let slots: Vec<OnceLock<TuningOutcome>> = jobs.iter().map(|_| OnceLock::new()).collect();
+    let explore = |start: usize, end: usize, _is_worker: bool| {
+        for (job, slot) in jobs[start..end].iter().zip(&slots[start..end]) {
+            let mut obj = ThreadedObjective::new(&measure, &pool).with_profiler(profiler);
+            let mut stopper = make_stopper(opts.stopping, job.space.params().len());
+            let run = TuningRun::new(
+                job.space.clone(),
+                TuningOptions {
+                    budget_minutes: opts.budget_minutes,
+                    parallel_evals: opts.parallel_evals,
+                    seeds: job.seeds.clone(),
+                    rng_seed: opts.rng_seed.wrapping_add(job.index as u64 * 7919),
+                    max_evaluations: 1_000_000,
+                },
+            )
+            .with_profiler(profiler);
+            let mut tune_lane = profiler.lane();
+            let tune_span = tune_lane.open("tune");
+            let outcome = run.run(&mut obj, stopper.as_mut());
+            tune_lane.close(tune_span);
+            engine.flush_cache_stats();
+            assert!(slot.set(outcome).is_ok(), "partition explored twice");
         }
-        slots
-            .into_iter()
-            .map(|o| o.expect("every partition explored"))
-            .collect()
     };
+    let handle = pool.submit(jobs.len(), 1, &explore);
+    handle.help();
+    handle.wait();
+    let full: Vec<TuningOutcome> = slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("every partition explored"))
+        .collect();
     lane.close(explore_span);
 
-    // Fold the evaluation pool's utilization counters into the metrics
-    // registry so the flight-recorder report (`s2fa_cli --metrics`) can
-    // show how the batch work split between workers and submitters.
-    if let (Some(pool), Some(metrics)) = (&eval_pool, profiler.metrics()) {
+    // Fold the pool's utilization counters into the metrics registry so
+    // the flight-recorder report (`s2fa_cli --metrics`) can show how the
+    // partition and batch work split between workers and this thread.
+    if let Some(metrics) = profiler.metrics() {
         let stats = pool.stats();
         metrics.counter("pool_jobs").add(stats.jobs);
         metrics.counter("pool_chunks").add(stats.chunks);
@@ -915,29 +878,84 @@ mod tests {
     fn outcome_invariant_to_eval_threads_and_caching() {
         // `eval_threads` and `caching` are pure wall-clock knobs: the
         // virtual schedule, RNG streams, and hence the whole outcome must
-        // be bit-identical across every combination — including under the
-        // work-stealing pool, whose real execution order varies run to run.
+        // be bit-identical across every combination — including on the
+        // pool, whose real execution order varies run to run. The
+        // `parallel_evals = 4` row runs batch jobs nested inside the
+        // partition job.
         let s = summary();
         let est = Estimator::new();
-        let mut base = DseOptions::s2fa();
-        base.budget_minutes = 60.0;
-        let reference = run_dse(&s, &est, &base);
-        let key = outcome_key(&reference);
-        // cache-on runs genuinely exercise the memo table (probe + seeds
-        // collide across partitions)
-        assert!(reference.cache.hits > 0, "expected cache hits");
-        for (threads, caching) in [(1, true), (8, false), (1, false), (3, true)] {
-            let mut opts = base.clone();
-            opts.eval_threads = threads;
-            opts.caching = caching;
-            let out = run_dse(&s, &est, &opts);
-            assert_eq!(
-                outcome_key(&out),
-                key,
-                "outcome changed at eval_threads={threads} caching={caching}"
-            );
-            if !caching {
-                assert_eq!(out.cache, CacheStats::default());
+        for parallel_evals in [1, 4] {
+            let mut base = DseOptions::s2fa();
+            base.budget_minutes = 60.0;
+            base.parallel_evals = parallel_evals;
+            let reference = run_dse(&s, &est, &base);
+            let key = outcome_key(&reference);
+            // cache-on runs genuinely exercise the memo table (probe +
+            // seeds collide across partitions)
+            assert!(reference.cache.hits > 0, "expected cache hits");
+            for (threads, caching) in [(1, true), (8, false), (1, false), (3, true)] {
+                let mut opts = base.clone();
+                opts.eval_threads = threads;
+                opts.caching = caching;
+                let out = run_dse(&s, &est, &opts);
+                assert_eq!(
+                    outcome_key(&out),
+                    key,
+                    "outcome changed at eval_threads={threads} caching={caching} \
+                     parallel_evals={parallel_evals}"
+                );
+                if !caching {
+                    assert_eq!(out.cache, CacheStats::default());
+                }
+            }
+        }
+    }
+
+    /// A sink that records the name of the thread each `cache_stats`
+    /// event was emitted on.
+    #[derive(Debug, Default)]
+    struct ThreadNames(std::sync::Mutex<Vec<Option<String>>>);
+
+    impl TraceSink for ThreadNames {
+        fn emit(&self, event: &Event) {
+            if let Event::CacheStats { .. } = event {
+                let name = std::thread::current().name().map(str::to_string);
+                self.0.lock().unwrap().push(name);
+            }
+        }
+
+        fn emitted(&self) -> u64 {
+            self.0.lock().unwrap().len() as u64
+        }
+    }
+
+    #[test]
+    fn partitions_run_only_on_the_caller_and_the_pool() {
+        // The engine flushes cache stats on the thread that ran each
+        // partition, so the names of those threads are the run's host
+        // thread budget: the caller plus `eval_threads - 1` pool workers,
+        // whatever `workers` says about the virtual schedule.
+        let s = summary();
+        let est = Estimator::new();
+        let caller = std::thread::current().name().map(str::to_string);
+        for (eval_threads, workers) in [(1, 8), (3, 8)] {
+            let mut opts = DseOptions::s2fa();
+            opts.budget_minutes = 60.0;
+            opts.eval_threads = eval_threads;
+            opts.workers = workers;
+            let sink = Arc::new(ThreadNames::default());
+            let out = run_dse_traced(&s, &est, &opts, sink.clone());
+            assert!(out.partitions >= 2, "needs several partitions to claim");
+            let names = sink.0.lock().unwrap();
+            assert!(!names.is_empty(), "partitions flushed cache stats");
+            for name in names.iter() {
+                let ok = *name == caller
+                    || (eval_threads > 1
+                        && name.as_deref().is_some_and(|n| n.starts_with("s2fa-eval-")));
+                assert!(
+                    ok,
+                    "partition ran on {name:?} at eval_threads={eval_threads}"
+                );
             }
         }
     }

@@ -75,7 +75,7 @@ fn summary() -> KernelSummary {
 }
 
 /// Everything about an outcome except the cache counters (whose
-/// hit/miss split depends on the work-stealing order), in one
+/// hit/miss split depends on which executor claims what), in one
 /// comparable string.
 fn key(out: &DseOutcome) -> String {
     format!(
@@ -217,8 +217,8 @@ fn bits(ms: &[Measurement]) -> Vec<(u64, u64)> {
 
 // Determinism property: the pooled batch path with both cache tiers
 // enabled is bit-identical to the serial whole-kernel walk with caching
-// off — across random kernels, batch sizes, thread counts, chunk sizes,
-// and chains of single-factor neighbor mutations. A second (warm) pass
+// off — across random kernels, batch sizes, thread counts (chunks are
+// auto-sized from the batch), and chains of single-factor neighbor mutations. A second (warm) pass
 // over the same batch pins the alias fast path to the same bits.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -230,7 +230,6 @@ proptest! {
         carried in any::<bool>(),
         batch in 1usize..40,
         threads in 2usize..6,
-        chunk in 0usize..7,
         muts in 0usize..12,
         seed in any::<u64>(),
     ) {
@@ -259,7 +258,8 @@ proptest! {
             let e = serial_engine.evaluate(&ds.decode(cfg));
             Measurement { value: e.objective(), minutes: e.hls_minutes }
         };
-        let mut serial_obj = ThreadedObjective::new(&eval_serial, 1);
+        let serial_pool = WorkerPool::new(0);
+        let mut serial_obj = ThreadedObjective::new(&eval_serial, &serial_pool);
         let want = serial_obj.measure_batch(&configs);
 
         // Candidate: persistent pool + both estimate-cache tiers.
@@ -268,10 +268,8 @@ proptest! {
             let e = pooled_engine.evaluate(&ds.decode(cfg));
             Measurement { value: e.objective(), minutes: e.hls_minutes }
         };
-        let pool = Arc::new(WorkerPool::new(threads - 1));
-        let mut pooled_obj = ThreadedObjective::new(&eval_pooled, threads)
-            .with_pool(pool)
-            .with_chunk(chunk);
+        let pool = WorkerPool::new(threads - 1);
+        let mut pooled_obj = ThreadedObjective::new(&eval_pooled, &pool);
         let cold = pooled_obj.measure_batch(&configs);
         let warm = pooled_obj.measure_batch(&configs);
 

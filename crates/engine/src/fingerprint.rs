@@ -9,7 +9,7 @@
 //! is purely structural.
 //!
 //! The digest runs **word-at-a-time** (two parallel 64-bit xor-multiply
-//! streams per word, via the [`SubFnv`] mixer) rather than
+//! streams per word, via the `SubFnv` mixer) rather than
 //! byte-at-a-time: a directive packs into two words and a buffer entry
 //! into ~two, so a typical config fingerprints in a dozen independent
 //! multiply pairs instead of a serial ~100-multiply chain.

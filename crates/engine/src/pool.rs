@@ -8,7 +8,7 @@
 //!
 //! ## Execution model
 //!
-//! A [`submit`](WorkerPool::submit) call enqueues one [`Job`]: a task
+//! A [`submit`](WorkerPool::submit) call enqueues one job: a task
 //! closure plus an index range `0..len` cut into chunks of `chunk`
 //! indices. Workers (and the submitting caller, via
 //! [`JobHandle::help`]) race on an atomic cursor: each executor claims
@@ -19,6 +19,21 @@
 //! pre-sized buffer — so outcomes are bit-identical across worker
 //! counts, including zero (the determinism property the DSE suite pins).
 //!
+//! A task may itself submit, help and wait on a nested job on the same
+//! pool (the DSE runs each partition as a chunk whose tuning batches fan
+//! out again). This cannot deadlock: [`JobHandle::help`] claims every
+//! chunk nobody has claimed yet, so a waiter only ever waits on chunks
+//! that another executor is already running, and workers drop exhausted
+//! jobs off the queue front before picking their next job.
+//!
+//! ## Panics
+//!
+//! A chunk that panics is caught where it ran, still counted as
+//! finished, and its executor (a pool worker stays alive) carries on.
+//! The first payload is re-raised on the submitting thread by
+//! [`JobHandle::wait`]; a handle dropped without `wait` swallows it,
+//! since the drop may already be part of an unwind.
+//!
 //! ## Safety
 //!
 //! The task reference is lifetime-erased so a borrowing closure can cross
@@ -28,8 +43,10 @@
 //! the task once the cursor passes `len` — so no task invocation can
 //! start or be in flight after the borrow ends.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -63,6 +80,8 @@ struct Job {
     remaining: AtomicUsize,
     done: Mutex<bool>,
     done_cv: Condvar,
+    /// First panic payload a chunk raised, re-raised by `wait`.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 impl Job {
@@ -74,7 +93,11 @@ impl Job {
                 return;
             }
             let end = (start + self.chunk).min(self.len);
-            (self.task)(start, end, is_worker);
+            if let Err(payload) =
+                catch_unwind(AssertUnwindSafe(|| (self.task)(start, end, is_worker)))
+            {
+                lock(&self.panic).get_or_insert(payload);
+            }
             shared.chunks.fetch_add(1, Ordering::Relaxed);
             if is_worker {
                 shared.worker_chunks.fetch_add(1, Ordering::Relaxed);
@@ -128,9 +151,11 @@ impl PoolStats {
 /// A persistent pool of evaluation workers.
 ///
 /// Spawn once per DSE run with `eval_threads - 1` workers (the submitting
-/// caller is the final executor, via [`JobHandle::help`]); share by
-/// `Arc` across partition threads — the queue accepts concurrent
-/// submissions and workers drain jobs FIFO, oldest first.
+/// caller is the final executor, via [`JobHandle::help`]) and borrow it
+/// everywhere: the run submits its partitions as one job, and each
+/// partition's tuning batches submit nested jobs from inside it. The
+/// queue accepts concurrent submissions and workers drain jobs FIFO,
+/// oldest first.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     threads: Vec<JoinHandle<()>>,
@@ -212,6 +237,7 @@ impl WorkerPool {
             remaining: AtomicUsize::new(n_chunks),
             done: Mutex::new(n_chunks == 0),
             done_cv: Condvar::new(),
+            panic: Mutex::new(None),
         });
         self.shared.jobs.fetch_add(1, Ordering::Relaxed);
         if n_chunks > 0 {
@@ -296,9 +322,14 @@ impl JobHandle<'_> {
         self.job.run_chunks(&self.shared, false);
     }
 
-    /// Blocks until every chunk has finished executing.
+    /// Blocks until every chunk has finished executing, then re-raises
+    /// the first panic a chunk raised, if any.
     pub fn wait(self) {
         self.wait_ref();
+        let payload = lock(&self.job.panic).take();
+        if let Some(payload) = payload {
+            resume_unwind(payload);
+        }
     }
 
     fn wait_ref(&self) {
@@ -310,6 +341,8 @@ impl JobHandle<'_> {
 }
 
 impl Drop for JobHandle<'_> {
+    /// Waits like [`wait`](JobHandle::wait) but never re-raises: the
+    /// drop may be running during an unwind already.
     fn drop(&mut self) {
         self.wait_ref();
     }
@@ -319,6 +352,19 @@ impl Drop for JobHandle<'_> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::{mpsc, OnceLock};
+    use std::time::Duration;
+
+    /// Runs `f` on a fresh thread and returns its result, failing the
+    /// test instead of hanging if it takes longer than 10 s.
+    fn within<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("did not finish within 10 s")
+    }
 
     #[test]
     fn every_index_runs_exactly_once() {
@@ -440,6 +486,74 @@ mod tests {
             );
         }
         assert_eq!(pool.stats().jobs, 50);
+    }
+
+    #[test]
+    fn panicking_chunk_reaches_the_waiter_and_the_pool_survives() {
+        let pool = Arc::new(WorkerPool::new(1));
+        let p = Arc::clone(&pool);
+        let payload = within(move || {
+            let task = |_s: usize, _e: usize, _w: bool| panic!("chunk failed");
+            // No help: the one worker runs (and panics in) every chunk.
+            let h = p.submit(4, 1, &task);
+            let caught = catch_unwind(AssertUnwindSafe(move || h.wait()));
+            caught
+                .err()
+                .and_then(|e| e.downcast_ref::<&str>().map(|s| s.to_string()))
+        });
+        assert_eq!(payload.as_deref(), Some("chunk failed"));
+        assert_eq!(pool.stats().worker_chunks, 4, "every chunk still counted");
+
+        // The worker survived: it alone runs a second job to completion.
+        let hits = within(move || {
+            let hits: Vec<AtomicU64> = (0..100).map(|_| AtomicU64::new(0)).collect();
+            let task = |s: usize, e: usize, _w: bool| {
+                for h in &hits[s..e] {
+                    h.fetch_add(1, Ordering::SeqCst);
+                }
+            };
+            pool.submit(100, 10, &task).wait();
+            hits.iter().map(|h| h.load(Ordering::SeqCst)).sum::<u64>()
+        });
+        assert_eq!(hits, 100);
+    }
+
+    #[test]
+    fn nested_jobs_on_the_same_pool_complete_in_order() {
+        const OUTER: usize = 8;
+        const INNER: usize = 50;
+        let want: Vec<Vec<u64>> = (0..OUTER)
+            .map(|i| (0..INNER).map(|j| (i * 1000 + j) as u64).collect())
+            .collect();
+        for workers in [0usize, 1, 3] {
+            let got = within(move || {
+                let pool = WorkerPool::new(workers);
+                let slots: Vec<OnceLock<Vec<u64>>> = (0..OUTER).map(|_| OnceLock::new()).collect();
+                let outer = |s: usize, e: usize, _w: bool| {
+                    for (i, slot) in slots.iter().enumerate().take(e).skip(s) {
+                        let inner: Vec<AtomicU64> = (0..INNER).map(|_| AtomicU64::new(0)).collect();
+                        let task = |s: usize, e: usize, _w: bool| {
+                            for (j, v) in inner.iter().enumerate().take(e).skip(s) {
+                                v.store((i * 1000 + j) as u64, Ordering::SeqCst);
+                            }
+                        };
+                        let h = pool.submit(INNER, 4, &task);
+                        h.help();
+                        h.wait();
+                        let row = inner.iter().map(|v| v.load(Ordering::SeqCst)).collect();
+                        slot.set(row).expect("each outer index runs once");
+                    }
+                };
+                let h = pool.submit(OUTER, 1, &outer);
+                h.help();
+                h.wait();
+                slots
+                    .into_iter()
+                    .map(|s| s.into_inner().expect("every outer index ran"))
+                    .collect::<Vec<_>>()
+            });
+            assert_eq!(got, want, "workers={workers}");
+        }
     }
 
     #[test]

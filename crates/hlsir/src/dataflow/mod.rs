@@ -4,7 +4,7 @@
 //!
 //! Layered bottom-up:
 //!
-//! * [`cfg`] — a control-flow graph lowered from the structured AST, with
+//! * [`cfg`](mod@cfg) — a control-flow graph lowered from the structured AST, with
 //!   stable pre-order statement ids, loop back-edges, and a variable table
 //!   that resolves constant-indexed local arrays per element;
 //! * [`solver`] — a generic forward/backward iterative fixpoint solver

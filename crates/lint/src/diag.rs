@@ -275,8 +275,8 @@ pub struct Diagnostic {
 }
 
 impl fmt::Display for Diagnostic {
-    /// One-line form: `error[S2FA-E102]: constant index 9 outside
-    /// `acc[4]` (at L0 `acc`)`.
+    /// One-line form: ``error[S2FA-E102]: constant index 9 outside
+    /// `acc[4]` (at L0 `acc`)``.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,

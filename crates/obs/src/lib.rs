@@ -26,7 +26,7 @@
 //!   threaded path gains no contention points.
 //! * [`CorrelatorSink`] — the dual-clock join: wraps any `TraceSink`,
 //!   shadow-records the host instant of every virtual-minute event, and
-//!   [`correlate`] answers "virtual minute M was produced during host
+//!   [`correlate()`] answers "virtual minute M was produced during host
 //!   span S".
 //!
 //! ## Zero cost when disabled

@@ -12,7 +12,7 @@
 //! All timestamps are nanoseconds on the host's **monotonic** clock
 //! ([`std::time::Instant`]), relative to the profiler's epoch. Virtual
 //! HLS minutes never appear here — joining the two time domains is the
-//! correlator's job (see [`crate::correlate`]).
+//! correlator's job (see [`crate::correlate()`]).
 //!
 //! ## Zero cost when disabled
 //!

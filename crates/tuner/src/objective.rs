@@ -15,14 +15,13 @@
 //! closure is an `Objective` via the blanket impl, measuring serially.
 //!
 //! [`ThreadedObjective`] is the parallel implementation: it submits the
-//! batch to a persistent [`WorkerPool`] as contiguous index chunks (and
+//! batch to a borrowed [`WorkerPool`] as contiguous index chunks (and
 //! helps execute them on the calling thread), then the measurements land
 //! by index in a pre-sized buffer. Because each configuration's
 //! measurement is a pure function of the configuration, the result
 //! vector is identical to the serial one no matter how the pool
 //! schedules the chunks — and because the workers persist across
-//! batches, no per-batch OS-thread spawn cost is paid (the inversion
-//! PR 6's flight recorder diagnosed).
+//! batches, no per-batch OS-thread spawn cost is paid.
 
 use crate::history::Measurement;
 use crate::param::Config;
@@ -68,28 +67,21 @@ impl<F: FnMut(&Config) -> Measurement> Objective for F {
     }
 }
 
-/// An [`Objective`] that measures batches on a persistent worker pool.
+/// An [`Objective`] that measures batches on a borrowed worker pool.
 ///
 /// Wraps a thread-safe evaluation function (`Fn + Sync` — e.g. a closure
-/// over an `EvalEngine`) and a thread count. Batches are submitted to a
-/// [`WorkerPool`] as contiguous chunks claimed first-come-first-served
-/// via the pool's atomic cursor, so executors stay busy even when
-/// per-point costs vary; the calling thread is always one of the
-/// executors ([`JobHandle::help`](s2fa_engine::JobHandle::help)).
-/// Results are written back by index, keeping the output order — and
-/// therefore every downstream decision of the tuning run — identical to
-/// a serial evaluation.
-///
-/// Share one pool across objectives with [`with_pool`](Self::with_pool)
-/// (the DSE driver spawns one per run); otherwise the first multi-thread
-/// batch lazily spawns an owned pool of `threads - 1` workers, reused
-/// for the objective's lifetime.
+/// over an `EvalEngine`) and a [`WorkerPool`]; batches run on
+/// `pool.workers() + 1` executors, the calling thread being the last
+/// ([`JobHandle::help`](s2fa_engine::JobHandle::help)). Each batch is
+/// one pool job cut by [`WorkerPool::auto_chunk`] into contiguous chunks
+/// claimed first-come-first-served, so executors stay busy even when
+/// per-point costs vary. Results are written back by index, keeping the
+/// output order — and therefore every downstream decision of the tuning
+/// run — identical to a serial evaluation. A 0-worker pool measures
+/// every batch serially on the caller.
 pub struct ThreadedObjective<'a> {
     eval: &'a (dyn Fn(&Config) -> Measurement + Sync),
-    threads: usize,
-    /// Chunk size per work-unit; 0 picks [`WorkerPool::auto_chunk`].
-    chunk: usize,
-    pool: Option<Arc<WorkerPool>>,
+    pool: &'a WorkerPool,
     profiler: Profiler,
     lane: Lane,
     eval_ns: Option<Arc<Histogram>>,
@@ -98,15 +90,13 @@ pub struct ThreadedObjective<'a> {
 }
 
 impl<'a> ThreadedObjective<'a> {
-    /// Wraps `eval`, measuring batches on up to `threads` executors
-    /// (clamped to at least 1). Profiling is off; see
+    /// Wraps `eval`, measuring batches on `pool`'s workers plus the
+    /// calling thread. Profiling is off; see
     /// [`with_profiler`](Self::with_profiler).
-    pub fn new(eval: &'a (dyn Fn(&Config) -> Measurement + Sync), threads: usize) -> Self {
+    pub fn new(eval: &'a (dyn Fn(&Config) -> Measurement + Sync), pool: &'a WorkerPool) -> Self {
         ThreadedObjective {
             eval,
-            threads: threads.max(1),
-            chunk: 0,
-            pool: None,
+            pool,
             profiler: Profiler::disabled(),
             lane: Profiler::disabled().lane(),
             eval_ns: None,
@@ -135,24 +125,6 @@ impl<'a> ThreadedObjective<'a> {
         self
     }
 
-    /// Shares a persistent pool: batches are fanned out to its workers
-    /// (plus the calling thread) instead of an owned pool.
-    pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// Sets the chunk size handed to each executor claim (0 = auto).
-    pub fn with_chunk(mut self, chunk: usize) -> Self {
-        self.chunk = chunk;
-        self
-    }
-
-    /// The configured thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Flushes buffered spans to the profiler (a no-op when disabled).
     pub fn flush_profile(&mut self) {
         self.lane.flush();
@@ -165,8 +137,8 @@ impl Objective for ThreadedObjective<'_> {
     }
 
     fn measure_batch(&mut self, configs: &[Config]) -> Vec<Measurement> {
-        let workers = self.threads.min(configs.len());
-        if workers <= 1 {
+        let executors = self.pool.workers() + 1;
+        if executors.min(configs.len()) <= 1 {
             // Serial path: the whole batch is one `estimate` phase.
             let batch_id = self.lane.open("batch");
             let est_id = self.lane.open("estimate");
@@ -187,19 +159,7 @@ impl Objective for ThreadedObjective<'_> {
             self.lane.close(batch_id);
             return out;
         }
-        // Lazily spawn an owned pool on the first parallel batch; a pool
-        // attached via `with_pool` always wins. Workers persist across
-        // batches either way — submission is a queue push, not a spawn.
-        if self.pool.is_none() {
-            self.pool = Some(Arc::new(WorkerPool::new(self.threads - 1)));
-        }
-        let pool = Arc::clone(self.pool.as_ref().expect("pool just ensured"));
-        let executors = pool.workers() + 1;
-        let chunk = if self.chunk > 0 {
-            self.chunk
-        } else {
-            WorkerPool::auto_chunk(configs.len(), executors)
-        };
+        let chunk = WorkerPool::auto_chunk(configs.len(), executors);
 
         let mut results: Vec<Option<Measurement>> = vec![None; configs.len()];
         let results_ptr = ResultsPtr(results.as_mut_ptr());
@@ -239,7 +199,7 @@ impl Objective for ThreadedObjective<'_> {
         let batch_id = lane.open("batch");
         let submit_id = lane.open("submit");
         let fanout_t0 = fanout_ns.as_ref().map(|_| Instant::now());
-        let handle = pool.submit(configs.len(), chunk, &task);
+        let handle = self.pool.submit(configs.len(), chunk, &task);
         lane.close(submit_id);
         if let (Some(h), Some(t0)) = (fanout_ns, fanout_t0) {
             h.record(t0.elapsed().as_nanos() as u64);
@@ -294,16 +254,18 @@ mod tests {
         let eval = |c: &Config| Measurement::new(value_of(c), c[0] as f64);
         let configs: Vec<Config> = (0..37u32).map(|i| vec![i, i * 2]).collect();
         let serial: Vec<Measurement> = configs.iter().map(eval).collect();
-        for threads in [1, 2, 8, 64] {
-            let mut obj = ThreadedObjective::new(&eval, threads);
-            assert_eq!(obj.measure_batch(&configs), serial, "threads={threads}");
+        for workers in [0, 1, 7, 63] {
+            let pool = WorkerPool::new(workers);
+            let mut obj = ThreadedObjective::new(&eval, &pool);
+            assert_eq!(obj.measure_batch(&configs), serial, "workers={workers}");
         }
     }
 
     #[test]
     fn threaded_handles_small_batches() {
         let eval = |c: &Config| Measurement::new(value_of(c), 1.0);
-        let mut obj = ThreadedObjective::new(&eval, 8);
+        let pool = WorkerPool::new(7);
+        let mut obj = ThreadedObjective::new(&eval, &pool);
         assert!(obj.measure_batch(&[]).is_empty());
         let one = obj.measure_batch(&[vec![5]]);
         assert_eq!(one.len(), 1);
@@ -311,21 +273,13 @@ mod tests {
     }
 
     #[test]
-    fn threads_clamped_to_one() {
-        let eval = |c: &Config| Measurement::new(value_of(c), 1.0);
-        let obj = ThreadedObjective::new(&eval, 0);
-        assert_eq!(obj.threads(), 1);
-    }
-
-    #[test]
     fn profiled_batches_record_the_flight_shape() {
         let eval = |c: &Config| Measurement::new(value_of(c), 1.0);
-        let configs: Vec<Config> = (0..16u32).map(|i| vec![i]).collect();
+        let configs: Vec<Config> = (0..64u32).map(|i| vec![i]).collect();
         let serial: Vec<Measurement> = configs.iter().map(eval).collect();
         let profiler = Profiler::enabled();
-        let mut obj = ThreadedObjective::new(&eval, 4)
-            .with_chunk(2)
-            .with_profiler(&profiler);
+        let pool = WorkerPool::new(3);
+        let mut obj = ThreadedObjective::new(&eval, &pool).with_profiler(&profiler);
         assert_eq!(obj.measure_batch(&configs), serial, "results unchanged");
         obj.flush_profile();
         let spans = profiler.take_spans();
@@ -336,14 +290,15 @@ mod tests {
         assert_eq!(count("estimate"), 1, "the caller's own chunk window");
         assert_eq!(count("wait"), 1);
         assert_eq!(count("merge"), 1);
-        // Which executor claims each of the 8 chunks is scheduling-
-        // dependent; only worker-claimed chunks get a root span.
-        assert!(count("pool_chunk") <= 8);
+        // Which executor claims each of the 4 auto-sized chunks is
+        // scheduling-dependent; only worker-claimed chunks get a root span.
+        assert_eq!(pool.stats().chunks, 4);
+        assert!(count("pool_chunk") <= 4);
         for legacy in ["spawn", "collect", "worker", "dispatch"] {
             assert_eq!(count(legacy), 0, "pre-pool stage {legacy} resurfaced");
         }
         let metrics = profiler.metrics().unwrap().snapshot();
-        assert_eq!(metrics.histograms["eval_ns"].count, 16);
+        assert_eq!(metrics.histograms["eval_ns"].count, 64);
         assert_eq!(metrics.histograms["batch_fanout_ns"].count, 1);
         assert_eq!(metrics.histograms["batch_join_ns"].count, 1);
     }
@@ -352,7 +307,8 @@ mod tests {
     fn profiled_serial_path_is_one_estimate_phase() {
         let eval = |c: &Config| Measurement::new(value_of(c), 1.0);
         let profiler = Profiler::enabled();
-        let mut obj = ThreadedObjective::new(&eval, 1).with_profiler(&profiler);
+        let pool = WorkerPool::new(0);
+        let mut obj = ThreadedObjective::new(&eval, &pool).with_profiler(&profiler);
         obj.measure_batch(&[vec![1], vec![2], vec![3]]);
         obj.flush_profile();
         let spans = profiler.take_spans();
@@ -373,18 +329,16 @@ mod tests {
         let eval = |c: &Config| Measurement::new(value_of(c), 1.0);
         let configs: Vec<Config> = (0..48u32).map(|i| vec![i]).collect();
         let serial: Vec<Measurement> = configs.iter().map(eval).collect();
-        let pool = Arc::new(WorkerPool::new(3));
+        let pool = WorkerPool::new(3);
         for _ in 0..3 {
-            let mut obj = ThreadedObjective::new(&eval, 4)
-                .with_pool(Arc::clone(&pool))
-                .with_chunk(5);
+            let mut obj = ThreadedObjective::new(&eval, &pool);
             for _ in 0..4 {
                 assert_eq!(obj.measure_batch(&configs), serial);
             }
         }
         let stats = pool.stats();
         assert_eq!(stats.jobs, 12, "every batch was one pool job");
-        assert_eq!(stats.chunks, 12 * 10, "48 items / chunk 5 = 10 chunks");
+        assert_eq!(stats.chunks, 12 * 3, "48 items / auto chunk 16 = 3 chunks");
     }
 
     #[test]
@@ -392,7 +346,8 @@ mod tests {
         let eval = |c: &Config| Measurement::new(value_of(c), 1.0);
         let profiler = Profiler::metrics_only();
         let configs: Vec<Config> = (0..8u32).map(|i| vec![i]).collect();
-        let mut obj = ThreadedObjective::new(&eval, 2).with_profiler(&profiler);
+        let pool = WorkerPool::new(1);
+        let mut obj = ThreadedObjective::new(&eval, &pool).with_profiler(&profiler);
         obj.measure_batch(&configs);
         obj.flush_profile();
         assert!(profiler.take_spans().is_empty());
