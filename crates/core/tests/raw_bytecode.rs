@@ -4,7 +4,7 @@
 //! that "the S2FA framework is able to compile any Java/Scala method that
 //! satisfies the constraints" (§2).
 
-use s2fa::{compile_kernel, S2faError};
+use s2fa::{compile_kernel, S2fa, S2faError, S2faOptions};
 use s2fa_blaze::Accelerator;
 use s2fa_sjvm::{
     ClassTable, Cond, HostValue, Interp, JType, KernelSpec, Method, MethodTable, NumKind, Op,
@@ -46,12 +46,11 @@ fn check_equivalent(spec: &KernelSpec, records: &[HostValue]) {
     }
 }
 
-#[test]
-fn hand_assembled_loop_compiles() {
-    // int call(int x) { int s = 0; int i = 0;
-    //                   while (i < 10) { s = s + x; i = i + 1; } return s; }
-    // assembled exactly as javac would emit it.
-    let method = Method {
+/// `int call(int x) { int s = 0; int i = 0;
+///                    while (i < bound) { s = s + x; i = i + 1; } return s; }`
+/// assembled exactly as javac would emit it.
+fn counted_loop_method(bound: i64) -> Method {
+    Method {
         name: "call".into(),
         params: vec![JType::Int],
         ret: Some(JType::Int),
@@ -65,7 +64,7 @@ fn hand_assembled_loop_compiles() {
             Op::Store(2), // i = 0
             // loop head (pc 4)
             Op::Load(2),
-            Op::ConstI(10),
+            Op::ConstI(bound),
             Op::IfCmp {
                 kind: NumKind::Int,
                 cond: Cond::Ge,
@@ -84,13 +83,44 @@ fn hand_assembled_loop_compiles() {
             Op::Load(1),
             Op::Return,
         ],
-    };
-    let spec = spec_from(method, Shape::Scalar(JType::Int), Shape::Scalar(JType::Int));
+    }
+}
+
+#[test]
+fn hand_assembled_loop_compiles() {
+    let spec = spec_from(
+        counted_loop_method(10),
+        Shape::Scalar(JType::Int),
+        Shape::Scalar(JType::Int),
+    );
     check_equivalent(&spec, &[HostValue::I(3), HostValue::I(-2), HostValue::I(0)]);
     // the generated C recovered the counted loop
     let g = compile_kernel(&spec).unwrap();
     let src = s2fa_hlsir::printer::to_c(&g.cfunc);
     assert!(src.contains("< 10;"), "{src}");
+}
+
+#[test]
+fn negative_loop_bound_compiles_to_a_zero_trip_loop() {
+    // `while (i < -1)` never runs. The loop's static trip count is 0, not
+    // the bound's two's-complement reinterpretation, and the full flow
+    // (space identification and DSE) terminates on it.
+    let spec = spec_from(
+        counted_loop_method(-1),
+        Shape::Scalar(JType::Int),
+        Shape::Scalar(JType::Int),
+    );
+    check_equivalent(&spec, &[HostValue::I(3), HostValue::I(-2)]);
+    let mut options = S2faOptions::default();
+    options.dse.budget_minutes = 60.0;
+    let compiled = S2fa::new(options).compile(&spec).expect("compiles");
+    let inner = compiled
+        .summary
+        .loops
+        .iter()
+        .find(|l| l.parent.is_some())
+        .expect("the while loop is an inner loop");
+    assert_eq!(inner.trip_count, 0);
 }
 
 #[test]

@@ -668,9 +668,7 @@ pub fn run_dse_profiled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use s2fa_hlsir::{
-        Access, BufferDir, BufferInfo, CarriedDep, LoopId, LoopInfo, OpCounts, Stride,
-    };
+    use s2fa_hlsir::{Access, BufferDir, BufferInfo, CarriedDep, LoopId, LoopInfo, OpCounts};
 
     fn summary() -> KernelSummary {
         let mut inner_ops = OpCounts::new();
@@ -695,7 +693,6 @@ mod tests {
                     accesses: vec![Access {
                         buffer: "out_1".into(),
                         write: true,
-                        stride: Stride::Unit,
                     }],
                     carried: None,
                 },
@@ -711,12 +708,10 @@ mod tests {
                         Access {
                             buffer: "in_1".into(),
                             write: false,
-                            stride: Stride::Unit,
                         },
                         Access {
                             buffer: "w".into(),
                             write: false,
-                            stride: Stride::Zero,
                         },
                     ],
                     carried: Some(CarriedDep {

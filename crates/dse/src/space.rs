@@ -48,11 +48,7 @@ fn pow2_below(tc: u32) -> u32 {
     if tc <= 2 {
         1
     } else {
-        let mut p = 1u32;
-        while p * 2 < tc {
-            p *= 2;
-        }
-        p
+        1 << (tc - 1).ilog2()
     }
 }
 
@@ -359,6 +355,24 @@ mod tests {
         assert!(!ds.is_task_loop_param(ib, &s));
         assert_eq!(ds.param_loop_depth(i1, &s), Some(1));
         assert_eq!(ds.param_loop_depth(ib, &s), None);
+    }
+
+    #[test]
+    fn pow2_below_is_total() {
+        let cases = [
+            (0, 1),
+            (1, 1),
+            (2, 1),
+            (3, 2),
+            (4, 2),
+            (5, 4),
+            (64, 32),
+            (65, 64),
+        ];
+        for (tc, p) in cases {
+            assert_eq!(pow2_below(tc), p, "tc = {tc}");
+        }
+        assert_eq!(pow2_below(u32::MAX), 1 << 31);
     }
 
     #[test]

@@ -27,7 +27,6 @@ fn summary() -> KernelSummary {
                 accesses: vec![Access {
                     buffer: "out_1".into(),
                     write: true,
-                    stride: Stride::Unit,
                 }],
                 carried: None,
             },
@@ -43,12 +42,10 @@ fn summary() -> KernelSummary {
                     Access {
                         buffer: "in_1".into(),
                         write: false,
-                        stride: Stride::Unit,
                     },
                     Access {
                         buffer: "w".into(),
                         write: false,
-                        stride: Stride::Zero,
                     },
                 ],
                 carried: Some(CarriedDep {

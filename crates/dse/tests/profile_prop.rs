@@ -10,7 +10,7 @@ use rand::SeedableRng;
 use s2fa_dse::{run_dse, run_dse_profiled, DesignSpace, DseOptions, DseOutcome, EvalEngine};
 use s2fa_engine::WorkerPool;
 use s2fa_hlsir::{
-    Access, BufferDir, BufferInfo, CarriedDep, KernelSummary, LoopId, LoopInfo, OpCounts, Stride,
+    Access, BufferDir, BufferInfo, CarriedDep, KernelSummary, LoopId, LoopInfo, OpCounts,
 };
 use s2fa_hlssim::Estimator;
 use s2fa_obs::{verify_spans, Profiler};
@@ -170,7 +170,6 @@ fn random_summary(trips: &[u32], bits: &[u32], carried: bool) -> KernelSummary {
             accesses: vec![Access {
                 buffer: format!("b{i}"),
                 write: false,
-                stride: Stride::Unit,
             }],
             carried: (innermost && carried).then(|| {
                 let mut chain = OpCounts::new();

@@ -257,9 +257,7 @@ impl EvalEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use s2fa_hlsir::{
-        Access, BufferDir, BufferInfo, CarriedDep, LoopId, LoopInfo, OpCounts, Stride,
-    };
+    use s2fa_hlsir::{Access, BufferDir, BufferInfo, CarriedDep, LoopId, LoopInfo, OpCounts};
 
     fn summary() -> KernelSummary {
         let mut inner_ops = OpCounts::new();
@@ -284,7 +282,6 @@ mod tests {
                     accesses: vec![Access {
                         buffer: "out_1".into(),
                         write: true,
-                        stride: Stride::Unit,
                     }],
                     carried: None,
                 },
@@ -300,12 +297,10 @@ mod tests {
                         Access {
                             buffer: "in_1".into(),
                             write: false,
-                            stride: Stride::Unit,
                         },
                         Access {
                             buffer: "w".into(),
                             write: false,
-                            stride: Stride::Zero,
                         },
                     ],
                     carried: Some(CarriedDep {

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use s2fa_engine::EvalEngine;
 use s2fa_hlsir::{
-    Access, BufferDir, BufferInfo, KernelSummary, LoopId, LoopInfo, OpCounts, PipelineMode, Stride,
+    Access, BufferDir, BufferInfo, KernelSummary, LoopId, LoopInfo, OpCounts, PipelineMode,
 };
 use s2fa_hlssim::Estimator;
 use s2fa_merlin::{DesignConfig, LoopDirective};
@@ -33,7 +33,6 @@ fn summary() -> KernelSummary {
                 accesses: vec![Access {
                     buffer: "out_1".into(),
                     write: true,
-                    stride: Stride::Unit,
                 }],
                 carried: None,
             },
@@ -49,12 +48,10 @@ fn summary() -> KernelSummary {
                     Access {
                         buffer: "in_1".into(),
                         write: false,
-                        stride: Stride::Unit,
                     },
                     Access {
                         buffer: "w".into(),
                         write: false,
-                        stride: Stride::Unit,
                     },
                 ],
                 carried: None,

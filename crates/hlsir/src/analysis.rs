@@ -8,17 +8,21 @@
 //! * the loop-nest tree with static trip counts,
 //! * per-iteration operation counts per loop body,
 //! * buffer inventory with element widths and per-task lengths,
-//! * affine access-stride classification (the polyhedral-lite part),
+//! * the buffer accesses of each loop body,
 //! * loop-carried dependence detection with the operation chain on the
 //!   recurrence cycle (what bounds the achievable initiation interval).
 //!
-//! The result, [`KernelSummary`], is the single input of both the
-//! design-space builder (`s2fa-dse`) and the HLS estimator (`s2fa-hlssim`).
+//! The loop tree, buffer inventory and accesses come from the
+//! [`KernelIndex`]; op counts and the recurrence scan read each loop body
+//! the index points at. The result, [`KernelSummary`], is the single input
+//! of both the design-space builder (`s2fa-dse`) and the HLS estimator
+//! (`s2fa-hlssim`).
 
 use crate::ast::{CFunction, Expr, LValue, LoopId, ParamKind, Stmt};
+use crate::dataflow::depend::conservative_carried;
+use crate::index::KernelIndex;
 use crate::opcount::OpCounts;
 use crate::HlsirError;
-use std::collections::HashSet;
 
 /// Direction of a buffer relative to the accelerator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -47,19 +51,6 @@ pub struct BufferInfo {
     pub broadcast: bool,
 }
 
-/// Stride of an access with respect to the innermost enclosing loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stride {
-    /// Index does not involve the loop variable.
-    Zero,
-    /// Index advances by one element per iteration.
-    Unit,
-    /// Affine with the given step.
-    Affine(i64),
-    /// Data-dependent or non-affine.
-    Irregular,
-}
-
 /// One buffer access inside a loop body (per iteration).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Access {
@@ -67,8 +58,6 @@ pub struct Access {
     pub buffer: String,
     /// True for writes.
     pub write: bool,
-    /// Stride w.r.t. the loop the access is counted under.
-    pub stride: Stride,
 }
 
 /// A loop-carried dependence detected on a loop.
@@ -253,6 +242,7 @@ impl KernelSummary {
 /// Returns [`HlsirError::Analysis`] if an inner loop's bound is not a
 /// compile-time constant (outside the subset S2FA generates).
 pub fn summarize(f: &CFunction, tasks_hint: u32) -> Result<KernelSummary, HlsirError> {
+    let index = KernelIndex::build(f);
     let mut buffers: Vec<BufferInfo> = f
         .params
         .iter()
@@ -269,23 +259,69 @@ pub fn summarize(f: &CFunction, tasks_hint: u32) -> Result<KernelSummary, HlsirE
             broadcast: p.broadcast,
         })
         .collect();
-    collect_local_arrays(&f.body, &mut buffers);
+    buffers.extend(index.local_arrays.iter().map(|a| BufferInfo {
+        name: a.name.to_string(),
+        elem_bits: a.ty.bits(),
+        len: a.len,
+        dir: BufferDir::Local,
+        broadcast: false,
+    }));
 
-    let mut ctx = Ctx {
-        loops: Vec::new(),
-        tasks_hint,
-    };
-    let outer_decls: HashSet<String> = HashSet::new();
-    ctx.walk(&f.body, None, 0, &outer_decls)?;
-    if ctx.loops.is_empty() {
+    let mut loops = Vec::with_capacity(index.loops.len());
+    for l in &index.loops {
+        let trip_count = match l.trip {
+            Some(t) => t,
+            // The template (task) loop is bounded by the runtime batch
+            // size `n` (or `n - 1` for reduce templates).
+            None if l.parent.is_none() => tasks_hint,
+            None => {
+                return Err(HlsirError::Analysis(format!(
+                    "loop {} has a non-constant bound {:?}",
+                    l.id, l.bound
+                )))
+            }
+        };
+        loops.push(LoopInfo {
+            id: l.id,
+            var: l.var.to_string(),
+            trip_count,
+            depth: l.depth,
+            parent: l.parent,
+            children: index
+                .loops
+                .iter()
+                .filter(|c| c.parent == Some(l.id))
+                .map(|c| c.id)
+                .collect(),
+            body_ops: body_ops(l.body),
+            accesses: Vec::new(),
+            carried: conservative_carried(l.body, l.var),
+        });
+    }
+    // Each access counts under its innermost loop; a loop bound's reads
+    // belong to no loop body.
+    for site in &index.sites {
+        let Some(inner) = site.loops.last() else {
+            continue;
+        };
+        if index.loops.iter().any(|l| l.stmt == site.stmt) {
+            continue;
+        }
+        if let Some(li) = loops.iter_mut().find(|l| l.id == inner.id) {
+            li.accesses.push(Access {
+                buffer: site.array.to_string(),
+                write: site.write,
+            });
+        }
+    }
+    let Some(task_loop) = loops.first().map(|l| l.id) else {
         return Err(HlsirError::Analysis(
             "kernel has no loops; expected the template task loop".into(),
         ));
-    }
-    let task_loop = ctx.loops[0].id;
+    };
     Ok(KernelSummary {
         name: f.name.clone(),
-        loops: ctx.loops,
+        loops,
         buffers,
         task_loop,
         tasks_hint,
@@ -293,171 +329,46 @@ pub fn summarize(f: &CFunction, tasks_hint: u32) -> Result<KernelSummary, HlsirE
     })
 }
 
-fn collect_local_arrays(stmts: &[Stmt], out: &mut Vec<BufferInfo>) {
-    for s in stmts {
-        match s {
-            Stmt::DeclArr { name, ty, len } => out.push(BufferInfo {
-                name: name.clone(),
-                elem_bits: ty.bits(),
-                len: *len,
-                dir: BufferDir::Local,
-                broadcast: false,
-            }),
-            Stmt::For { body, .. } => collect_local_arrays(body, out),
-            Stmt::If { then, els, .. } => {
-                collect_local_arrays(then, out);
-                collect_local_arrays(els, out);
-            }
-            _ => {}
-        }
-    }
-}
-
-struct Ctx {
-    loops: Vec<LoopInfo>,
-    tasks_hint: u32,
-}
-
-impl Ctx {
-    fn walk(
-        &mut self,
-        stmts: &[Stmt],
-        parent: Option<LoopId>,
-        depth: u32,
-        outer_decls: &HashSet<String>,
-    ) -> Result<Vec<LoopId>, HlsirError> {
-        let mut found = Vec::new();
-        for s in stmts {
-            match s {
-                Stmt::For {
-                    id,
-                    var,
-                    bound,
-                    trip_count,
-                    body,
-                    ..
-                } => {
-                    let tc = match (trip_count, bound) {
-                        (Some(t), _) => *t,
-                        (None, Expr::ConstI(v)) => *v as u32,
-                        // The template (task) loop is bounded by the runtime
-                        // batch size `n` (or `n - 1` for reduce templates).
-                        (None, _) if parent.is_none() => self.tasks_hint,
-                        (None, other) => {
-                            return Err(HlsirError::Analysis(format!(
-                                "loop {id} has a non-constant bound {other:?}"
-                            )))
-                        }
-                    };
-                    // Local declarations inside this loop body reset each
-                    // iteration and therefore cannot carry a dependence.
-                    let mut local_decls = outer_decls.clone();
-                    collect_decls(body, &mut local_decls);
-
-                    let (ops, accesses) = body_profile(body, var);
-                    let carried = detect_carried(body, var, outer_decls);
-                    let idx = self.loops.len();
-                    self.loops.push(LoopInfo {
-                        id: *id,
-                        var: var.clone(),
-                        trip_count: tc,
-                        depth,
-                        parent,
-                        children: Vec::new(),
-                        body_ops: ops,
-                        accesses,
-                        carried,
-                    });
-                    let children = self.walk(body, Some(*id), depth + 1, &local_decls)?;
-                    self.loops[idx].children = children;
-                    found.push(*id);
-                }
-                Stmt::If { then, els, .. } => {
-                    found.extend(self.walk(then, parent, depth, outer_decls)?);
-                    found.extend(self.walk(els, parent, depth, outer_decls)?);
-                }
-                _ => {}
-            }
-        }
-        Ok(found)
-    }
-}
-
-fn collect_decls(stmts: &[Stmt], out: &mut HashSet<String>) {
-    for s in stmts {
-        match s {
-            Stmt::Decl { name, .. } | Stmt::DeclArr { name, .. } => {
-                out.insert(name.clone());
-            }
-            // Declarations inside nested loops/branches are also re-created
-            // per iteration of this loop.
-            Stmt::For { body, .. } => collect_decls(body, out),
-            Stmt::If { then, els, .. } => {
-                collect_decls(then, out);
-                collect_decls(els, out);
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Ops and accesses of a loop body *excluding* nested loops. `If` branches
-/// are summed (HLS if-converts and schedules both sides).
-fn body_profile(stmts: &[Stmt], loop_var: &str) -> (OpCounts, Vec<Access>) {
+/// Operations of a loop body *excluding* nested loops. `If` branches are
+/// summed (HLS if-converts and schedules both sides).
+fn body_ops(stmts: &[Stmt]) -> OpCounts {
     let mut ops = OpCounts::new();
-    let mut accesses = Vec::new();
     for s in stmts {
         match s {
             Stmt::Assign { lhs, rhs } => {
-                count_expr(rhs, loop_var, &mut ops, &mut accesses);
-                if let LValue::Index(name, idx) = lhs {
-                    count_expr(idx, loop_var, &mut ops, &mut accesses);
+                count_expr(rhs, &mut ops);
+                if let LValue::Index(_, idx) = lhs {
+                    count_expr(idx, &mut ops);
                     ops.mem_write += 1;
-                    accesses.push(Access {
-                        buffer: name.clone(),
-                        write: true,
-                        stride: classify_stride(idx, loop_var),
-                    });
                 }
             }
-            Stmt::Decl { init: Some(e), .. } => {
-                count_expr(e, loop_var, &mut ops, &mut accesses);
-            }
+            Stmt::Decl { init: Some(e), .. } => count_expr(e, &mut ops),
             Stmt::If { cond, then, els } => {
-                count_expr(cond, loop_var, &mut ops, &mut accesses);
-                let (o1, a1) = body_profile(then, loop_var);
-                let (o2, a2) = body_profile(els, loop_var);
-                ops += o1;
-                ops += o2;
-                accesses.extend(a1);
-                accesses.extend(a2);
+                count_expr(cond, &mut ops);
+                ops += body_ops(then);
+                ops += body_ops(els);
             }
             // Nested loops profiled separately; declarations are free.
             Stmt::For { .. } | Stmt::Decl { init: None, .. } | Stmt::DeclArr { .. } => {}
         }
     }
-    (ops, accesses)
+    ops
 }
 
-pub(crate) fn count_expr(e: &Expr, loop_var: &str, ops: &mut OpCounts, accesses: &mut Vec<Access>) {
+pub(crate) fn count_expr(e: &Expr, ops: &mut OpCounts) {
     match e {
         Expr::ConstI(_) | Expr::ConstF(_) | Expr::Var(_) => {}
-        Expr::Index(name, idx) => {
-            count_expr(idx, loop_var, ops, accesses);
+        Expr::Index(_, idx) => {
+            count_expr(idx, ops);
             ops.mem_read += 1;
-            accesses.push(Access {
-                buffer: name.clone(),
-                write: false,
-                stride: classify_stride(idx, loop_var),
-            });
         }
         Expr::Bin(op, kind, a, b) => {
-            count_expr(a, loop_var, ops, accesses);
-            count_expr(b, loop_var, ops, accesses);
+            count_expr(a, ops);
+            count_expr(b, ops);
             ops.record_bin(*op, *kind);
         }
         Expr::Neg(kind, a) => {
-            count_expr(a, loop_var, ops, accesses);
+            count_expr(a, ops);
             if kind.is_float() {
                 ops.fadd += 1;
             } else {
@@ -466,42 +377,21 @@ pub(crate) fn count_expr(e: &Expr, loop_var: &str, ops: &mut OpCounts, accesses:
         }
         Expr::Call(f, kind, args) => {
             for a in args {
-                count_expr(a, loop_var, ops, accesses);
+                count_expr(a, ops);
             }
             ops.record_call(*f, *kind);
         }
         Expr::Cast(_, _, a) => {
-            count_expr(a, loop_var, ops, accesses);
+            count_expr(a, ops);
             ops.int_alu += 1;
         }
         Expr::Select(c, a, b) => {
-            count_expr(c, loop_var, ops, accesses);
-            count_expr(a, loop_var, ops, accesses);
-            count_expr(b, loop_var, ops, accesses);
+            count_expr(c, ops);
+            count_expr(a, ops);
+            count_expr(b, ops);
             ops.int_alu += 1;
         }
     }
-}
-
-fn classify_stride(idx: &Expr, loop_var: &str) -> Stride {
-    match crate::dataflow::depend::linear_coeff(idx, loop_var) {
-        Some(0) => Stride::Zero,
-        Some(1) => Stride::Unit,
-        Some(k) => Stride::Affine(k),
-        None => Stride::Irregular,
-    }
-}
-
-/// Detects a loop-carried dependence in this loop body (excluding nested
-/// loops, which carry their own). Delegates to the dependence engine in
-/// [`crate::dataflow::depend`], which owns the single source of truth for
-/// recurrence verdicts.
-fn detect_carried(
-    stmts: &[Stmt],
-    loop_var: &str,
-    outer_decls: &HashSet<String>,
-) -> Option<CarriedDep> {
-    crate::dataflow::depend::conservative_carried(stmts, loop_var, outer_decls)
 }
 
 #[cfg(test)]
@@ -624,17 +514,22 @@ mod tests {
     }
 
     #[test]
-    fn access_strides() {
+    fn accesses_are_attributed_to_their_innermost_loop() {
         let s = summarize(&dot_kernel(), 64).unwrap();
         let inner = s.loop_info(LoopId(1)).unwrap();
-        let in1 = inner.accesses.iter().find(|a| a.buffer == "in_1").unwrap();
-        assert_eq!(in1.stride, Stride::Unit); // coeff of j is 1
-        let w = inner.accesses.iter().find(|a| a.buffer == "w").unwrap();
-        assert_eq!(w.stride, Stride::Unit);
+        let bufs: Vec<(&str, bool)> = inner
+            .accesses
+            .iter()
+            .map(|a| (a.buffer.as_str(), a.write))
+            .collect();
+        assert_eq!(bufs, vec![("in_1", false), ("w", false)]);
         let outer = s.loop_info(LoopId(0)).unwrap();
-        let out = outer.accesses.iter().find(|a| a.buffer == "out_1").unwrap();
-        assert!(out.write);
-        assert_eq!(out.stride, Stride::Unit);
+        let bufs: Vec<(&str, bool)> = outer
+            .accesses
+            .iter()
+            .map(|a| (a.buffer.as_str(), a.write))
+            .collect();
+        assert_eq!(bufs, vec![("out_1", true)]);
     }
 
     #[test]
@@ -683,22 +578,6 @@ mod tests {
     }
 
     #[test]
-    fn affine_and_irregular_strides() {
-        assert_eq!(
-            classify_stride(
-                &Expr::iadd(Expr::imul(Expr::var("i"), Expr::ConstI(3)), Expr::ConstI(1)),
-                "i"
-            ),
-            Stride::Affine(3)
-        );
-        assert_eq!(
-            classify_stride(&Expr::index("tbl", Expr::var("i")), "i"),
-            Stride::Irregular
-        );
-        assert_eq!(classify_stride(&Expr::var("j"), "i"), Stride::Zero);
-    }
-
-    #[test]
     fn array_recurrence_detected() {
         // h[j] = h[j] + x  inside loop over i (coeff 0 on both) → carried.
         let body = vec![Stmt::Assign {
@@ -710,7 +589,7 @@ mod tests {
                 Expr::var("x"),
             ),
         }];
-        let dep = detect_carried(&body, "i", &HashSet::new()).expect("carried");
+        let dep = conservative_carried(&body, "i").expect("carried");
         assert_eq!(dep.via, "h");
         assert!(dep.reducible);
     }
@@ -726,7 +605,7 @@ mod tests {
                 vec![Expr::var("best"), Expr::var("d")],
             ),
         }];
-        let dep = detect_carried(&body, "i", &HashSet::new()).expect("carried");
+        let dep = conservative_carried(&body, "i").expect("carried");
         assert!(dep.reducible);
     }
 
@@ -742,7 +621,7 @@ mod tests {
                 Expr::var("b"),
             ),
         }];
-        let dep = detect_carried(&body, "i", &HashSet::new()).expect("carried");
+        let dep = conservative_carried(&body, "i").expect("carried");
         assert!(!dep.reducible);
         assert_eq!(dep.chain.fadd, 1);
         assert_eq!(dep.chain.fmul, 1);
@@ -866,7 +745,7 @@ mod scoping_tests {
                 rhs: Expr::var("t"),
             },
         ];
-        assert!(detect_carried(&body, "i", &HashSet::new()).is_none());
+        assert!(conservative_carried(&body, "i").is_none());
     }
 
     /// Same-element read-then-write at a moving index is not loop-carried,
@@ -883,7 +762,7 @@ mod scoping_tests {
                 rhs: Expr::bin(CBinOp::Add, CNumKind::I32, Expr::var("v"), Expr::ConstI(1)),
             },
         ];
-        assert!(detect_carried(&moving, "i", &HashSet::new()).is_none());
+        assert!(conservative_carried(&moving, "i").is_none());
 
         let pinned = vec![
             Stmt::Assign {
@@ -895,7 +774,7 @@ mod scoping_tests {
                 rhs: Expr::bin(CBinOp::Add, CNumKind::I32, Expr::var("v"), Expr::ConstI(1)),
             },
         ];
-        let dep = detect_carried(&pinned, "i", &HashSet::new()).expect("carried");
+        let dep = conservative_carried(&pinned, "i").expect("carried");
         assert_eq!(dep.via, "st");
     }
 }

@@ -317,11 +317,12 @@ mod tests {
     use crate::ast::*;
 
     fn lower(body: Vec<Stmt>, params: Vec<Param>) -> Cfg {
-        Cfg::build(&CFunction {
+        let f = CFunction {
             name: "k".into(),
             params,
             body,
-        })
+        };
+        Cfg::build(&crate::index::KernelIndex::build(&f))
     }
 
     fn scalar_param(name: &str) -> Param {

@@ -4,20 +4,25 @@
 //! no `goto`/`break`), so the lowering is deterministic: every statement
 //! receives a stable [`StmtId`] in source pre-order (compound statements
 //! are numbered before their children), loops become a header block with a
-//! back edge from the end of the body, and branches become a diamond. The
-//! same pre-order numbering is used by the `s2fa-lint` verifier to attach
-//! statement indices to diagnostic spans, so a CFG fact and a lint finding
-//! about the same statement agree on its id by construction.
+//! back edge from the end of the body, and branches become a diamond.
+//! [`KernelIndex`] numbers statements the same way, and the lint attaches
+//! those ids to diagnostic spans; `tests/dataflow_prop.rs` checks that
+//! every access site's statement, loop path and branch flag match the
+//! CFG's, on random kernels and on the workloads before and after their
+//! structural transforms.
 //!
-//! The variable universe is interned up front ([`VarTable`]): scalars map
-//! to one [`VarId`] each, and local arrays are either *element-resolved*
+//! The CFG takes each loop's static trip count, each local array's length
+//! and each array's representation from the [`KernelIndex`]. The variable
+//! universe is interned ([`VarTable`]): scalars map to one [`VarId`] each,
+//! and local arrays are either *element-resolved*
 //! (every access in the function uses a compile-time-constant index, so
 //! each element `a[k]` is its own variable with must-def semantics) or
 //! *summarized* as a single whole-array variable whose writes are may-defs
 //! (they never kill). Interface buffers are always summarized and are
 //! defined at entry, so reads from them can never look uninitialized.
 
-use crate::ast::{CFunction, Expr, LValue, LoopId, ParamKind, Stmt};
+use crate::ast::{Expr, LValue, LoopId, ParamKind, Stmt};
+use crate::index::KernelIndex;
 use std::collections::{BTreeMap, HashMap};
 
 /// Stable statement id: the statement's index in a source pre-order walk
@@ -200,10 +205,12 @@ pub struct Cfg {
 const MAX_ELEMENT_RESOLVED: u32 = 256;
 
 impl Cfg {
-    /// Lowers a function body to a CFG.
-    pub fn build(f: &CFunction) -> Cfg {
-        let mut b = Builder::new(f);
-        b.lower_body(f);
+    /// Lowers the indexed function to a CFG. Array modes, local lengths
+    /// and loop trips come from the index.
+    pub fn build(index: &KernelIndex<'_>) -> Cfg {
+        let f = index.function;
+        let mut b = Builder::new(index);
+        b.lower(&f.body);
         b.finish()
     }
 
@@ -232,87 +239,6 @@ impl Cfg {
     }
 }
 
-/// Scans the function and decides each array's representation.
-fn choose_array_modes(f: &CFunction) -> (BTreeMap<String, ArrayMode>, BTreeMap<String, u32>) {
-    let mut modes: BTreeMap<String, ArrayMode> = BTreeMap::new();
-    let mut lens: BTreeMap<String, u32> = BTreeMap::new();
-    // Interface buffers are summarized: their extent is per batch, not
-    // statically resolvable per element.
-    for p in &f.params {
-        if p.kind != ParamKind::ScalarIn {
-            modes.insert(p.name.clone(), ArrayMode::Whole);
-        }
-    }
-    fn scan_stmts(
-        stmts: &[Stmt],
-        modes: &mut BTreeMap<String, ArrayMode>,
-        lens: &mut BTreeMap<String, u32>,
-    ) {
-        for s in stmts {
-            match s {
-                Stmt::DeclArr { name, len, .. } => {
-                    lens.insert(name.clone(), *len);
-                    let mode = if *len <= MAX_ELEMENT_RESOLVED {
-                        ArrayMode::PerElement
-                    } else {
-                        ArrayMode::Whole
-                    };
-                    modes.entry(name.clone()).or_insert(mode);
-                }
-                Stmt::Decl { init: Some(e), .. } => scan_expr(e, modes),
-                Stmt::Assign { lhs, rhs } => {
-                    if let LValue::Index(name, idx) = lhs {
-                        note_access(name, idx, modes);
-                        scan_expr(idx, modes);
-                    }
-                    scan_expr(rhs, modes);
-                }
-                Stmt::For { bound, body, .. } => {
-                    scan_expr(bound, modes);
-                    scan_stmts(body, modes, lens);
-                }
-                Stmt::If { cond, then, els } => {
-                    scan_expr(cond, modes);
-                    scan_stmts(then, modes, lens);
-                    scan_stmts(els, modes, lens);
-                }
-                Stmt::Decl { init: None, .. } => {}
-            }
-        }
-    }
-    fn scan_expr(e: &Expr, modes: &mut BTreeMap<String, ArrayMode>) {
-        match e {
-            Expr::Index(name, idx) => {
-                note_access(name, idx, modes);
-                scan_expr(idx, modes);
-            }
-            Expr::Bin(_, _, a, b) => {
-                scan_expr(a, modes);
-                scan_expr(b, modes);
-            }
-            Expr::Neg(_, a) | Expr::Cast(_, _, a) => scan_expr(a, modes),
-            Expr::Call(_, _, args) => args.iter().for_each(|a| scan_expr(a, modes)),
-            Expr::Select(c, a, b) => {
-                scan_expr(c, modes);
-                scan_expr(a, modes);
-                scan_expr(b, modes);
-            }
-            Expr::ConstI(_) | Expr::ConstF(_) | Expr::Var(_) => {}
-        }
-    }
-    fn note_access(name: &str, idx: &Expr, modes: &mut BTreeMap<String, ArrayMode>) {
-        if super::depend::const_value(idx).is_none() {
-            // One dynamic index demotes the whole array to summarized.
-            modes.insert(name.to_string(), ArrayMode::Whole);
-        }
-    }
-    scan_stmts(&f.body, &mut modes, &mut lens);
-    // Declarations seen after a dynamic access keep Whole (entry() above);
-    // arrays only read dynamically but declared per-element were already
-    // demoted by note_access running over the same walk.
-    (modes, lens)
-}
-
 struct Builder {
     blocks: Vec<Block>,
     stmts: Vec<StmtInfo>,
@@ -328,13 +254,35 @@ struct Builder {
 }
 
 impl Builder {
-    fn new(f: &CFunction) -> Builder {
-        let (array_modes, local_lens) = choose_array_modes(f);
+    fn new(index: &KernelIndex<'_>) -> Builder {
+        let f = index.function;
+        // Interface buffers are summarized: their extent is per batch, not
+        // statically resolvable per element.
+        let mut array_modes: BTreeMap<String, ArrayMode> = f
+            .buffers()
+            .map(|p| (p.name.clone(), ArrayMode::Whole))
+            .collect();
+        let mut local_lens = BTreeMap::new();
+        for a in &index.local_arrays {
+            local_lens.insert(a.name.to_string(), a.len);
+            let mode = if a.len <= MAX_ELEMENT_RESOLVED {
+                ArrayMode::PerElement
+            } else {
+                ArrayMode::Whole
+            };
+            array_modes.entry(a.name.to_string()).or_insert(mode);
+        }
+        // One dynamic index demotes the whole array to summarized.
+        for site in &index.sites {
+            if super::depend::const_value(site.index).is_none() {
+                array_modes.insert(site.array.to_string(), ArrayMode::Whole);
+            }
+        }
         let mut b = Builder {
             blocks: vec![Block::default()],
             stmts: Vec::new(),
             vars: VarTable::default(),
-            loop_trips: BTreeMap::new(),
+            loop_trips: index.loops.iter().map(|l| (l.id, l.trip)).collect(),
             array_modes,
             local_lens,
             entry_defs: Vec::new(),
@@ -455,10 +403,6 @@ impl Builder {
         id
     }
 
-    fn lower_body(&mut self, f: &CFunction) {
-        self.lower(&f.body);
-    }
-
     fn lower(&mut self, stmts: &[Stmt]) {
         for s in stmts {
             match s {
@@ -538,17 +482,9 @@ impl Builder {
                     id,
                     var,
                     bound,
-                    trip_count,
                     body,
                     ..
                 } => {
-                    let tc = match (trip_count, bound) {
-                        (Some(t), _) => Some(*t),
-                        (None, Expr::ConstI(v)) => Some(*v as u32),
-                        _ => None,
-                    };
-                    self.loop_trips.insert(*id, tc);
-
                     let header = self.new_block();
                     self.edge(self.cur, header);
                     self.cur = header;
@@ -623,6 +559,7 @@ impl Builder {
 mod tests {
     use super::*;
     use crate::ast::*;
+    use crate::index::KernelIndex;
 
     /// `for i in 0..4 { if (c) { x = 1 } else { x = 2 } }`
     fn branchy() -> CFunction {
@@ -663,7 +600,7 @@ mod tests {
 
     #[test]
     fn preorder_ids_and_structure() {
-        let cfg = Cfg::build(&branchy());
+        let cfg = Cfg::build(&KernelIndex::build(&branchy()));
         // s0 = decl x, s1 = loop header, s2 = branch, s3 = then-assign,
         // s4 = else-assign.
         assert_eq!(cfg.stmt_count(), 5);
@@ -677,7 +614,7 @@ mod tests {
 
     #[test]
     fn loop_has_back_edge() {
-        let cfg = Cfg::build(&branchy());
+        let cfg = Cfg::build(&KernelIndex::build(&branchy()));
         let header = cfg.stmt(StmtId(1)).block;
         // The header has two predecessors: the entry path and the back
         // edge from the body's join block.
@@ -688,7 +625,7 @@ mod tests {
 
     #[test]
     fn provably_executes_respects_branches_and_trips() {
-        let cfg = Cfg::build(&branchy());
+        let cfg = Cfg::build(&KernelIndex::build(&branchy()));
         assert!(cfg.provably_executes(StmtId(0)));
         assert!(cfg.provably_executes(StmtId(2))); // the branch condition itself
         assert!(!cfg.provably_executes(StmtId(3))); // then-arm
@@ -696,7 +633,7 @@ mod tests {
         if let Some(Stmt::For { trip_count, .. }) = f.body.get_mut(1) {
             *trip_count = Some(0);
         }
-        let cfg = Cfg::build(&f);
+        let cfg = Cfg::build(&KernelIndex::build(&f));
         assert!(!cfg.provably_executes(StmtId(2)));
     }
 
@@ -731,7 +668,7 @@ mod tests {
                 ),
             ],
         };
-        let cfg = Cfg::build(&f);
+        let cfg = Cfg::build(&KernelIndex::build(&f));
         assert_eq!(cfg.array_modes["cst"], ArrayMode::PerElement);
         assert_eq!(cfg.array_modes["dyn"], ArrayMode::Whole);
         // The per-element write is a must-def of cst[1]; the dynamic write

@@ -13,7 +13,8 @@
 //!    This powers the E303 replication write-race rule, the
 //!    [`replication_safe`] clearance used by the interleaving oracle, and
 //!    exact dependence *distance* extraction ([`exact_distance`]) that can
-//!    relax a recurrence II bound by the distance.
+//!    relax a recurrence II bound by the distance. The access sites it
+//!    reads are those of [`KernelIndex`](crate::index::KernelIndex).
 //!
 //! 2. **The conservative recurrence scan** — the single source of truth for
 //!    the loop-carried dependences that bound the estimator's initiation
@@ -28,6 +29,7 @@
 
 use crate::analysis::CarriedDep;
 use crate::ast::{CBinOp, CIntrinsic, Expr, LValue, LoopId, Stmt};
+use crate::index::{AccessSite, LoopFrame};
 use crate::opcount::OpCounts;
 use std::collections::{BTreeMap, HashSet};
 
@@ -103,183 +105,6 @@ pub fn affine_form(e: &Expr) -> Option<AffineForm> {
         }
         Expr::Cast(_, _, a) => affine_form(a),
         _ => None,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Access sites
-// ---------------------------------------------------------------------------
-
-/// One enclosing loop of an access site.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LoopFrame {
-    /// Loop id.
-    pub id: LoopId,
-    /// Induction variable.
-    pub var: String,
-    /// Static trip count; `None` for the runtime-bounded task loop.
-    pub trip: Option<u32>,
-}
-
-/// One array access (read or write) anywhere in a kernel.
-#[derive(Debug, Clone)]
-pub struct AccessSite {
-    /// Array name.
-    pub array: String,
-    /// Index expression.
-    pub index: Expr,
-    /// True for writes.
-    pub write: bool,
-    /// True for read-modify-write stores: the right-hand side reads the
-    /// same array at the syntactically identical index (an accumulation;
-    /// the recurrence machinery owns it, E303 skips it).
-    pub rmw: bool,
-    /// Global pre-order statement index of the enclosing statement.
-    pub stmt: u32,
-    /// Enclosing loops, outermost first.
-    pub loops: Vec<LoopFrame>,
-    /// True when the site sits under at least one `if` arm.
-    pub in_branch: bool,
-}
-
-impl AccessSite {
-    /// The position of `lid` in this site's loop path, if enclosing.
-    fn frame_pos(&self, lid: LoopId) -> Option<usize> {
-        self.loops.iter().position(|f| f.id == lid)
-    }
-
-    /// Innermost frame binding `var` (shadowing-aware), with its index in
-    /// the path.
-    fn binding(&self, var: &str) -> Option<(usize, &LoopFrame)> {
-        self.loops
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, f)| f.var == var)
-    }
-}
-
-/// Collects every array access site of a function body, numbering
-/// statements in the same source pre-order as `dataflow::cfg`.
-pub fn collect_sites(body: &[Stmt]) -> Vec<AccessSite> {
-    struct W {
-        sites: Vec<AccessSite>,
-        next: u32,
-        loops: Vec<LoopFrame>,
-        branch: u32,
-    }
-    impl W {
-        fn expr(&mut self, e: &Expr, stmt: u32) {
-            match e {
-                Expr::Index(name, idx) => {
-                    self.sites.push(AccessSite {
-                        array: name.clone(),
-                        index: idx.as_ref().clone(),
-                        write: false,
-                        rmw: false,
-                        stmt,
-                        loops: self.loops.clone(),
-                        in_branch: self.branch > 0,
-                    });
-                    self.expr(idx, stmt);
-                }
-                Expr::Bin(_, _, a, b) => {
-                    self.expr(a, stmt);
-                    self.expr(b, stmt);
-                }
-                Expr::Neg(_, a) | Expr::Cast(_, _, a) => self.expr(a, stmt),
-                Expr::Call(_, _, args) => args.iter().for_each(|a| self.expr(a, stmt)),
-                Expr::Select(c, a, b) => {
-                    self.expr(c, stmt);
-                    self.expr(a, stmt);
-                    self.expr(b, stmt);
-                }
-                Expr::ConstI(_) | Expr::ConstF(_) | Expr::Var(_) => {}
-            }
-        }
-        fn stmts(&mut self, stmts: &[Stmt]) {
-            for s in stmts {
-                let id = self.next;
-                self.next += 1;
-                match s {
-                    Stmt::Decl { init: Some(e), .. } => self.expr(e, id),
-                    Stmt::Decl { init: None, .. } | Stmt::DeclArr { .. } => {}
-                    Stmt::Assign { lhs, rhs } => {
-                        self.expr(rhs, id);
-                        if let LValue::Index(name, idx) = lhs {
-                            self.expr(idx, id);
-                            let rmw = reads_same_element(rhs, name, idx);
-                            self.sites.push(AccessSite {
-                                array: name.clone(),
-                                index: idx.as_ref().clone(),
-                                write: true,
-                                rmw,
-                                stmt: id,
-                                loops: self.loops.clone(),
-                                in_branch: self.branch > 0,
-                            });
-                        }
-                    }
-                    Stmt::For {
-                        id: lid,
-                        var,
-                        bound,
-                        trip_count,
-                        body,
-                        ..
-                    } => {
-                        self.expr(bound, id);
-                        let trip = match (trip_count, bound) {
-                            (Some(t), _) => Some(*t),
-                            (None, Expr::ConstI(v)) => Some(*v as u32),
-                            _ => None,
-                        };
-                        self.loops.push(LoopFrame {
-                            id: *lid,
-                            var: var.clone(),
-                            trip,
-                        });
-                        self.stmts(body);
-                        self.loops.pop();
-                    }
-                    Stmt::If { cond, then, els } => {
-                        self.expr(cond, id);
-                        self.branch += 1;
-                        self.stmts(then);
-                        self.stmts(els);
-                        self.branch -= 1;
-                    }
-                }
-            }
-        }
-    }
-    let mut w = W {
-        sites: Vec::new(),
-        next: 0,
-        loops: Vec::new(),
-        branch: 0,
-    };
-    w.stmts(body);
-    w.sites
-}
-
-/// True when `rhs` reads `name` at an index syntactically equal to `widx`.
-fn reads_same_element(rhs: &Expr, name: &str, widx: &Expr) -> bool {
-    match rhs {
-        Expr::Index(n, idx) => {
-            (n == name && idx.as_ref() == widx) || reads_same_element(idx, name, widx)
-        }
-        Expr::Bin(_, _, a, b) => {
-            reads_same_element(a, name, widx) || reads_same_element(b, name, widx)
-        }
-        Expr::Neg(_, a) | Expr::Cast(_, _, a) => reads_same_element(a, name, widx),
-        Expr::Call(_, _, args) => args.iter().any(|a| reads_same_element(a, name, widx)),
-        Expr::Select(c, a, b) => {
-            reads_same_element(c, name, widx)
-                || reads_same_element(a, name, widx)
-                || reads_same_element(b, name, widx)
-        }
-        Expr::ConstI(_) | Expr::ConstF(_) | Expr::Var(_) => false,
     }
 }
 
@@ -420,7 +245,7 @@ fn gcd(a: u64, b: u64) -> u64 {
 }
 
 /// Resolved trip count of a frame (task loop falls back to the hint).
-fn frame_trip(f: &LoopFrame, tasks_hint: u32) -> u32 {
+fn frame_trip(f: &LoopFrame<'_>, tasks_hint: u32) -> u32 {
     f.trip.unwrap_or(tasks_hint)
 }
 
@@ -438,19 +263,18 @@ pub fn cross_iteration_overlap(
     let (Some(pa), Some(pb)) = (a.frame_pos(lid), b.frame_pos(lid)) else {
         return Tri::Unknown;
     };
-    let l_var = a.loops[pa].var.clone();
+    let l_var = a.loops[pa].var;
     let t_l = frame_trip(&a.loops[pa], tasks_hint) as i64;
     if t_l < 2 {
         return Tri::Disproven;
     }
     // If an inner loop shadows `lid`'s variable name at either site, the
     // coefficient bookkeeping below would attribute it to the wrong loop.
-    if a.binding(&l_var).map(|(p, _)| p) != Some(pa)
-        || b.binding(&l_var).map(|(p, _)| p) != Some(pb)
+    if a.binding(l_var).map(|(p, _)| p) != Some(pa) || b.binding(l_var).map(|(p, _)| p) != Some(pb)
     {
         return Tri::Unknown;
     }
-    let (Some(fa), Some(fb)) = (affine_form(&a.index), affine_form(&b.index)) else {
+    let (Some(fa), Some(fb)) = (affine_form(a.index), affine_form(b.index)) else {
         return Tri::Unknown;
     };
 
@@ -473,8 +297,8 @@ pub fn cross_iteration_overlap(
     // scalars, inconsistent shadowing, or search-budget exhaustion.
     let mut terms: Vec<VarSpec> = Vec::new();
     let mut neq: Vec<(usize, usize)> = Vec::new();
-    let ca_l = fa.coeff(&l_var);
-    let cb_l = fb.coeff(&l_var);
+    let ca_l = fa.coeff(l_var);
+    let cb_l = fb.coeff(l_var);
     if ca_l == cb_l {
         // Substitute i' = i + Δ: the i terms cancel, leaving -coeff·Δ.
         // (With coeff 0 the term is inert and the constant test decides,
@@ -507,7 +331,7 @@ pub fn cross_iteration_overlap(
     vars.sort();
     vars.dedup();
     for v in vars {
-        if *v == l_var {
+        if v == l_var {
             continue;
         }
         let ca = fa.coeff(v);
@@ -617,16 +441,16 @@ pub struct RaceFinding {
 /// so replication privatizes them and no cross-iteration conflict exists.
 /// Returns the first finding in statement order.
 pub fn find_write_race(
-    sites: &[AccessSite],
+    sites: &[AccessSite<'_>],
     body: &[Stmt],
     lid: LoopId,
     tasks_hint: u32,
 ) -> Option<RaceFinding> {
     let mut private: HashSet<String> = HashSet::new();
     collect_decl_names(body, &mut private);
-    let writes: Vec<&AccessSite> = sites
+    let writes: Vec<&AccessSite<'_>> = sites
         .iter()
-        .filter(|s| s.write && !s.rmw && !private.contains(&s.array) && s.frame_pos(lid).is_some())
+        .filter(|s| s.write && !s.rmw && !private.contains(s.array) && s.frame_pos(lid).is_some())
         .collect();
     for (i, a) in writes.iter().enumerate() {
         for b in &writes[i..] {
@@ -636,7 +460,7 @@ pub fn find_write_race(
             if cross_iteration_overlap(a, b, lid, tasks_hint) == Tri::Proven {
                 return Some(RaceFinding {
                     loop_id: lid,
-                    array: a.array.clone(),
+                    array: a.array.to_string(),
                     stmt_a: a.stmt,
                     stmt_b: b.stmt,
                 });
@@ -655,7 +479,12 @@ pub fn find_write_race(
 /// This is exactly the property the randomized-interleaving oracle
 /// validates: a cleared loop must produce bit-identical outputs under any
 /// iteration order.
-pub fn replication_safe(sites: &[AccessSite], body: &[Stmt], lid: LoopId, tasks_hint: u32) -> bool {
+pub fn replication_safe(
+    sites: &[AccessSite<'_>],
+    body: &[Stmt],
+    lid: LoopId,
+    tasks_hint: u32,
+) -> bool {
     // Scalars declared in the body (at any depth) are re-created per
     // iteration; any other scalar written under the loop is shared state.
     let mut private: HashSet<String> = HashSet::new();
@@ -666,11 +495,11 @@ pub fn replication_safe(sites: &[AccessSite], body: &[Stmt], lid: LoopId, tasks_
     // Arrays declared in the body are as private as body scalars: each
     // iteration gets a fresh copy, so their accesses cannot couple
     // iterations.
-    let under: Vec<&AccessSite> = sites
+    let under: Vec<&AccessSite<'_>> = sites
         .iter()
-        .filter(|s| s.frame_pos(lid).is_some() && !private.contains(&s.array))
+        .filter(|s| s.frame_pos(lid).is_some() && !private.contains(s.array))
         .collect();
-    let writes: Vec<&&AccessSite> = under.iter().filter(|s| s.write).collect();
+    let writes: Vec<&&AccessSite<'_>> = under.iter().filter(|s| s.write).collect();
     for (i, w) in writes.iter().enumerate() {
         // Write-write pairs, including the self pair.
         for w2 in &writes[i..] {
@@ -838,11 +667,7 @@ pub fn exact_distance(body: &[Stmt], var: &str, via: &str) -> Option<u32> {
 /// array with a matching coefficient counts) and is deliberately unchanged
 /// from the historical `hlsir::analysis` scan so estimates stay
 /// bit-identical.
-pub fn conservative_carried(
-    stmts: &[Stmt],
-    loop_var: &str,
-    outer_decls: &HashSet<String>,
-) -> Option<CarriedDep> {
+pub fn conservative_carried(stmts: &[Stmt], loop_var: &str) -> Option<CarriedDep> {
     // Variables declared in this body are private per iteration.
     let mut private = HashSet::new();
     for s in stmts {
@@ -851,7 +676,7 @@ pub fn conservative_carried(
         }
     }
     let mut best: Option<CarriedDep> = None;
-    scan_carried(stmts, loop_var, &private, outer_decls, &mut best);
+    scan_carried(stmts, loop_var, &private, &mut best);
     // Second pass: multi-statement recurrences flowing through scalar
     // temporaries (e.g. `h = f(cur[j]); cur[j+1] = h` in a DP wavefront).
     scan_carried_array_transitive(stmts, loop_var, &mut best);
@@ -869,10 +694,7 @@ struct ScalarFlow {
 
 fn expr_flow(e: &Expr, flows: &std::collections::HashMap<String, ScalarFlow>) -> ScalarFlow {
     let mut out = ScalarFlow::default();
-    let mut ops = OpCounts::new();
-    let mut dummy = Vec::new();
-    crate::analysis::count_expr(e, "", &mut ops, &mut dummy);
-    out.chain = ops;
+    crate::analysis::count_expr(e, &mut out.chain);
     fn walk(e: &Expr, out: &mut ScalarFlow, flows: &std::collections::HashMap<String, ScalarFlow>) {
         match e {
             Expr::Var(n) => {
@@ -991,7 +813,6 @@ fn scan_carried(
     stmts: &[Stmt],
     loop_var: &str,
     private: &HashSet<String>,
-    _outer: &HashSet<String>,
     best: &mut Option<CarriedDep>,
 ) {
     for s in stmts {
@@ -1024,8 +845,8 @@ fn scan_carried(
                 }
             }
             Stmt::If { then, els, .. } => {
-                scan_carried(then, loop_var, private, _outer, best);
-                scan_carried(els, loop_var, private, _outer, best);
+                scan_carried(then, loop_var, private, best);
+                scan_carried(els, loop_var, private, best);
             }
             _ => {}
         }
@@ -1225,8 +1046,7 @@ pub fn transitive_scalar_carried(body: &[Stmt]) -> Option<CarriedDep> {
     impl V {
         fn flow_of(&self, e: &Expr) -> Flow {
             let mut out = Flow::default();
-            let mut dummy = Vec::new();
-            crate::analysis::count_expr(e, "", &mut out.chain, &mut dummy);
+            crate::analysis::count_expr(e, &mut out.chain);
             let mut reads = Vec::new();
             e.free_vars(&mut reads);
             for r in reads {
@@ -1321,7 +1141,16 @@ pub fn transitive_scalar_carried(body: &[Stmt]) -> Option<CarriedDep> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{CNumKind, CType, LoopAttrs};
+    use crate::ast::{CFunction, CNumKind, CType, LoopAttrs};
+    use crate::index::KernelIndex;
+
+    fn kernel(body: &[Stmt]) -> CFunction {
+        CFunction {
+            name: "k".into(),
+            params: vec![],
+            body: body.to_vec(),
+        }
+    }
 
     fn idx_write(arr: &str, idx: Expr, rhs: Expr) -> Stmt {
         Stmt::Assign {
@@ -1368,7 +1197,7 @@ mod tests {
     }
 
     /// `find_write_race` with the loop body located for the caller.
-    fn find_race(sites: &[AccessSite], stmts: &[Stmt], lid: LoopId) -> Option<RaceFinding> {
+    fn find_race(sites: &[AccessSite<'_>], stmts: &[Stmt], lid: LoopId) -> Option<RaceFinding> {
         find_write_race(sites, body_of(stmts, lid), lid, 64)
     }
 
@@ -1396,7 +1225,8 @@ mod tests {
             16,
             vec![idx_write("a", Expr::var("i"), Expr::var("i"))],
         )];
-        let sites = collect_sites(&body);
+        let f = kernel(&body);
+        let sites = KernelIndex::build(&f).sites;
         assert!(find_race(&sites, &body, LoopId(0)).is_none());
     }
 
@@ -1409,7 +1239,8 @@ mod tests {
             16,
             vec![idx_write("a", Expr::ConstI(0), Expr::var("i"))],
         )];
-        let sites = collect_sites(&body);
+        let f = kernel(&body);
+        let sites = KernelIndex::build(&f).sites;
         let race = find_race(&sites, &body, LoopId(0)).expect("race");
         assert_eq!(race.array, "a");
         assert_eq!(race.stmt_a, race.stmt_b);
@@ -1428,7 +1259,8 @@ mod tests {
                 Expr::iadd(Expr::index("a", Expr::ConstI(0)), Expr::ConstI(1)),
             )],
         )];
-        let sites = collect_sites(&body);
+        let f = kernel(&body);
+        let sites = KernelIndex::build(&f).sites;
         assert!(find_race(&sites, &body, LoopId(0)).is_none());
         // ... but it is not replication-safe either (write-read overlap).
         let Stmt::For { body: inner, .. } = &body[0] else {
@@ -1459,7 +1291,8 @@ mod tests {
                 ),
             ],
         )];
-        let sites = collect_sites(&body);
+        let f = kernel(&body);
+        let sites = KernelIndex::build(&f).sites;
         let race = find_race(&sites, &body, LoopId(0)).expect("race");
         assert_eq!(race.array, "a");
         assert_ne!(race.stmt_a, race.stmt_b);
@@ -1486,7 +1319,8 @@ mod tests {
                 ),
             ],
         )];
-        let sites = collect_sites(&body);
+        let f = kernel(&body);
+        let sites = KernelIndex::build(&f).sites;
         assert!(find_race(&sites, &body, LoopId(0)).is_none());
         let Stmt::For { body: inner, .. } = &body[0] else {
             unreachable!()
@@ -1513,7 +1347,8 @@ mod tests {
                 )],
             )],
         )];
-        let sites = collect_sites(&body);
+        let f = kernel(&body);
+        let sites = KernelIndex::build(&f).sites;
         let race = find_race(&sites, &body, LoopId(0)).expect("outer race");
         assert_eq!(race.array, "a");
         // The inner loop alone is race-free (i fixed, j unit stride).
@@ -1539,7 +1374,8 @@ mod tests {
                 )],
             )],
         )];
-        let sites = collect_sites(&body);
+        let f = kernel(&body);
+        let sites = KernelIndex::build(&f).sites;
         assert!(find_race(&sites, &body, LoopId(0)).is_none());
         let Stmt::For { body: inner, .. } = &body[0] else {
             unreachable!()
@@ -1562,7 +1398,8 @@ mod tests {
                 els: vec![],
             }],
         )];
-        let sites = collect_sites(&body);
+        let f = kernel(&body);
+        let sites = KernelIndex::build(&f).sites;
         assert!(find_race(&sites, &body, LoopId(0)).is_none());
         let Stmt::For { body: inner, .. } = &body[0] else {
             unreachable!()
@@ -1582,7 +1419,8 @@ mod tests {
                 rhs: Expr::iadd(Expr::var("s"), Expr::ConstI(1)),
             }],
         )];
-        let sites = collect_sites(&body);
+        let f = kernel(&body);
+        let sites = KernelIndex::build(&f).sites;
         let Stmt::For { body: inner, .. } = &body[0] else {
             unreachable!()
         };
@@ -1641,7 +1479,7 @@ mod tests {
                 ),
             },
         ];
-        assert!(conservative_carried(&body, "i", &HashSet::new()).is_none());
+        assert!(conservative_carried(&body, "i").is_none());
         let dep = transitive_scalar_carried(&body).expect("carried");
         assert_eq!(dep.via, "s");
         assert!(!dep.reducible);

@@ -5,16 +5,18 @@
 //! Layered bottom-up:
 //!
 //! * [`cfg`](mod@cfg) — a control-flow graph lowered from the structured AST, with
-//!   stable pre-order statement ids, loop back-edges, and a variable table
-//!   that resolves constant-indexed local arrays per element;
+//!   the [`KernelIndex`]'s pre-order statement ids and loop trips, loop
+//!   back-edges, and a variable table that resolves constant-indexed local
+//!   arrays per element;
 //! * [`solver`] — a generic forward/backward iterative fixpoint solver
 //!   over bitsets;
 //! * [`analyses`] — reaching definitions (with explicit *uninitialized*
 //!   definition sites), liveness, and def-use/use-def chains;
-//! * [`depend`] — the affine array-dependence engine: GCD + Banerjee
-//!   bounds + budgeted exact search over static iteration domains,
-//!   distinguishing loop-independent from loop-carried dependences, plus
-//!   the conservative recurrence scan that bounds the estimator's II.
+//! * [`depend`] — the affine array-dependence engine over the index's
+//!   access sites: GCD + Banerjee bounds + budgeted exact search over
+//!   static iteration domains, distinguishing loop-independent from
+//!   loop-carried dependences, plus the conservative recurrence scan that
+//!   bounds the estimator's II.
 //!
 //! [`kernel_dataflow`] condenses the dependence facts every consumer
 //! (lint's E3xx rules, the DSE prescreen, the estimator's II bound) needs
@@ -31,13 +33,14 @@ pub mod solver;
 pub use analyses::{DefSite, DefUse, Liveness, ReachingDefs};
 pub use cfg::{ArrayMode, Cfg, StmtId, StmtKind, VarId};
 pub use depend::{
-    affine_form, collect_sites, cross_iteration_overlap, exact_distance, find_write_race,
-    replication_safe, AccessSite, AffineForm, RaceFinding, Tri,
+    affine_form, cross_iteration_overlap, exact_distance, find_write_race, replication_safe,
+    AffineForm, RaceFinding, Tri,
 };
 pub use solver::{solve, BitSet, DataflowProblem, Direction, Solution};
 
 use crate::analysis::{CarriedDep, KernelSummary};
-use crate::ast::{CFunction, LoopId, Stmt};
+use crate::ast::{CFunction, LoopId};
+use crate::index::KernelIndex;
 use std::collections::BTreeMap;
 
 /// Dependence facts for one loop.
@@ -80,25 +83,22 @@ impl KernelDataflow {
 /// distance computation) and the task-loop batch hint used as the trip
 /// count of runtime-bounded loops.
 pub fn kernel_dataflow(f: &CFunction, summary: &KernelSummary) -> KernelDataflow {
-    let sites = collect_sites(&f.body);
+    let index = KernelIndex::build(f);
     let mut loops = BTreeMap::new();
-    f.visit_loops(|s| {
-        let Stmt::For { id, var, body, .. } = s else {
-            return;
-        };
-        let write_race = find_write_race(&sites, body, *id, summary.tasks_hint);
-        let safe = replication_safe(&sites, body, *id, summary.tasks_hint);
-        let conservative = summary.loop_info(*id).and_then(|l| l.carried.as_ref());
+    for l in &index.loops {
+        let write_race = find_write_race(&index.sites, l.body, l.id, summary.tasks_hint);
+        let safe = replication_safe(&index.sites, l.body, l.id, summary.tasks_hint);
+        let conservative = summary.loop_info(l.id).and_then(|li| li.carried.as_ref());
         let extra_carried = if conservative.is_none() {
-            depend::transitive_scalar_carried(body)
+            depend::transitive_scalar_carried(l.body)
         } else {
             None
         };
         let carried_distance = conservative
-            .and_then(|c| exact_distance(body, var, &c.via))
+            .and_then(|c| exact_distance(l.body, l.var, &c.via))
             .filter(|&d| d > 1);
         loops.insert(
-            *id,
+            l.id,
             LoopDataflow {
                 write_race,
                 replication_safe: safe,
@@ -106,7 +106,7 @@ pub fn kernel_dataflow(f: &CFunction, summary: &KernelSummary) -> KernelDataflow
                 carried_distance,
             },
         );
-    });
+    }
     KernelDataflow { loops }
 }
 
@@ -122,7 +122,7 @@ pub fn attach(summary: &mut KernelSummary, f: &CFunction) {
 mod tests {
     use super::*;
     use crate::analysis::summarize;
-    use crate::ast::{CType, Expr, LValue, LoopAttrs, Param, ParamKind};
+    use crate::ast::{CType, Expr, LValue, LoopAttrs, Param, ParamKind, Stmt};
 
     fn kernel_with_body(body: Vec<Stmt>) -> CFunction {
         CFunction {

@@ -12,11 +12,15 @@
 //! * [`printer`] — emission of compilable-looking HLS C source with
 //!   `#pragma ACCEL` directives, the artifact a user would hand to the
 //!   vendor flow;
+//! * [`index`] — one pre-order walk of a kernel recording its loop table
+//!   (with the one static trip-count rule), local arrays and array access
+//!   sites, read by [`analysis`], the CFG, the dependence engine and the
+//!   lint's dataflow rules;
 //! * [`analysis`] — the ROSE/polyhedral substitute: loop-nest extraction,
-//!   trip counts, per-iteration operation counts, access-stride
-//!   classification, and loop-carried-dependence detection, summarized in a
-//!   [`KernelSummary`] that drives design-space identification (paper §4.1)
-//!   and the HLS performance model (`s2fa-hlssim`);
+//!   trip counts, per-iteration operation counts and buffer accesses, and
+//!   loop-carried-dependence detection, summarized in a [`KernelSummary`]
+//!   that drives design-space identification (paper §4.1) and the HLS
+//!   performance model (`s2fa-hlssim`);
 //! * [`exec`] — a functional executor for the IR, used to prove that the
 //!   generated C is equivalent to the original bytecode (same numeric
 //!   semantics as the `s2fa-sjvm` interpreter);
@@ -29,12 +33,13 @@ pub mod analysis;
 pub mod ast;
 pub mod dataflow;
 pub mod exec;
+pub mod index;
 pub mod opcount;
 pub mod printer;
 
 mod error;
 
-pub use analysis::{Access, BufferDir, BufferInfo, CarriedDep, KernelSummary, LoopInfo, Stride};
+pub use analysis::{Access, BufferDir, BufferInfo, CarriedDep, KernelSummary, LoopInfo};
 pub use ast::{
     CBinOp, CFunction, CIntrinsic, CNumKind, CType, Expr, LValue, LoopAttrs, LoopId, Param,
     ParamKind, PipelineMode, Stmt,

@@ -325,7 +325,7 @@ impl Estimator {
 mod tests {
     use super::*;
     use s2fa_hlsir::{
-        Access, BufferDir, BufferInfo, CarriedDep, LoopId, LoopInfo, OpCounts, PipelineMode, Stride,
+        Access, BufferDir, BufferInfo, CarriedDep, LoopId, LoopInfo, OpCounts, PipelineMode,
     };
 
     /// A dot-product style kernel: task loop (1024) over an inner
@@ -353,7 +353,6 @@ mod tests {
                     accesses: vec![Access {
                         buffer: "out_1".into(),
                         write: true,
-                        stride: Stride::Unit,
                     }],
                     carried: None,
                 },
@@ -369,12 +368,10 @@ mod tests {
                         Access {
                             buffer: "in_1".into(),
                             write: false,
-                            stride: Stride::Unit,
                         },
                         Access {
                             buffer: "w".into(),
                             write: false,
-                            stride: Stride::Unit,
                         },
                     ],
                     carried: Some(CarriedDep {

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use s2fa_hlsir::{
     Access, BufferDir, BufferInfo, CarriedDep, KernelSummary, LoopId, LoopInfo, OpCounts,
-    PipelineMode, Stride,
+    PipelineMode,
 };
 use s2fa_hlssim::{Device, Estimator};
 use s2fa_merlin::DesignConfig;
@@ -33,7 +33,6 @@ fn summary(inner_tc: u32, fadds: u32, reads: u32) -> KernelSummary {
                 accesses: vec![Access {
                     buffer: "out_1".into(),
                     write: true,
-                    stride: Stride::Unit,
                 }],
                 carried: None,
             },
@@ -48,7 +47,6 @@ fn summary(inner_tc: u32, fadds: u32, reads: u32) -> KernelSummary {
                 accesses: vec![Access {
                     buffer: "in_1".into(),
                     write: false,
-                    stride: Stride::Unit,
                 }],
                 carried: Some(CarriedDep {
                     via: "s".into(),

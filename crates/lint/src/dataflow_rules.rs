@@ -1,10 +1,10 @@
 //! Dataflow-backed lint rules (`S2FA-E3xx` / `S2FA-W310`).
 //!
-//! These rules run the `hlsir::dataflow` analyses (CFG + reaching
-//! definitions + liveness + the affine dependence engine) over a generated
-//! [`CFunction`] and report findings with the same statement numbering the
-//! analyses use, so a rule and a CFG fact about one statement agree on its
-//! id by construction.
+//! These rules index a generated [`CFunction`] once
+//! ([`KernelIndex`]), run the `hlsir::dataflow` analyses (CFG + reaching
+//! definitions + liveness + the affine dependence engine) over that index,
+//! and report findings with the index's pre-order statement ids, which are
+//! the CFG's (checked in `tests/dataflow_prop.rs`).
 //!
 //! The severity contract of the crate holds here with a *dynamic* twist:
 //! every `E3xx` finding is validated against the `hlsir::exec` interpreter
@@ -30,10 +30,10 @@
 
 use crate::diag::{codes, Diagnostic, LintReport, Span};
 use s2fa_hlsir::dataflow::{
-    affine_form, collect_sites, depend::const_value, find_write_race, AccessSite, Cfg, Liveness,
-    ReachingDefs, StmtId,
+    affine_form, depend::const_value, find_write_race, Cfg, Liveness, ReachingDefs, StmtId,
 };
-use s2fa_hlsir::{CFunction, Stmt};
+use s2fa_hlsir::index::{AccessSite, KernelIndex};
+use s2fa_hlsir::CFunction;
 use std::collections::BTreeSet;
 
 /// Runs every dataflow-backed rule over one kernel function.
@@ -45,15 +45,15 @@ use std::collections::BTreeSet;
 /// without a `KernelSummary` at hand.
 pub fn dataflow_checks(f: &CFunction, tasks_hint: u32) -> LintReport {
     let mut report = LintReport::new(format!("{} (dataflow)", f.name));
-    let cfg = Cfg::build(f);
+    let index = KernelIndex::build(f);
+    let cfg = Cfg::build(&index);
     let rd = ReachingDefs::compute(&cfg);
     let lv = Liveness::compute(&cfg);
-    let sites = collect_sites(&f.body);
 
     uninit_reads(&cfg, &rd, &mut report);
     dead_stores(&cfg, &lv, &mut report);
-    affine_oob(&cfg, &sites, &mut report);
-    write_races(f, &sites, tasks_hint, &mut report);
+    affine_oob(&cfg, &index.sites, &mut report);
+    write_races(&index, tasks_hint, &mut report);
 
     report
 }
@@ -140,16 +140,16 @@ fn dead_stores(cfg: &Cfg, lv: &Liveness, report: &mut LintReport) {
 }
 
 /// E302: affine non-constant indices provably outside a local array.
-fn affine_oob(cfg: &Cfg, sites: &[AccessSite], report: &mut LintReport) {
+fn affine_oob(cfg: &Cfg, sites: &[AccessSite<'_>], report: &mut LintReport) {
     let mut reported: BTreeSet<(u32, &str)> = BTreeSet::new();
     for site in sites {
-        let Some(&len) = cfg.local_lens.get(&site.array) else {
+        let Some(&len) = cfg.local_lens.get(site.array) else {
             continue; // interface buffers have no static per-task extent here
         };
-        if const_value(&site.index).is_some() {
+        if const_value(site.index).is_some() {
             continue; // constant indices are E102's domain
         }
-        let Some(form) = affine_form(&site.index) else {
+        let Some(form) = affine_form(site.index) else {
             continue;
         };
         // Range of the index over the full iteration domain. An affine
@@ -163,7 +163,7 @@ fn affine_oob(cfg: &Cfg, sites: &[AccessSite], report: &mut LintReport) {
         let mut bounded = true;
         for (var, &c) in &form.terms {
             // Innermost binding wins under shadowing.
-            match site.loops.iter().rev().find(|fr| &fr.var == var) {
+            match site.loops.iter().rev().find(|fr| fr.var == var) {
                 Some(fr) => match fr.trip {
                     Some(t) if t >= 1 => {
                         let top = c * (t as i64 - 1);
@@ -183,14 +183,14 @@ fn affine_oob(cfg: &Cfg, sites: &[AccessSite], report: &mut LintReport) {
         if !bounded || (lo >= 0 && hi < len as i64) {
             continue;
         }
-        if !reported.insert((site.stmt, site.array.as_str())) {
+        if !reported.insert((site.stmt, site.array)) {
             continue;
         }
         report.push(
             codes::AFFINE_OOB,
             Span {
                 loop_path: site.loops.iter().map(|fr| fr.id).collect(),
-                subject: Some(site.array.clone()),
+                subject: Some(site.array.to_string()),
                 stmt: Some(site.stmt),
             },
             format!(
@@ -202,16 +202,11 @@ fn affine_oob(cfg: &Cfg, sites: &[AccessSite], report: &mut LintReport) {
 }
 
 /// E303: proven cross-iteration write-write races, per loop.
-fn write_races(f: &CFunction, sites: &[AccessSite], tasks_hint: u32, report: &mut LintReport) {
-    let mut findings = Vec::new();
-    f.visit_loops(|s| {
-        let Stmt::For { id, body, .. } = s else {
-            return;
-        };
-        if let Some(r) = find_write_race(sites, body, *id, tasks_hint) {
-            findings.push(r);
-        }
-    });
+fn write_races(index: &KernelIndex<'_>, tasks_hint: u32, report: &mut LintReport) {
+    let findings = index
+        .loops
+        .iter()
+        .filter_map(|l| find_write_race(&index.sites, l.body, l.id, tasks_hint));
     for r in findings {
         let pair = if r.stmt_a == r.stmt_b {
             format!("statement #{}", r.stmt_a)
@@ -235,7 +230,9 @@ fn write_races(f: &CFunction, sites: &[AccessSite], tasks_hint: u32, report: &mu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use s2fa_hlsir::{CBinOp, CNumKind, CType, Expr, LValue, LoopAttrs, LoopId, Param, ParamKind};
+    use s2fa_hlsir::{
+        CBinOp, CNumKind, CType, Expr, LValue, LoopAttrs, LoopId, Param, ParamKind, Stmt,
+    };
 
     fn out_param(name: &str) -> Param {
         Param {

@@ -51,7 +51,7 @@ mod tests {
     use super::*;
     use s2fa_hlsir::{
         Access, BufferDir, BufferInfo, CarriedDep, KernelSummary, LoopId, LoopInfo, OpCounts,
-        PipelineMode, Stride,
+        PipelineMode,
     };
     use s2fa_hlssim::Estimator;
     use s2fa_merlin::DesignConfig;
@@ -81,7 +81,6 @@ mod tests {
                     accesses: vec![Access {
                         buffer: "out_1".into(),
                         write: true,
-                        stride: Stride::Unit,
                     }],
                     carried: None,
                 },
@@ -97,12 +96,10 @@ mod tests {
                         Access {
                             buffer: "in_1".into(),
                             write: false,
-                            stride: Stride::Unit,
                         },
                         Access {
                             buffer: "w".into(),
                             write: false,
-                            stride: Stride::Unit,
                         },
                     ],
                     carried: Some(CarriedDep {

@@ -239,7 +239,7 @@ impl fmt::Display for DesignConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use s2fa_hlsir::{Access, BufferInfo, CarriedDep, LoopInfo, OpCounts, Stride};
+    use s2fa_hlsir::{Access, BufferInfo, CarriedDep, LoopInfo, OpCounts};
 
     fn summary() -> KernelSummary {
         let mut chain = OpCounts::new();
@@ -269,7 +269,6 @@ mod tests {
                     accesses: vec![Access {
                         buffer: "in_1".into(),
                         write: false,
-                        stride: Stride::Unit,
                     }],
                     carried: Some(CarriedDep {
                         via: "s".into(),

@@ -16,6 +16,9 @@
 //! 4. The paper's eight workloads carry zero dataflow *defects*
 //!    (E301/E302), and no structural transform the DSE can request
 //!    introduces a new `E3xx` finding (satellite differential).
+//! 5. The kernel index, the CFG and the summary agree on statements,
+//!    loop paths, branch flags and the loop table, on every random kernel
+//!    above and on the workloads before and after their expert transforms.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -23,8 +26,9 @@ use rand::SeedableRng;
 use s2fa::compile_kernel;
 use s2fa_dse::DesignSpace;
 use s2fa_hlsir::dataflow::{
-    collect_sites, cross_iteration_overlap, find_write_race, replication_safe, Tri,
+    cross_iteration_overlap, find_write_race, replication_safe, Cfg, StmtId, StmtKind, Tri,
 };
+use s2fa_hlsir::index::KernelIndex;
 use s2fa_hlsir::{
     analysis, CFunction, CType, CVal, Executor, Expr, LValue, LoopId, Observed, Param, ParamKind,
     Stmt,
@@ -105,6 +109,52 @@ fn observed_has(obs: &Observed, subject: &str) -> bool {
     }
 }
 
+/// Asserts that the index, the CFG and the summary describe `f` alike:
+/// every access site sits at a CFG statement with the site's loop path and
+/// branch flag, every indexed loop heads a CFG statement with the same
+/// trip, and the summary's loop table is the index's with the task-loop
+/// hint applied.
+fn assert_views_agree(f: &CFunction, hint: u32) {
+    let index = KernelIndex::build(f);
+    let cfg = Cfg::build(&index);
+    assert_eq!(index.stmt_count as usize, cfg.stmt_count(), "{}", f.name);
+    for site in &index.sites {
+        let st = cfg.stmt(StmtId(site.stmt));
+        let frames: Vec<LoopId> = site.loops.iter().map(|fr| fr.id).collect();
+        assert_eq!(
+            st.loop_path, frames,
+            "{}: `{}` at s{}",
+            f.name, site.array, site.stmt
+        );
+        assert_eq!(
+            st.in_branch, site.in_branch,
+            "{}: `{}` at s{}",
+            f.name, site.array, site.stmt
+        );
+    }
+    for l in &index.loops {
+        assert_eq!(
+            cfg.stmt(StmtId(l.stmt)).kind,
+            StmtKind::LoopHeader(l.id),
+            "{}",
+            f.name
+        );
+        assert_eq!(cfg.loop_trips[&l.id], l.trip, "{}: {}", f.name, l.id);
+    }
+    let summary = analysis::summarize(f, hint).expect("kernel analyzes");
+    let from_summary: Vec<_> = summary
+        .loops
+        .iter()
+        .map(|l| (l.id, l.parent, l.depth, l.trip_count))
+        .collect();
+    let from_index: Vec<_> = index
+        .loops
+        .iter()
+        .map(|l| (l.id, l.parent, l.depth, l.trip.unwrap_or(hint)))
+        .collect();
+    assert_eq!(from_summary, from_index, "{}", f.name);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -157,6 +207,7 @@ proptest! {
             }],
         ));
         let f = kernel(body);
+        assert_views_agree(&f, HINT);
 
         let report = dataflow_checks(&f, HINT);
         let flagged: Vec<&str> = report
@@ -225,7 +276,8 @@ proptest! {
             ),
         ];
         let f = kernel(body);
-        let sites = collect_sites(&f.body);
+        assert_views_agree(&f, HINT);
+        let sites = KernelIndex::build(&f).sites;
 
         // A zero-coefficient index writes one element every iteration:
         // the detector must prove the race, and must prove one *only*
@@ -293,7 +345,8 @@ proptest! {
             Stmt::counted_for(LoopId(20), "j", t, l1_body),
         ];
         let f = kernel(body);
-        let sites = collect_sites(&f.body);
+        assert_views_agree(&f, HINT);
+        let sites = KernelIndex::build(&f).sites;
         let write = sites
             .iter()
             .find(|s| s.array == "a" && s.write)
@@ -417,7 +470,7 @@ fn corpus_defects_are_dynamically_real() {
         "{}",
         report.render()
     );
-    let sites = collect_sites(&f.body);
+    let sites = KernelIndex::build(&f).sites;
     assert!(find_write_race(&sites, &l1_body, LoopId(11), HINT).is_some());
     let (_, fwd) = run(&f, &[(LoopId(11), vec![0, 1, 2, 3])]);
     let (_, rev) = run(&f, &[(LoopId(11), vec![3, 2, 1, 0])]);
@@ -508,5 +561,20 @@ fn transforms_never_introduce_dataflow_errors() {
                 fresh
             );
         }
+    }
+}
+
+/// The index, the CFG and the summary agree on every workload's expert
+/// kernel, before and after the expert design's structural transforms.
+#[test]
+fn index_cfg_and_summary_agree_on_workloads() {
+    for w in all_workloads() {
+        let g = compile_kernel(&w.manual_spec).expect(w.name);
+        assert_views_agree(&g.cfunc, 1024);
+        let summary = analysis::summarize(&g.cfunc, 1024).expect(w.name);
+        let mut design = (w.manual_config)(&summary);
+        design.normalize(&summary);
+        let (optimized, _) = apply_structural(&g.cfunc, &design);
+        assert_views_agree(&optimized, 1024);
     }
 }
