@@ -83,8 +83,7 @@
 //! all).
 
 use s2fa::lint::{
-    dataflow_checks, factor_diagnostics, new_dataflow_errors, new_errors, verify_function,
-    Legality, Severity,
+    dataflow_checks, factor_diagnostics, transform_new_errors, verify_function, Legality, Severity,
 };
 use s2fa::{S2fa, S2faOptions};
 use s2fa_bench::results::save;
@@ -521,15 +520,12 @@ fn run_lint(args: &Args) -> i32 {
         // Differential check: the structural rewrite of the (normalized)
         // performance seed must not introduce errors the generated
         // function did not have — neither well-formedness (`E1xx`) nor
-        // dataflow (`E3xx`) errors.
+        // dataflow (`E3xx`) errors. The pipeline runs the same check.
         let mut perf = DesignConfig::perf_seed(&summary);
         perf.normalize(&summary);
         let (optimized, _) = apply_structural(&generated.cfunc, &perf);
-        let mut introduced = new_errors(&wellformed, &verify_function(&optimized));
-        introduced.extend(new_dataflow_errors(
-            &dataflow,
-            &dataflow_checks(&optimized, args.tasks),
-        ));
+        let introduced =
+            transform_new_errors(&wellformed, || dataflow.clone(), &optimized, args.tasks);
 
         let seeds: Vec<(&str, DesignConfig)> = vec![
             ("perf", DesignConfig::perf_seed(&summary)),

@@ -6,7 +6,7 @@ use s2fa_blaze::{AccelTimeModel, Accelerator};
 use s2fa_dse::{run_dse_profiled, DesignSpace, DseOptions, DseOutcome};
 use s2fa_hlsir::{analysis, printer, KernelSummary};
 use s2fa_hlssim::{Estimate, Estimator};
-use s2fa_lint::{dataflow_checks, new_dataflow_errors, new_errors, verify_function, LintReport};
+use s2fa_lint::{dataflow_errors, transform_new_errors, verify_function, LintReport};
 use s2fa_merlin::{apply_structural, DesignConfig};
 use s2fa_obs::Profiler;
 use s2fa_sjvm::KernelSpec;
@@ -267,25 +267,201 @@ fn ensure_well_formed(f: &s2fa_hlsir::CFunction) -> Result<LintReport, S2faError
 /// neither well-formedness errors (`E1xx`, exact-diagnostic diff) nor
 /// dataflow errors (`E3xx`, diffed by code+subject since transforms
 /// renumber statements and loops). `baseline` is the well-formedness
-/// report [`ensure_well_formed`] already produced for `before`.
+/// report [`ensure_well_formed`] already produced for `before`. The
+/// post-image is checked first; `before`'s dataflow errors are computed
+/// only when the post-image has one.
 fn ensure_no_new_errors(
     baseline: &LintReport,
     before: &s2fa_hlsir::CFunction,
     after: &s2fa_hlsir::CFunction,
     tasks_hint: u32,
 ) -> Result<(), S2faError> {
-    let post = verify_function(after);
-    if let Some(d) = new_errors(baseline, &post).first() {
-        return Err(S2faError::IllFormed(format!(
+    let introduced = transform_new_errors(
+        baseline,
+        || dataflow_errors(before, tasks_hint),
+        after,
+        tasks_hint,
+    );
+    match introduced.first() {
+        Some(d) => Err(S2faError::IllFormed(format!(
             "structural transform introduced {d}"
-        )));
+        ))),
+        None => Ok(()),
     }
-    let df_baseline = dataflow_checks(before, tasks_hint);
-    let df_post = dataflow_checks(after, tasks_hint);
-    if let Some(d) = new_dataflow_errors(&df_baseline, &df_post).first() {
-        return Err(S2faError::IllFormed(format!(
-            "structural transform introduced {d}"
-        )));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use s2fa_hlsir::{CFunction, CType, Expr, LValue, LoopAttrs, LoopId, Param, ParamKind, Stmt};
+
+    const HINT: u32 = 16;
+
+    fn func(body: Vec<Stmt>) -> CFunction {
+        CFunction {
+            name: "k".into(),
+            params: vec![Param {
+                name: "out".into(),
+                ty: CType::Float,
+                kind: ParamKind::BufOut,
+                elems_per_task: Some(1),
+                broadcast: false,
+            }],
+            body,
+        }
     }
-    Ok(())
+
+    fn counted(id: u32, var: &str, trip: u32, body: Vec<Stmt>) -> Stmt {
+        Stmt::For {
+            id: LoopId(id),
+            var: var.into(),
+            bound: Expr::ConstI(trip as i64),
+            trip_count: Some(trip),
+            attrs: LoopAttrs::none(),
+            body,
+        }
+    }
+
+    fn decl_x(init: Option<Expr>) -> Stmt {
+        Stmt::Decl {
+            name: "x".into(),
+            ty: CType::Float,
+            init,
+        }
+    }
+
+    fn store_out(rhs: Expr) -> Stmt {
+        Stmt::Assign {
+            lhs: LValue::Index("out".into(), Box::new(Expr::ConstI(0))),
+            rhs,
+        }
+    }
+
+    /// `float acc[4]; for i < 8 { acc[0] = i }; out[0] = acc[0]`, the loop
+    /// numbered `id`: every iteration writes `acc[0]`, an E303 race.
+    fn racy(id: u32) -> Vec<Stmt> {
+        vec![
+            Stmt::DeclArr {
+                name: "acc".into(),
+                ty: CType::Float,
+                len: 4,
+            },
+            counted(
+                id,
+                "i",
+                8,
+                vec![Stmt::Assign {
+                    lhs: LValue::Index("acc".into(), Box::new(Expr::ConstI(0))),
+                    rhs: Expr::var("i"),
+                }],
+            ),
+            store_out(Expr::index("acc", Expr::ConstI(0))),
+        ]
+    }
+
+    /// `float a[8]; for j < 16 { a[j] = j }`: `j` reaches 15, an E302.
+    fn out_of_bounds(id: u32) -> Vec<Stmt> {
+        vec![
+            Stmt::DeclArr {
+                name: "a".into(),
+                ty: CType::Float,
+                len: 8,
+            },
+            counted(
+                id,
+                "j",
+                16,
+                vec![Stmt::Assign {
+                    lhs: LValue::Index("a".into(), Box::new(Expr::var("j"))),
+                    rhs: Expr::var("j"),
+                }],
+            ),
+        ]
+    }
+
+    /// Runs the pipeline's re-check on a hand-built pre-image and
+    /// "rewrite"; the pre-image must be well-formed, as in the pipeline.
+    fn recheck(before: &CFunction, after: &CFunction) -> Result<(), S2faError> {
+        let wellformed = ensure_well_formed(before).expect("pre-image is well-formed");
+        ensure_no_new_errors(&wellformed, before, after, HINT)
+    }
+
+    fn rejection(result: Result<(), S2faError>) -> String {
+        match result {
+            Err(S2faError::IllFormed(m)) => m,
+            other => panic!("expected IllFormed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn introduced_uninit_read_is_rejected_on_the_lazy_path() {
+        // The pre-image is clean. The rewrite drops `x`'s initializer, and
+        // only that error makes the check analyze the pre-image at all.
+        let before = func(vec![
+            decl_x(Some(Expr::ConstF(1.0))),
+            store_out(Expr::var("x")),
+        ]);
+        let after = func(vec![decl_x(None), store_out(Expr::var("x"))]);
+        assert!(!dataflow_errors(&before, HINT).has_errors());
+        let m = rejection(recheck(&before, &after));
+        assert!(m.contains("S2FA-E301"), "{m}");
+        assert!(m.starts_with("structural transform introduced"), "{m}");
+    }
+
+    #[test]
+    fn clean_rewrite_never_computes_the_pre_image_report() {
+        let before = func(vec![
+            decl_x(Some(Expr::ConstF(1.0))),
+            store_out(Expr::var("x")),
+        ]);
+        let mut after = before.clone();
+        after.body.push(store_out(Expr::ConstF(2.0)));
+        let wellformed = verify_function(&before);
+        let introduced = transform_new_errors(
+            &wellformed,
+            || panic!("the pre-image's dataflow report was computed"),
+            &after,
+            HINT,
+        );
+        assert!(introduced.is_empty(), "{introduced:?}");
+        assert!(recheck(&before, &after).is_ok());
+    }
+
+    #[test]
+    fn introduced_oob_index_is_rejected_on_the_eager_path() {
+        // The pre-image carries an E303, so the post-image's errors are
+        // diffed against the pre-image's: the race survives, the E302 is
+        // new.
+        let before = func(racy(0));
+        let mut body = racy(0);
+        body.extend(out_of_bounds(1));
+        let after = func(body);
+        let pre = dataflow_errors(&before, HINT);
+        let codes: Vec<_> = pre.diagnostics.iter().map(|d| d.code.code).collect();
+        assert_eq!(codes, vec!["S2FA-E303"]);
+        let m = rejection(recheck(&before, &after));
+        assert!(m.contains("S2FA-E302"), "{m}");
+    }
+
+    #[test]
+    fn surviving_race_is_accepted() {
+        // The rewrite renumbers the racy loop and moves its statements; the
+        // E303 on `acc` matches the pre-image's by code and subject.
+        let before = func(racy(0));
+        let mut body = vec![store_out(Expr::ConstF(0.0))];
+        body.extend(racy(5));
+        let after = func(body);
+        assert!(dataflow_errors(&after, HINT).has_errors());
+        assert!(recheck(&before, &after).is_ok());
+    }
+
+    #[test]
+    fn introduced_wellformedness_error_is_rejected() {
+        // `y` is never declared: E101. Reads with no reaching definition
+        // are not E301's, so this is the only finding.
+        let before = func(vec![store_out(Expr::ConstF(0.0))]);
+        let after = func(vec![store_out(Expr::var("y"))]);
+        let m = rejection(recheck(&before, &after));
+        assert!(m.contains("S2FA-E101"), "{m}");
+    }
 }

@@ -28,38 +28,35 @@ pub struct DefSite {
 /// Reaching definitions: which def sites can reach each statement.
 #[derive(Debug, Clone)]
 pub struct ReachingDefs {
-    /// The def-site universe.
+    /// The def-site universe: the entry definitions first, then each
+    /// statement's must-defs and may-defs in statement order.
     pub sites: Vec<DefSite>,
     /// Per-statement set of sites reaching the program point just before
     /// the statement executes (indexed by [`StmtId`]).
     pub before: Vec<BitSet>,
-    sites_of_var: HashMap<VarId, Vec<usize>>,
-    sites_of_stmt: HashMap<StmtId, Vec<usize>>,
+    /// Site indices grouped by variable, ascending within a group: the
+    /// sites of `v` are `var_sites[var_start[v]..var_start[v + 1]]`.
+    var_sites: Vec<usize>,
+    var_start: Vec<usize>,
+    /// The sites of statement `s` are `stmt_start[s]..stmt_start[s + 1]`.
+    stmt_start: Vec<usize>,
 }
 
 struct ReachingProblem<'a> {
     cfg: &'a Cfg,
-    sites: &'a [DefSite],
-    sites_of_var: &'a HashMap<VarId, Vec<usize>>,
-    sites_of_stmt: &'a HashMap<StmtId, Vec<usize>>,
-    entry_sites: Vec<usize>,
+    rd: &'a ReachingDefs,
 }
 
 impl ReachingProblem<'_> {
     fn apply_stmt(&self, set: &mut BitSet, sid: StmtId) {
-        let info = self.cfg.stmt(sid);
-        for v in &info.defs {
+        for &v in &self.cfg.stmt(sid).defs {
             // Must-def: kill every other site of the variable.
-            if let Some(all) = self.sites_of_var.get(v) {
-                for &s in all {
-                    set.unset(s);
-                }
+            for &s in self.rd.sites_of_var(v) {
+                set.unset(s);
             }
         }
-        if let Some(own) = self.sites_of_stmt.get(&sid) {
-            for &s in own {
-                set.set(s);
-            }
+        for s in self.rd.sites_of_stmt(sid) {
+            set.set(s);
         }
     }
 }
@@ -69,16 +66,16 @@ impl DataflowProblem for ReachingProblem<'_> {
         Direction::Forward
     }
     fn bits(&self) -> usize {
-        self.sites.len()
+        self.rd.sites.len()
     }
     fn boundary(&self, set: &mut BitSet) {
-        for &s in &self.entry_sites {
+        // The entry definitions are the first sites.
+        for s in 0..self.cfg.entry_defs.len() {
             set.set(s);
         }
     }
     fn transfer(&self, cfg: &Cfg, block: BlockId, input: &BitSet, out: &mut BitSet) {
-        out.clear();
-        out.union_with(input);
+        out.copy_from(input);
         for &sid in &cfg.blocks[block.0 as usize].stmts {
             self.apply_stmt(out, sid);
         }
@@ -88,108 +85,98 @@ impl DataflowProblem for ReachingProblem<'_> {
 impl ReachingDefs {
     /// Runs the analysis over a CFG.
     pub fn compute(cfg: &Cfg) -> ReachingDefs {
-        let mut sites: Vec<DefSite> = Vec::new();
-        let mut sites_of_var: HashMap<VarId, Vec<usize>> = HashMap::new();
-        let mut sites_of_stmt: HashMap<StmtId, Vec<usize>> = HashMap::new();
-        let mut entry_sites = Vec::new();
-        for &v in &cfg.entry_defs {
-            let idx = sites.len();
-            sites.push(DefSite {
-                var: v,
+        let mut sites: Vec<DefSite> = cfg
+            .entry_defs
+            .iter()
+            .map(|&var| DefSite {
+                var,
                 stmt: None,
                 uninit: false,
                 may: false,
-            });
-            sites_of_var.entry(v).or_default().push(idx);
-            entry_sites.push(idx);
-        }
+            })
+            .collect();
+        let mut stmt_start = Vec::with_capacity(cfg.stmt_count() + 1);
         for (i, info) in cfg.stmts.iter().enumerate() {
-            let sid = StmtId(i as u32);
-            for &v in &info.defs {
-                let idx = sites.len();
-                sites.push(DefSite {
-                    var: v,
-                    stmt: Some(sid),
-                    uninit: info.uninit,
-                    may: false,
-                });
-                sites_of_var.entry(v).or_default().push(idx);
-                sites_of_stmt.entry(sid).or_default().push(idx);
-            }
-            for &v in &info.may_defs {
-                let idx = sites.len();
-                sites.push(DefSite {
-                    var: v,
-                    stmt: Some(sid),
-                    uninit: info.uninit,
-                    may: true,
-                });
-                sites_of_var.entry(v).or_default().push(idx);
-                sites_of_stmt.entry(sid).or_default().push(idx);
-            }
+            stmt_start.push(sites.len());
+            let stmt = Some(StmtId(i as u32));
+            let def = |var, may| DefSite {
+                var,
+                stmt,
+                uninit: info.uninit,
+                may,
+            };
+            sites.extend(info.defs.iter().map(|&v| def(v, false)));
+            sites.extend(info.may_defs.iter().map(|&v| def(v, true)));
+        }
+        stmt_start.push(sites.len());
+
+        // Counting sort of the site indices by variable.
+        let mut var_start = vec![0; cfg.vars.len() + 1];
+        for d in &sites {
+            var_start[d.var.0 as usize + 1] += 1;
+        }
+        for v in 1..var_start.len() {
+            var_start[v] += var_start[v - 1];
+        }
+        let mut next = var_start.clone();
+        let mut var_sites = vec![0; sites.len()];
+        for (i, d) in sites.iter().enumerate() {
+            let slot = &mut next[d.var.0 as usize];
+            var_sites[*slot] = i;
+            *slot += 1;
         }
 
-        let problem = ReachingProblem {
-            cfg,
-            sites: &sites,
-            sites_of_var: &sites_of_var,
-            sites_of_stmt: &sites_of_stmt,
-            entry_sites,
+        let mut rd = ReachingDefs {
+            sites,
+            before: Vec::new(),
+            var_sites,
+            var_start,
+            stmt_start,
         };
+        let problem = ReachingProblem { cfg, rd: &rd };
         let sol = solve(cfg, &problem);
 
         // Replay each block once to get the set before every statement.
         // Note: a must-def statement's *own* kill+gen is applied after its
         // uses are evaluated, so `before` is the right set for its reads.
-        let mut before: Vec<BitSet> = (0..cfg.stmt_count())
-            .map(|_| BitSet::new(sites.len()))
-            .collect();
+        let mut before = vec![BitSet::new(0); cfg.stmt_count()];
+        let mut cur = BitSet::new(problem.bits());
         for (bi, block) in cfg.blocks.iter().enumerate() {
-            let mut cur = sol.input[bi].clone();
+            cur.copy_from(&sol.input[bi]);
             for &sid in &block.stmts {
-                before[sid.0 as usize].union_with(&cur);
+                before[sid.0 as usize] = cur.clone();
                 problem.apply_stmt(&mut cur, sid);
             }
         }
+        rd.before = before;
+        rd
+    }
 
-        ReachingDefs {
-            sites,
-            before,
-            sites_of_var,
-            sites_of_stmt,
-        }
+    /// Indices (into [`ReachingDefs::sites`]) of every site of `var`.
+    fn sites_of_var(&self, var: VarId) -> &[usize] {
+        let v = var.0 as usize;
+        &self.var_sites[self.var_start[v]..self.var_start[v + 1]]
     }
 
     /// The def sites of `var` reaching the point just before `stmt`.
-    pub fn reaching(&self, stmt: StmtId, var: VarId) -> Vec<&DefSite> {
-        let set = &self.before[stmt.0 as usize];
-        self.sites_of_var
-            .get(&var)
-            .map(|all| {
-                all.iter()
-                    .filter(|&&s| set.get(s))
-                    .map(|&s| &self.sites[s])
-                    .collect()
-            })
-            .unwrap_or_default()
+    pub fn reaching(&self, stmt: StmtId, var: VarId) -> impl Iterator<Item = &DefSite> + '_ {
+        self.reaching_indices(stmt, var).map(|s| &self.sites[s])
     }
 
     /// Indices (into [`ReachingDefs::sites`]) of `var`'s sites reaching
     /// just before `stmt`.
-    pub fn reaching_indices(&self, stmt: StmtId, var: VarId) -> Vec<usize> {
+    pub fn reaching_indices(&self, stmt: StmtId, var: VarId) -> impl Iterator<Item = usize> + '_ {
         let set = &self.before[stmt.0 as usize];
-        self.sites_of_var
-            .get(&var)
-            .map(|all| all.iter().filter(|&&s| set.get(s)).copied().collect())
-            .unwrap_or_default()
+        self.sites_of_var(var)
+            .iter()
+            .copied()
+            .filter(move |&s| set.get(s))
     }
 
     /// The def-site indices generated by `stmt`.
-    pub fn sites_of_stmt(&self, stmt: StmtId) -> &[usize] {
-        self.sites_of_stmt
-            .get(&stmt)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+    pub fn sites_of_stmt(&self, stmt: StmtId) -> std::ops::Range<usize> {
+        let s = stmt.0 as usize;
+        self.stmt_start[s]..self.stmt_start[s + 1]
     }
 }
 
@@ -229,8 +216,7 @@ impl DataflowProblem for LivenessSized<'_> {
         }
     }
     fn transfer(&self, cfg: &Cfg, block: BlockId, input: &BitSet, out: &mut BitSet) {
-        out.clear();
-        out.union_with(input);
+        out.copy_from(input);
         for &sid in cfg.blocks[block.0 as usize].stmts.iter().rev() {
             live_apply(cfg, out, sid);
         }
@@ -242,15 +228,14 @@ impl Liveness {
     pub fn compute(cfg: &Cfg) -> Liveness {
         let problem = LivenessSized { cfg };
         let sol = solve(cfg, &problem);
-        let mut after: Vec<BitSet> = (0..cfg.stmt_count())
-            .map(|_| BitSet::new(cfg.vars.len()))
-            .collect();
+        let mut after = vec![BitSet::new(0); cfg.stmt_count()];
+        let mut cur = BitSet::new(cfg.vars.len());
         for (bi, block) in cfg.blocks.iter().enumerate() {
             // For a backward problem, the block's input set is the set at
             // the point control *leaves* the block.
-            let mut cur = sol.input[bi].clone();
+            cur.copy_from(&sol.input[bi]);
             for &sid in block.stmts.iter().rev() {
-                after[sid.0 as usize].union_with(&cur);
+                after[sid.0 as usize] = cur.clone();
                 live_apply(cfg, &mut cur, sid);
             }
         }
@@ -287,7 +272,7 @@ impl DefUse {
                     continue;
                 }
                 seen.push(v);
-                let sites = rd.reaching_indices(sid, v);
+                let sites: Vec<usize> = rd.reaching_indices(sid, v).collect();
                 for &s in &sites {
                     if !uses_of_site[s].contains(&sid) {
                         uses_of_site[s].push(sid);
@@ -370,11 +355,11 @@ mod tests {
         let rd = ReachingDefs::compute(&cfg);
         let x = cfg.vars.scalar("x").unwrap();
         // Before s1 the only def is the uninit decl.
-        let at_s1 = rd.reaching(StmtId(1), x);
+        let at_s1: Vec<_> = rd.reaching(StmtId(1), x).collect();
         assert_eq!(at_s1.len(), 1);
         assert!(at_s1[0].uninit);
         // Before s2 only the assignment reaches (the decl was killed).
-        let at_s2 = rd.reaching(StmtId(2), x);
+        let at_s2: Vec<_> = rd.reaching(StmtId(2), x).collect();
         assert_eq!(at_s2.len(), 1);
         assert!(!at_s2[0].uninit);
         assert_eq!(at_s2[0].stmt, Some(StmtId(1)));
@@ -410,7 +395,7 @@ mod tests {
         let x = cfg.vars.scalar("x").unwrap();
         // Both the uninit decl (via the else edge) and the then-arm
         // assignment reach the read.
-        let at_use = rd.reaching(StmtId(3), x);
+        let at_use: Vec<_> = rd.reaching(StmtId(3), x).collect();
         assert_eq!(at_use.len(), 2);
         assert!(at_use.iter().any(|d| d.uninit));
         assert!(at_use.iter().any(|d| !d.uninit));
@@ -448,7 +433,7 @@ mod tests {
         let s = cfg.vars.scalar("s").unwrap();
         // s0 = header, s1 = decl, s2 = assign. At the read in s2 only the
         // decl (s1) reaches — the back-edge def (s2 itself) was killed.
-        let at_use = rd.reaching(StmtId(2), s);
+        let at_use: Vec<_> = rd.reaching(StmtId(2), s).collect();
         assert_eq!(at_use.len(), 1);
         assert_eq!(at_use[0].stmt, Some(StmtId(1)));
     }
@@ -484,7 +469,7 @@ mod tests {
         let rd = ReachingDefs::compute(&cfg);
         let s = cfg.vars.scalar("s").unwrap();
         // s0 = decl, s1 = header, s2 = assign.
-        let at_use = rd.reaching(StmtId(2), s);
+        let at_use: Vec<_> = rd.reaching(StmtId(2), s).collect();
         let stmts: Vec<_> = at_use.iter().map(|d| d.stmt).collect();
         assert!(stmts.contains(&Some(StmtId(0))));
         assert!(stmts.contains(&Some(StmtId(2)))); // via the back edge

@@ -82,13 +82,15 @@ pub struct VarTable {
 }
 
 impl VarTable {
-    fn intern(&mut self, key: String, kind: VarKind) -> VarId {
-        if let Some(&id) = self.index.get(&key) {
+    /// Interns the variable displayed as `key`; `kind` is built, and the
+    /// key copied, only the first time the key is seen.
+    fn intern(&mut self, key: &str, kind: impl FnOnce() -> VarKind) -> VarId {
+        if let Some(&id) = self.index.get(key) {
             return id;
         }
         let id = VarId(self.names.len() as u32);
-        self.index.insert(key.clone(), id);
-        self.names.push((key, kind));
+        self.index.insert(key.to_string(), id);
+        self.names.push((key.to_string(), kind()));
         id
     }
 
@@ -112,7 +114,8 @@ impl VarTable {
         &self.names[id.0 as usize].1
     }
 
-    /// Looks up a scalar by name.
+    /// Looks up a variable by display name (a scalar's name, `a[3]`, or
+    /// `a[*]`).
     pub fn scalar(&self, name: &str) -> Option<VarId> {
         self.index.get(name).copied()
     }
@@ -251,6 +254,9 @@ struct Builder {
     cur: BlockId,
     loop_path: Vec<LoopId>,
     branch_depth: u32,
+    /// Reused buffer for array-variable display names, so interning an
+    /// already-seen element or summary allocates nothing.
+    key: String,
 }
 
 impl Builder {
@@ -275,7 +281,12 @@ impl Builder {
         // One dynamic index demotes the whole array to summarized.
         for site in &index.sites {
             if super::depend::const_value(site.index).is_none() {
-                array_modes.insert(site.array.to_string(), ArrayMode::Whole);
+                match array_modes.get_mut(site.array) {
+                    Some(mode) => *mode = ArrayMode::Whole,
+                    None => {
+                        array_modes.insert(site.array.to_string(), ArrayMode::Whole);
+                    }
+                }
             }
         }
         let mut b = Builder {
@@ -290,20 +301,16 @@ impl Builder {
             cur: BlockId(0),
             loop_path: Vec::new(),
             branch_depth: 0,
+            key: String::new(),
         };
         for p in &f.params {
             match p.kind {
                 ParamKind::ScalarIn => {
-                    let v = b.vars.intern(p.name.clone(), VarKind::Scalar);
+                    let v = b.scalar(&p.name);
                     b.entry_defs.push(v);
                 }
                 ParamKind::BufIn | ParamKind::BufOut => {
-                    let v = b.vars.intern(
-                        format!("{}[*]", p.name),
-                        VarKind::WholeArray {
-                            array: p.name.clone(),
-                        },
-                    );
+                    let v = b.whole(&p.name);
                     b.entry_defs.push(v);
                     if p.kind == ParamKind::BufOut {
                         b.exit_live.push(v);
@@ -325,6 +332,31 @@ impl Builder {
         self.blocks[to.0 as usize].preds.push(from);
     }
 
+    fn scalar(&mut self, name: &str) -> VarId {
+        self.vars.intern(name, || VarKind::Scalar)
+    }
+
+    /// Element `k` of an element-resolved array.
+    fn element(&mut self, array: &str, k: u32) -> VarId {
+        use std::fmt::Write;
+        self.key.clear();
+        let _ = write!(self.key, "{array}[{k}]");
+        self.vars.intern(&self.key, || VarKind::Element {
+            array: array.to_string(),
+            index: k,
+        })
+    }
+
+    /// The summarized whole-array variable of `array`.
+    fn whole(&mut self, array: &str) -> VarId {
+        self.key.clear();
+        self.key.push_str(array);
+        self.key.push_str("[*]");
+        self.vars.intern(&self.key, || VarKind::WholeArray {
+            array: array.to_string(),
+        })
+    }
+
     /// Interns the variable(s) a read of `name[idx]` touches and appends
     /// them to `uses`.
     fn use_index(&mut self, name: &str, idx: &Expr, uses: &mut Vec<VarId>) {
@@ -332,36 +364,18 @@ impl Builder {
             Some(ArrayMode::PerElement) => {
                 if let Some(k) = super::depend::const_value(idx) {
                     if k >= 0 {
-                        let v = self.vars.intern(
-                            format!("{name}[{k}]"),
-                            VarKind::Element {
-                                array: name.to_string(),
-                                index: k as u32,
-                            },
-                        );
-                        uses.push(v);
+                        uses.push(self.element(name, k as u32));
                     }
                 }
             }
-            _ => {
-                let v = self.vars.intern(
-                    format!("{name}[*]"),
-                    VarKind::WholeArray {
-                        array: name.to_string(),
-                    },
-                );
-                uses.push(v);
-            }
+            _ => uses.push(self.whole(name)),
         }
     }
 
     fn uses_of_expr(&mut self, e: &Expr, uses: &mut Vec<VarId>) {
         match e {
             Expr::ConstI(_) | Expr::ConstF(_) => {}
-            Expr::Var(n) => {
-                let v = self.vars.intern(n.clone(), VarKind::Scalar);
-                uses.push(v);
-            }
+            Expr::Var(n) => uses.push(self.scalar(n)),
             Expr::Index(name, idx) => {
                 self.use_index(name, idx, uses);
                 self.uses_of_expr(idx, uses);
@@ -411,28 +425,15 @@ impl Builder {
                     if let Some(e) = init {
                         self.uses_of_expr(e, &mut uses);
                     }
-                    let v = self.vars.intern(name.clone(), VarKind::Scalar);
+                    let v = self.scalar(name);
                     self.push_stmt(StmtKind::Decl, vec![v], Vec::new(), uses, init.is_none());
                 }
                 Stmt::DeclArr { name, len, .. } => {
                     let defs = match self.array_modes.get(name) {
-                        Some(ArrayMode::PerElement) => (0..*len)
-                            .map(|k| {
-                                self.vars.intern(
-                                    format!("{name}[{k}]"),
-                                    VarKind::Element {
-                                        array: name.clone(),
-                                        index: k,
-                                    },
-                                )
-                            })
-                            .collect(),
-                        _ => vec![self.vars.intern(
-                            format!("{name}[*]"),
-                            VarKind::WholeArray {
-                                array: name.clone(),
-                            },
-                        )],
+                        Some(ArrayMode::PerElement) => {
+                            (0..*len).map(|k| self.element(name, k)).collect()
+                        }
+                        _ => vec![self.whole(name)],
                     };
                     self.push_stmt(StmtKind::DeclArr, defs, Vec::new(), Vec::new(), true);
                 }
@@ -440,39 +441,21 @@ impl Builder {
                     let mut uses = Vec::new();
                     self.uses_of_expr(rhs, &mut uses);
                     let (defs, may) = match lhs {
-                        LValue::Var(n) => {
-                            let v = self.vars.intern(n.clone(), VarKind::Scalar);
-                            (vec![v], Vec::new())
-                        }
+                        LValue::Var(n) => (vec![self.scalar(n)], Vec::new()),
                         LValue::Index(name, idx) => {
                             self.uses_of_expr(idx, &mut uses);
                             match self.array_modes.get(name) {
                                 Some(ArrayMode::PerElement) => {
                                     match super::depend::const_value(idx) {
                                         Some(k) if k >= 0 => {
-                                            let v = self.vars.intern(
-                                                format!("{name}[{k}]"),
-                                                VarKind::Element {
-                                                    array: name.clone(),
-                                                    index: k as u32,
-                                                },
-                                            );
-                                            (vec![v], Vec::new())
+                                            (vec![self.element(name, k as u32)], Vec::new())
                                         }
                                         // Unreachable by mode construction;
                                         // stay safe anyway.
                                         _ => (Vec::new(), Vec::new()),
                                     }
                                 }
-                                _ => {
-                                    let v = self.vars.intern(
-                                        format!("{name}[*]"),
-                                        VarKind::WholeArray {
-                                            array: name.clone(),
-                                        },
-                                    );
-                                    (Vec::new(), vec![v])
-                                }
+                                _ => (Vec::new(), vec![self.whole(name)]),
                             }
                         }
                     };
@@ -490,7 +473,7 @@ impl Builder {
                     self.cur = header;
                     let mut uses = Vec::new();
                     self.uses_of_expr(bound, &mut uses);
-                    let iv = self.vars.intern(var.clone(), VarKind::Scalar);
+                    let iv = self.scalar(var);
                     self.push_stmt(StmtKind::LoopHeader(*id), vec![iv], Vec::new(), uses, false);
 
                     let body_entry = self.new_block();

@@ -174,7 +174,12 @@ fn solve_eq(terms: &[VarSpec], c: i64, neq: &[(usize, usize)]) -> Tri {
             Tri::Disproven
         };
     }
-    // Budgeted depth-first search with suffix interval pruning.
+    search(terms, c, neq, SEARCH_BUDGET)
+}
+
+/// Depth-first search for a witness of [`solve_eq`]'s equation, visiting
+/// at most `budget` nodes, with suffix interval pruning.
+fn search(terms: &[VarSpec], c: i64, neq: &[(usize, usize)], budget: u64) -> Tri {
     // suffix_lo/hi[i] = extreme contribution of terms[i..].
     let n = terms.len();
     let mut suffix_lo = vec![0i64; n + 1];
@@ -207,6 +212,9 @@ fn solve_eq(terms: &[VarSpec], c: i64, neq: &[(usize, usize)]) -> Tri {
                 return Some(false);
             }
             let t = self.terms[i];
+            if i + 1 == self.terms.len() && t.coeff != 0 {
+                return self.last(i, acc);
+            }
             for v in t.lo..=t.hi {
                 if t.nonzero && v == 0 {
                     continue;
@@ -220,6 +228,31 @@ fn solve_eq(terms: &[VarSpec], c: i64, neq: &[(usize, usize)]) -> Tri {
             }
             Some(false)
         }
+
+        /// The loop of [`Search::dfs`] over the last variable, in closed
+        /// form with the same verdict and budget: the only value that can
+        /// zero the sum is `-acc / coeff`, and every value the loop would
+        /// try up to it costs one leaf.
+        fn last(&mut self, i: usize, acc: i64) -> Option<bool> {
+            let t = self.terms[i];
+            let skips_zero = t.nonzero && t.lo <= 0 && t.hi >= 0;
+            // Values tried in `lo..=v`, the skipped zero excluded.
+            let tried = |v: i64| (v - t.lo + 1).max(0) as u64 - u64::from(skips_zero && v >= 0);
+            let witness = (acc.checked_rem(t.coeff) == Some(0))
+                .then(|| acc.checked_div(t.coeff).and_then(i64::checked_neg))
+                .flatten()
+                .filter(|&v| (t.lo..=t.hi).contains(&v) && !(t.nonzero && v == 0))
+                .filter(|&v| {
+                    self.vals[i] = v;
+                    self.neq.iter().all(|&(a, b)| self.vals[a] != self.vals[b])
+                });
+            let cost = witness.map_or(tried(t.hi), tried);
+            if cost > self.budget {
+                return None;
+            }
+            self.budget -= cost;
+            Some(witness.is_some())
+        }
     }
     let mut s = Search {
         terms,
@@ -227,7 +260,7 @@ fn solve_eq(terms: &[VarSpec], c: i64, neq: &[(usize, usize)]) -> Tri {
         suffix_lo: &suffix_lo,
         suffix_hi: &suffix_hi,
         vals: vec![0; n],
-        budget: SEARCH_BUDGET,
+        budget,
     };
     match s.dfs(0, c) {
         Some(true) => Tri::Proven,
@@ -446,7 +479,7 @@ pub fn find_write_race(
     lid: LoopId,
     tasks_hint: u32,
 ) -> Option<RaceFinding> {
-    let mut private: HashSet<String> = HashSet::new();
+    let mut private: HashSet<&str> = HashSet::new();
     collect_decl_names(body, &mut private);
     let writes: Vec<&AccessSite<'_>> = sites
         .iter()
@@ -487,7 +520,7 @@ pub fn replication_safe(
 ) -> bool {
     // Scalars declared in the body (at any depth) are re-created per
     // iteration; any other scalar written under the loop is shared state.
-    let mut private: HashSet<String> = HashSet::new();
+    let mut private: HashSet<&str> = HashSet::new();
     collect_decl_names(body, &mut private);
     if writes_shared_scalar(body, &private) {
         return false;
@@ -519,14 +552,14 @@ pub fn replication_safe(
     true
 }
 
-fn collect_decl_names(stmts: &[Stmt], out: &mut HashSet<String>) {
+fn collect_decl_names<'a>(stmts: &'a [Stmt], out: &mut HashSet<&'a str>) {
     for s in stmts {
         match s {
             Stmt::Decl { name, .. } | Stmt::DeclArr { name, .. } => {
-                out.insert(name.clone());
+                out.insert(name);
             }
             Stmt::For { var, body, .. } => {
-                out.insert(var.clone());
+                out.insert(var);
                 collect_decl_names(body, out);
             }
             Stmt::If { then, els, .. } => {
@@ -538,12 +571,12 @@ fn collect_decl_names(stmts: &[Stmt], out: &mut HashSet<String>) {
     }
 }
 
-fn writes_shared_scalar(stmts: &[Stmt], private: &HashSet<String>) -> bool {
+fn writes_shared_scalar(stmts: &[Stmt], private: &HashSet<&str>) -> bool {
     stmts.iter().any(|s| match s {
         Stmt::Assign {
             lhs: LValue::Var(n),
             ..
-        } => !private.contains(n),
+        } => !private.contains(n.as_str()),
         Stmt::For { body, .. } => writes_shared_scalar(body, private),
         Stmt::If { then, els, .. } => {
             writes_shared_scalar(then, private) || writes_shared_scalar(els, private)
@@ -1029,7 +1062,7 @@ pub fn const_value(e: &Expr) -> Option<i64> {
 /// pre-iteration value.
 pub fn transitive_scalar_carried(body: &[Stmt]) -> Option<CarriedDep> {
     use std::collections::HashMap;
-    let mut private: HashSet<String> = HashSet::new();
+    let mut private: HashSet<&str> = HashSet::new();
     collect_decl_names(body, &mut private);
 
     #[derive(Default, Clone)]
@@ -1066,7 +1099,7 @@ pub fn transitive_scalar_carried(body: &[Stmt]) -> Option<CarriedDep> {
         stmts: &[Stmt],
         v: &mut V,
         conditional: bool,
-        private: &HashSet<String>,
+        private: &HashSet<&str>,
         best: &mut Option<CarriedDep>,
     ) {
         for s in stmts {
@@ -1076,7 +1109,7 @@ pub fn transitive_scalar_carried(body: &[Stmt]) -> Option<CarriedDep> {
                     rhs,
                 } => {
                     let f = v.flow_of(rhs);
-                    if !private.contains(name) && f.pre.contains(name) {
+                    if !private.contains(name.as_str()) && f.pre.contains(name) {
                         let cand = CarriedDep {
                             via: name.clone(),
                             chain: f.chain,
@@ -1143,6 +1176,88 @@ mod tests {
     use super::*;
     use crate::ast::{CFunction, CNumKind, CType, LoopAttrs};
     use crate::index::KernelIndex;
+    use proptest::prelude::*;
+
+    /// [`search`] with every variable enumerated, the last one included:
+    /// the reference for its closed-form last level.
+    fn enumerate(
+        terms: &[VarSpec],
+        acc: i64,
+        neq: &[(usize, usize)],
+        budget: &mut u64,
+        vals: &mut Vec<i64>,
+    ) -> Option<bool> {
+        if *budget == 0 {
+            return None;
+        }
+        *budget -= 1;
+        let i = vals.len();
+        if i == terms.len() {
+            return Some(acc == 0 && neq.iter().all(|&(a, b)| vals[a] != vals[b]));
+        }
+        let rest = &terms[i..];
+        let lo: i64 = rest
+            .iter()
+            .map(|t| (t.coeff * t.lo).min(t.coeff * t.hi))
+            .sum();
+        let hi: i64 = rest
+            .iter()
+            .map(|t| (t.coeff * t.lo).max(t.coeff * t.hi))
+            .sum();
+        if acc + lo > 0 || acc + hi < 0 {
+            return Some(false);
+        }
+        let t = terms[i];
+        for v in (t.lo..=t.hi).filter(|&v| !(t.nonzero && v == 0)) {
+            vals.push(v);
+            let found = enumerate(terms, acc + t.coeff * v, neq, budget, vals);
+            vals.pop();
+            if found != Some(false) {
+                return found;
+            }
+        }
+        Some(false)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        // The closed-form last level keeps the full enumeration's verdict,
+        // including where the budget runs out (`Unknown`), which depends
+        // on every level spending the same budget.
+        #[test]
+        fn closed_form_last_level_matches_enumeration(
+            specs in proptest::collection::vec(
+                (-3i64..=3, -4i64..=2, 0i64..=6, any::<bool>()),
+                1..5,
+            ),
+            c in -8i64..=8,
+            with_neq in any::<bool>(),
+            budget in 1u64..=80,
+        ) {
+            let terms: Vec<VarSpec> = specs
+                .iter()
+                .map(|&(coeff, lo, width, nonzero)| VarSpec {
+                    coeff,
+                    lo,
+                    hi: lo + width,
+                    nonzero,
+                })
+                .collect();
+            let neq = if with_neq && terms.len() >= 2 {
+                vec![(0, terms.len() - 1)]
+            } else {
+                Vec::new()
+            };
+            let mut left = budget;
+            let reference = match enumerate(&terms, c, &neq, &mut left, &mut Vec::new()) {
+                Some(true) => Tri::Proven,
+                Some(false) => Tri::Disproven,
+                None => Tri::Unknown,
+            };
+            prop_assert_eq!(search(&terms, c, &neq, budget), reference);
+        }
+    }
 
     fn kernel(body: &[Stmt]) -> CFunction {
         CFunction {

@@ -49,6 +49,11 @@ impl BitSet {
         self.words.iter_mut().for_each(|w| *w = 0);
     }
 
+    /// Overwrites `self` with `other` (same universe) without allocating.
+    pub(crate) fn copy_from(&mut self, other: &BitSet) {
+        self.words.copy_from_slice(&other.words);
+    }
+
     /// `self |= other`; returns true when any bit changed.
     pub fn union_with(&mut self, other: &BitSet) -> bool {
         let mut changed = false;
@@ -151,9 +156,7 @@ pub fn solve(cfg: &Cfg, p: &impl DataflowProblem) -> Solution {
                 &cfg.blocks[bi].succs
             };
             for &nb in neighbors {
-                // Split borrow: copy out of the neighbor's output.
-                let nb_out = output[nb.0 as usize].clone();
-                input[bi].union_with(&nb_out);
+                input[bi].union_with(&output[nb.0 as usize]);
             }
             p.transfer(cfg, BlockId(bi as u32), &input[bi], &mut scratch);
             if output[bi].union_with(&scratch) {

@@ -44,14 +44,29 @@ use std::collections::BTreeSet;
 /// analyses itself — so it can run differentially after a Merlin transform
 /// without a `KernelSummary` at hand.
 pub fn dataflow_checks(f: &CFunction, tasks_hint: u32) -> LintReport {
+    run_rules(f, tasks_hint, true)
+}
+
+/// The error-severity subset of [`dataflow_checks`] (`E301`, `E302`,
+/// `E303`, in the same order), without computing liveness for `W310`.
+/// This is what a differential re-check compares, since it discards
+/// warnings.
+pub fn dataflow_errors(f: &CFunction, tasks_hint: u32) -> LintReport {
+    run_rules(f, tasks_hint, false)
+}
+
+/// The one rule runner behind both entry points; `warnings` adds `W310`
+/// (and the liveness pass it needs) between `E301` and `E302`.
+fn run_rules(f: &CFunction, tasks_hint: u32, warnings: bool) -> LintReport {
     let mut report = LintReport::new(format!("{} (dataflow)", f.name));
     let index = KernelIndex::build(f);
     let cfg = Cfg::build(&index);
     let rd = ReachingDefs::compute(&cfg);
-    let lv = Liveness::compute(&cfg);
 
     uninit_reads(&cfg, &rd, &mut report);
-    dead_stores(&cfg, &lv, &mut report);
+    if warnings {
+        dead_stores(&cfg, &Liveness::compute(&cfg), &mut report);
+    }
     affine_oob(&cfg, &index.sites, &mut report);
     write_races(&index, tasks_hint, &mut report);
 
@@ -81,16 +96,15 @@ pub fn new_dataflow_errors(baseline: &LintReport, after: &LintReport) -> Vec<Dia
 fn uninit_reads(cfg: &Cfg, rd: &ReachingDefs, report: &mut LintReport) {
     for (i, info) in cfg.stmts.iter().enumerate() {
         let sid = StmtId(i as u32);
-        let mut seen = Vec::new();
-        for &v in &info.uses {
-            if seen.contains(&v) {
+        for (k, &v) in info.uses.iter().enumerate() {
+            if info.uses[..k].contains(&v) {
                 continue;
             }
-            seen.push(v);
-            let reaching = rd.reaching(sid, v);
-            // Empty = undeclared (E101's domain); a mix of initialized and
-            // uninitialized defs is a may-uninit read, not a proven one.
-            if reaching.is_empty() || reaching.iter().any(|d| !d.uninit) {
+            // None reaching = undeclared (E101's domain); a mix of
+            // initialized and uninitialized defs is a may-uninit read,
+            // not a proven one.
+            let mut reaching = rd.reaching(sid, v).peekable();
+            if reaching.peek().is_none() || reaching.any(|d| !d.uninit) {
                 continue;
             }
             if !cfg.provably_executes(sid) {

@@ -9,9 +9,9 @@
 //! (rustc-style rendering, loop-path/buffer spans), in two families:
 //!
 //! * [`wellformed::verify_function`] — IR well-formedness over the
-//!   generated [`CFunction`](s2fa_hlsir::CFunction) AST: use-before-def,
-//!   constant out-of-bounds indices, duplicate loop ids, writes to input
-//!   buffers, intrinsic arity, silent truncation, dead loops. Runs after
+//!   generated [`CFunction`] AST: use-before-def, constant out-of-bounds
+//!   indices, duplicate loop ids, writes to input buffers, intrinsic
+//!   arity, silent truncation, dead loops. Runs after
 //!   bytecode→C codegen, and differentially ([`wellformed::new_errors`])
 //!   after every `merlin::apply_structural` rewrite.
 //! * [`legality::Legality`] — a design-point pre-screen over
@@ -29,6 +29,10 @@
 //!   verdicts are validated dynamically against the IR interpreter
 //!   (`tests/dataflow_prop.rs`).
 //!
+//! [`transform_new_errors`] is the differential check around a
+//! `merlin::apply_structural` rewrite that combines the two: the rewrite
+//! must introduce neither `E1xx` nor `E3xx` errors.
+//!
 //! The evaluation engine consults the oracle ahead of its memo cache
 //! (`pruned_illegal` on `CacheStats`, `Event::Prune` in the trace stream),
 //! the DSE reports each partition's statically-dead fraction, and
@@ -41,10 +45,37 @@ pub mod diag;
 pub mod legality;
 pub mod wellformed;
 
-pub use dataflow_rules::{dataflow_checks, new_dataflow_errors};
+pub use dataflow_rules::{dataflow_checks, dataflow_errors, new_dataflow_errors};
 pub use diag::{codes, Diagnostic, LintCode, LintReport, Severity, Span};
 pub use legality::{factor_diagnostics, Legality, PruneHit, PruneRule};
 pub use wellformed::{new_errors, verify_function};
+
+use s2fa_hlsir::CFunction;
+
+/// Error-severity findings a structural rewrite introduced into `after`:
+/// first the well-formedness errors absent from `wellformed_before`, the
+/// pre-image's [`verify_function`] report ([`new_errors`]), then the
+/// dataflow errors absent from the pre-image's dataflow report
+/// ([`new_dataflow_errors`]).
+///
+/// The pre-image's dataflow report is lazy: `dataflow_before` runs only
+/// when `after` has a dataflow error. That is exact, because
+/// [`new_dataflow_errors`] returns a subset of `after`'s errors. The
+/// closure may return [`dataflow_checks`] or [`dataflow_errors`] of the
+/// pre-image; the diff reads only errors, and the two agree on those.
+pub fn transform_new_errors(
+    wellformed_before: &LintReport,
+    dataflow_before: impl FnOnce() -> LintReport,
+    after: &CFunction,
+    tasks_hint: u32,
+) -> Vec<Diagnostic> {
+    let mut introduced = new_errors(wellformed_before, &verify_function(after));
+    let post = dataflow_errors(after, tasks_hint);
+    if post.has_errors() {
+        introduced.extend(new_dataflow_errors(&dataflow_before(), &post));
+    }
+    introduced
+}
 
 #[cfg(test)]
 mod tests {

@@ -19,6 +19,10 @@
 //! 5. The kernel index, the CFG and the summary agree on statements,
 //!    loop paths, branch flags and the loop table, on every random kernel
 //!    above and on the workloads before and after their expert transforms.
+//! 6. The errors-only dataflow report equals the error subset of the full
+//!    one, diagnostic for diagnostic, on the same kernels; and the lazy
+//!    differential check (`transform_new_errors`) finds exactly what the
+//!    eager two-report diff finds.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -33,7 +37,10 @@ use s2fa_hlsir::{
     analysis, CFunction, CType, CVal, Executor, Expr, LValue, LoopId, Observed, Param, ParamKind,
     Stmt,
 };
-use s2fa_lint::{dataflow_checks, new_dataflow_errors};
+use s2fa_lint::{
+    dataflow_checks, dataflow_errors, new_dataflow_errors, new_errors, transform_new_errors,
+    verify_function,
+};
 use s2fa_merlin::{apply_structural, DesignConfig};
 use s2fa_workloads::all_workloads;
 use std::collections::BTreeMap;
@@ -208,6 +215,7 @@ proptest! {
         ));
         let f = kernel(body);
         assert_views_agree(&f, HINT);
+        assert_errors_only_agrees(&f, HINT);
 
         let report = dataflow_checks(&f, HINT);
         let flagged: Vec<&str> = report
@@ -277,6 +285,7 @@ proptest! {
         ];
         let f = kernel(body);
         assert_views_agree(&f, HINT);
+        assert_errors_only_agrees(&f, HINT);
         let sites = KernelIndex::build(&f).sites;
 
         // A zero-coefficient index writes one element every iteration:
@@ -346,6 +355,7 @@ proptest! {
         ];
         let f = kernel(body);
         assert_views_agree(&f, HINT);
+        assert_errors_only_agrees(&f, HINT);
         let sites = KernelIndex::build(&f).sites;
         let write = sites
             .iter()
@@ -560,6 +570,61 @@ fn transforms_never_introduce_dataflow_errors() {
                 norm,
                 fresh
             );
+        }
+    }
+}
+/// Asserts that [`dataflow_errors`] is exactly the error subset of
+/// [`dataflow_checks`], in the same order.
+fn assert_errors_only_agrees(f: &CFunction, hint: u32) {
+    let full = dataflow_checks(f, hint);
+    let errors = dataflow_errors(f, hint);
+    assert_eq!(errors.subject, full.subject);
+    let expected: Vec<_> = full.errors().cloned().collect();
+    assert_eq!(errors.diagnostics, expected, "{}", f.name);
+}
+
+/// The errors-only report agrees with the full one on every workload's
+/// pre-image and its post-images at the expert design and at both seeds,
+/// and the lazy differential check finds exactly what diffing both images'
+/// full reports finds.
+#[test]
+fn errors_only_report_and_lazy_diff_agree_on_workloads() {
+    for w in all_workloads() {
+        let expert = compile_kernel(&w.manual_spec).expect(w.name);
+        let generated = compile_kernel(&w.spec).expect(w.name);
+        let expert_summary = analysis::summarize(&expert.cfunc, 1024).expect(w.name);
+        let summary = analysis::summarize(&generated.cfunc, 1024).expect(w.name);
+        let cases = [
+            (
+                &expert.cfunc,
+                (w.manual_config)(&expert_summary),
+                &expert_summary,
+            ),
+            (
+                &generated.cfunc,
+                DesignConfig::perf_seed(&summary),
+                &summary,
+            ),
+            (
+                &generated.cfunc,
+                DesignConfig::area_seed(&summary),
+                &summary,
+            ),
+        ];
+        for (pre, mut design, summary) in cases {
+            design.normalize(summary);
+            let (post, _) = apply_structural(pre, &design);
+            assert_errors_only_agrees(pre, 1024);
+            assert_errors_only_agrees(&post, 1024);
+            let wellformed = verify_function(pre);
+            let mut eager = new_errors(&wellformed, &verify_function(&post));
+            eager.extend(new_dataflow_errors(
+                &dataflow_checks(pre, 1024),
+                &dataflow_checks(&post, 1024),
+            ));
+            let lazy =
+                transform_new_errors(&wellformed, || dataflow_errors(pre, 1024), &post, 1024);
+            assert_eq!(lazy, eager, "{}", w.name);
         }
     }
 }
