@@ -93,8 +93,10 @@ fn bench_partitioner(c: &mut Criterion) {
     let est = Estimator::new();
     g.bench_function("decision_tree/S-W", |b| {
         b.iter(|| {
-            Partitioner::default().partition(&ds, &s, &mut |cfg: &Config| {
-                est.evaluate(&s, &ds.decode(cfg)).objective()
+            Partitioner::default().partition(&ds, &s, |cfgs: &[Config]| {
+                cfgs.iter()
+                    .map(|cfg| est.evaluate(&s, &ds.decode(cfg)).objective())
+                    .collect()
             })
         })
     });

@@ -30,9 +30,11 @@
 //! `--smoke` runs a 1-thread vs 4-thread sweep and enforces the CI
 //! scaling floor (4-thread rate ≥ 1.5× 1-thread) when the host actually
 //! has ≥ 4 cores; on smaller hosts it prints a skip notice. It also walks
-//! a seeded mutation chain through a caching and an uncaching engine and
-//! exits 1 unless every estimate is bit-identical between the two — a
-//! deterministic check of the cache-miss path that reads no clock.
+//! a seeded mutation chain through a caching engine, an uncaching engine
+//! and `Estimator::evaluate` on each raw point, and exits 1 unless every
+//! estimate is bit-identical across the three — a deterministic check of
+//! the cache-miss path (one `normalize`, then `evaluate_with`) that reads
+//! no clock.
 
 use rand::{rngs::SmallRng, SeedableRng};
 use s2fa::compile_kernel;
@@ -164,18 +166,28 @@ fn run_smoke() {
         (BATCH * SMOKE_ROUNDS) as f64 / t0.elapsed().as_secs_f64()
     };
     // Cache-miss path check: the same chain through a caching engine
-    // (every distinct point is a miss priced once, repeats hit) and the
-    // uncaching one above must give the same estimates, bit for bit.
-    // `Debug` prints every float in round-trip form, so equal strings
-    // mean equal bits.
+    // (every distinct point is a miss priced once, repeats hit), the
+    // uncaching one above, and `Estimator::evaluate` on the raw point
+    // must give the same estimates, bit for bit. The last comparison
+    // guards the normalize-once contract in release builds, where the
+    // `debug_assert!` in `Estimator::evaluate_with` is compiled out:
+    // decoded points are rarely normalized (no tree reduction, live
+    // directives under a flatten), so an engine that skips `normalize`
+    // prices them differently. `Debug` prints every float in
+    // round-trip form, so equal strings mean equal bits.
     let chain = mutation_chain(&ds, &mut rng, SMOKE_CHAIN);
     let cached_engine = EvalEngine::new(&s, &est);
-    let diverged = chain
-        .iter()
-        .filter(|dc| {
-            format!("{:?}", cached_engine.evaluate(dc)) != format!("{:?}", engine.evaluate(dc))
-        })
-        .count();
+    let (mut diverged, mut off_model) = (0usize, 0usize);
+    for dc in &chain {
+        let [cached, uncached, direct] = [
+            cached_engine.evaluate(dc),
+            engine.evaluate(dc),
+            est.evaluate(&s, dc),
+        ]
+        .map(|e| format!("{e:?}"));
+        diverged += usize::from(cached != uncached);
+        off_model += usize::from(cached != direct || uncached != direct);
+    }
     let r1 = rate_at(1);
     let r4 = rate_at(4);
     let ratio = r4 / r1.max(1e-9);
@@ -187,9 +199,20 @@ fn run_smoke() {
             "FAIL: {diverged} of {SMOKE_CHAIN} mutation-chain estimates differ \
              between the caching and the uncaching engine"
         );
+    }
+    if off_model > 0 {
+        eprintln!(
+            "FAIL: {off_model} of {SMOKE_CHAIN} mutation-chain engine estimates differ \
+             from Estimator::evaluate on the raw point"
+        );
+    }
+    if diverged + off_model > 0 {
         std::process::exit(1);
     }
-    println!("  PASS: {SMOKE_CHAIN} mutation-chain estimates bit-identical cached vs uncached");
+    println!(
+        "  PASS: {SMOKE_CHAIN} mutation-chain estimates bit-identical cached, uncached \
+         and Estimator::evaluate"
+    );
     if cores >= 4 {
         if ratio < SMOKE_FLOOR {
             eprintln!(

@@ -13,9 +13,10 @@
 //! All estimator calls go through one shared [`EvalEngine`]: the
 //! partitioner's probe pass, every partition's seeds, and the tuning loops
 //! hit the same memo table, so overlapping design points are synthesized
-//! once. Partitions run with *full* budget as one job on the run's single
-//! [`WorkerPool`] (`eval_threads - 1` workers plus the calling thread;
-//! each tuning batch fans out as a nested job on the same pool), and the
+//! once. The probe sample is priced as one batch on the run's single
+//! [`WorkerPool`] (`eval_threads - 1` workers plus the calling thread);
+//! then partitions run with *full* budget as one job on the same pool
+//! (each tuning batch fans out as a nested job on it), and the
 //! virtual FCFS schedule of Fig. 2 over `workers` virtual cores is then
 //! *simulated* deterministically at merge time: partitions are assigned in
 //! index order to the virtual worker that frees first, and each
@@ -46,8 +47,8 @@ use s2fa_merlin::DesignConfig;
 use s2fa_obs::Profiler;
 use s2fa_trace::{Event, NullSink, TechniqueStats, TechniqueTable, TraceSink};
 use s2fa_tuner::{
-    Measurement, NoImprovement, StopReason, StoppingCriterion, ThreadedObjective, TimeLimitOnly,
-    TraceEvent, TuningOptions, TuningOutcome, TuningRun,
+    Measurement, NoImprovement, Objective, StopReason, StoppingCriterion, ThreadedObjective,
+    TimeLimitOnly, TraceEvent, TuningOptions, TuningOutcome, TuningRun,
 };
 use std::sync::{Arc, OnceLock};
 
@@ -422,13 +423,22 @@ pub fn run_dse_profiled(
         }
     };
 
-    // 1. Partition (or not). The probe pass warms the shared cache.
+    // The run's only host executor: `eval_threads - 1` workers plus this
+    // thread. It prices the probe sample, then runs the partitions.
+    let pool = WorkerPool::new(opts.eval_threads.max(1) - 1);
+
+    // 1. Partition (or not). The probe sample is one batch on the pool,
+    // priced like a tuning batch; it warms the shared cache.
     let part_span = lane.open("partition");
     let (subspaces, rule_descriptions) = if opts.partition {
-        let tree = opts
-            .partitioner
-            .clone()
-            .partition(&ds, summary, &mut |cfg| measure(cfg).value);
+        let tree = opts.partitioner.partition(&ds, summary, |cfgs| {
+            ThreadedObjective::new(&measure, &pool)
+                .with_profiler(profiler)
+                .measure_batch(cfgs)
+                .into_iter()
+                .map(|m| m.value)
+                .collect()
+        });
         (tree.leaves(), tree.describe())
     } else {
         (vec![ds.space().clone()], vec!["(entire space)".to_string()])
@@ -483,7 +493,6 @@ pub fn run_dse_profiled(
     // point fans out as a nested job on the same pool. Each partition's
     // trajectory depends only on its own RNG stream and the shared
     // (order-insensitive) cache, so claim order is irrelevant.
-    let pool = WorkerPool::new(opts.eval_threads.max(1) - 1);
     let slots: Vec<OnceLock<TuningOutcome>> = jobs.iter().map(|_| OnceLock::new()).collect();
     let explore = |start: usize, end: usize, _is_worker: bool| {
         for (job, slot) in jobs[start..end].iter().zip(&slots[start..end]) {

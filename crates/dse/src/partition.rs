@@ -166,30 +166,37 @@ struct Sample {
 }
 
 impl Partitioner {
-    /// Builds the tree for a design space, probing latencies with `probe`
-    /// (which receives raw tuner configs and returns the objective in ms,
-    /// `+inf` for infeasible points).
+    /// Builds the tree for a design space. All `samples` probe configs
+    /// are drawn first, then priced in one call to `probe`, which receives
+    /// the raw tuner configs and returns their objectives in ms (`+inf`
+    /// for infeasible points) in input order. The values never feed back
+    /// into the draws, so the caller may price the batch in parallel.
     pub fn partition(
         &self,
         ds: &DesignSpace,
         summary: &KernelSummary,
-        probe: &mut dyn FnMut(&Config) -> f64,
+        probe: impl FnOnce(&[Config]) -> Vec<f64>,
     ) -> DecisionTree {
         let mut rng = SmallRng::seed_from_u64(self.rng_seed);
         let full = ds.space().clone();
-        let mut samples = Vec::with_capacity(self.samples);
-        for _ in 0..self.samples {
-            let cfg = full.random(&mut rng);
-            let v = probe(&cfg);
-            // Regress on ln(ms); infeasible points get a large but finite
-            // penalty so they inform the tree instead of poisoning it.
-            let y = if v.is_finite() {
-                v.max(1e-9).ln()
-            } else {
-                30.0
-            };
-            samples.push(Sample { cfg, y });
-        }
+        let configs: Vec<Config> = (0..self.samples).map(|_| full.random(&mut rng)).collect();
+        let values = probe(&configs);
+        assert_eq!(values.len(), configs.len(), "one probe value per config");
+        let samples: Vec<Sample> = configs
+            .into_iter()
+            .zip(values)
+            .map(|(cfg, v)| {
+                // Regress on ln(ms); infeasible points get a large but
+                // finite penalty so they inform the tree instead of
+                // poisoning it.
+                let y = if v.is_finite() {
+                    v.max(1e-9).ln()
+                } else {
+                    30.0
+                };
+                Sample { cfg, y }
+            })
+            .collect();
         // Per-parameter split bias from the two partition methodologies.
         let bias: Vec<f64> = (0..full.params().len())
             .map(|i| {
@@ -381,11 +388,15 @@ mod tests {
         1000.0 / (1.0 + cfg[i] as f64 * 3.0 + cfg[j] as f64)
     }
 
+    fn probe_all(ds: &DesignSpace, cfgs: &[Config]) -> Vec<f64> {
+        cfgs.iter().map(|c| probe(ds, c)).collect()
+    }
+
     #[test]
     fn produces_disjoint_covering_partitions() {
         let s = summary();
         let ds = DesignSpace::build(&s);
-        let tree = Partitioner::default().partition(&ds, &s, &mut |c| probe(&ds, c));
+        let tree = Partitioner::default().partition(&ds, &s, |cs| probe_all(&ds, cs));
         let leaves = tree.leaves();
         assert!(leaves.len() >= 2, "tree did not split");
         assert!(leaves.len() <= Partitioner::default().target_leaves + 1);
@@ -403,7 +414,7 @@ mod tests {
     fn splits_on_the_dominant_factor() {
         let s = summary();
         let ds = DesignSpace::build(&s);
-        let tree = Partitioner::default().partition(&ds, &s, &mut |c| probe(&ds, c));
+        let tree = Partitioner::default().partition(&ds, &s, |cs| probe_all(&ds, cs));
         let desc = tree.describe();
         // at least one rule mentions the factor that actually drives
         // latency in the synthetic landscape
@@ -417,8 +428,8 @@ mod tests {
     fn deterministic() {
         let s = summary();
         let ds = DesignSpace::build(&s);
-        let t1 = Partitioner::default().partition(&ds, &s, &mut |c| probe(&ds, c));
-        let t2 = Partitioner::default().partition(&ds, &s, &mut |c| probe(&ds, c));
+        let t1 = Partitioner::default().partition(&ds, &s, |cs| probe_all(&ds, cs));
+        let t2 = Partitioner::default().partition(&ds, &s, |cs| probe_all(&ds, cs));
         assert_eq!(t1.describe(), t2.describe());
     }
 
@@ -426,7 +437,7 @@ mod tests {
     fn constant_landscape_yields_single_leaf() {
         let s = summary();
         let ds = DesignSpace::build(&s);
-        let tree = Partitioner::default().partition(&ds, &s, &mut |_| 42.0);
+        let tree = Partitioner::default().partition(&ds, &s, |cs| vec![42.0; cs.len()]);
         assert_eq!(tree.leaves().len(), 1);
         assert!(tree.describe()[0].contains("entire space"));
     }
@@ -436,12 +447,16 @@ mod tests {
         let s = summary();
         let ds = DesignSpace::build(&s);
         let i = ds.space().param_index("L0.parallel").unwrap();
-        let tree = Partitioner::default().partition(&ds, &s, &mut |c| {
-            if c[i] > 5 {
-                f64::INFINITY
-            } else {
-                100.0 / (1.0 + c[i] as f64)
-            }
+        let tree = Partitioner::default().partition(&ds, &s, |cs| {
+            cs.iter()
+                .map(|c| {
+                    if c[i] > 5 {
+                        f64::INFINITY
+                    } else {
+                        100.0 / (1.0 + c[i] as f64)
+                    }
+                })
+                .collect()
         });
         // The infeasible region is exactly "L0.parallel > 5"; the tree
         // should carve near it.

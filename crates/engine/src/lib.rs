@@ -212,10 +212,12 @@ impl EvalEngine {
         } else {
             None
         };
+        // The miss path's only clone and normalize: the prescreen, the
+        // fingerprint and the estimator all read this canonical point.
         let mut cfg = config.clone();
         cfg.normalize(&self.summary);
         if let Some(oracle) = &self.prescreen {
-            if let Some(hit) = oracle.prescreen(&cfg) {
+            if let Some(hit) = oracle.prescreen_normalized(&cfg) {
                 self.cache.count_pruned();
                 self.pruned_by_rule[hit.rule.index()].fetch_add(1, Ordering::Relaxed);
                 if let Some(sink) = &self.sink {

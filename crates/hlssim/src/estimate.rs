@@ -200,7 +200,9 @@ impl Estimator {
     /// before evaluation, exactly as the Merlin flow rewrites directives.
     pub fn evaluate(&self, summary: &KernelSummary, config: &DesignConfig) -> Estimate {
         let inv = self.invariants(summary);
-        self.evaluate_with(summary, &inv, config)
+        let mut cfg = config.clone();
+        cfg.normalize(summary);
+        self.evaluate_with(summary, &inv, &cfg)
     }
 
     /// Runs only the resource-accounting half of the model for one design
@@ -215,20 +217,22 @@ impl Estimator {
         config: &DesignConfig,
     ) -> ResourceScreen {
         let inv = self.invariants(summary);
-        self.resource_screen_with(summary, &inv, config)
+        let mut cfg = config.clone();
+        cfg.normalize(summary);
+        self.resource_screen_with(summary, &inv, &cfg)
     }
 
-    /// [`resource_screen`](Self::resource_screen) against precomputed
-    /// invariants (the hot path).
+    /// [`resource_screen`](Self::resource_screen) of an already
+    /// normalized `config` against precomputed invariants (the hot path;
+    /// see [`evaluate_with`](Self::evaluate_with) for the contract).
     pub fn resource_screen_with(
         &self,
         summary: &KernelSummary,
         inv: &KernelInvariants,
         config: &DesignConfig,
     ) -> ResourceScreen {
-        let mut cfg = config.clone();
-        cfg.normalize(summary);
-        let mut ctx = ModelCtx::new(summary, &cfg, &self.costs, inv);
+        debug_assert_normalized(summary, config);
+        let mut ctx = ModelCtx::new(summary, config, &self.costs, inv);
         ctx.evaluate();
         ctx.charge_tiling();
         ResourceScreen {
@@ -237,19 +241,20 @@ impl Estimator {
         }
     }
 
-    /// [`evaluate`](Self::evaluate) against precomputed invariants (the
-    /// hot path — `inv` must come from [`invariants`](Self::invariants) on
-    /// the same `summary` and estimator).
+    /// [`evaluate`](Self::evaluate) of an already normalized `config`
+    /// against precomputed invariants — the hot path, one model walk and
+    /// nothing else. `inv` must come from [`invariants`](Self::invariants)
+    /// on the same `summary` and estimator, and `config` must be a fixed
+    /// point of [`DesignConfig::normalize`] (checked in debug builds);
+    /// the result then equals `evaluate(summary, config)`.
     pub fn evaluate_with(
         &self,
         summary: &KernelSummary,
         inv: &KernelInvariants,
         config: &DesignConfig,
     ) -> Estimate {
-        let mut cfg = config.clone();
-        cfg.normalize(summary);
-
-        let mut ctx = ModelCtx::new(summary, &cfg, &self.costs, inv);
+        debug_assert_normalized(summary, config);
+        let mut ctx = ModelCtx::new(summary, config, &self.costs, inv);
         let compute = ctx.evaluate();
         ctx.charge_tiling();
         let resources = ctx.resources;
@@ -268,7 +273,7 @@ impl Estimator {
         let mut port_bytes_per_cycle = 0.0;
         for bb in &inv.buffer_base {
             if let BufferBase::Iface { name, .. } = bb {
-                port_bytes_per_cycle += cfg.buffer_width(name) as f64 / 8.0;
+                port_bytes_per_cycle += config.buffer_width(name) as f64 / 8.0;
             }
         }
         let ddr_cap = self.device.ddr_bytes_per_cycle(freq);
@@ -319,6 +324,15 @@ impl Estimator {
             hls_minutes,
         }
     }
+}
+
+/// Debug-build check of the `_with` contract: `config` is already
+/// normalized, so the model never sees a raw point.
+fn debug_assert_normalized(summary: &KernelSummary, config: &DesignConfig) {
+    debug_assert!(
+        !config.clone().normalize(summary),
+        "design point is not normalized: {config}"
+    );
 }
 
 #[cfg(test)]

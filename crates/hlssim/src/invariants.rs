@@ -11,9 +11,10 @@
 //!
 //! [`KernelInvariants`] computes those facts once. The model replays the
 //! exact arithmetic of the non-hoisted path (same expressions, same
-//! accumulation order), so an estimate produced through
-//! [`Estimator::evaluate_with`](crate::Estimator::evaluate_with) is
-//! identical to one from `evaluate` — a property the test suite pins down.
+//! accumulation order), so an estimate of a normalized point produced
+//! through [`Estimator::evaluate_with`](crate::Estimator::evaluate_with)
+//! is identical to one from `evaluate` — a property the test suite pins
+//! down.
 
 use crate::cost::{HlsCosts, OpProfile};
 use s2fa_hlsir::{BufferDir, KernelSummary, LoopId};

@@ -7,7 +7,7 @@ use s2fa_hlsir::{
     PipelineMode,
 };
 use s2fa_hlssim::{Device, Estimator};
-use s2fa_merlin::DesignConfig;
+use s2fa_merlin::{DesignConfig, LoopDirective};
 
 /// A parameterized two-level kernel summary (task loop over a reduction).
 fn summary(inner_tc: u32, fadds: u32, reads: u32) -> KernelSummary {
@@ -174,5 +174,58 @@ proptest! {
         let t1 = e.time_ms_for_tasks(n);
         let t2 = e.time_ms_for_tasks(2 * n);
         prop_assert!((t2 / t1 - 2.0).abs() < 1e-9);
+    }
+}
+
+/// A raw directive from `(parallel, tile, pipeline, tree_reduce)`; `None`
+/// when `parallel` is 0, leaving the loop absent from the config.
+fn raw_directive((par, tile, pipe, tree): (u32, u32, u8, bool)) -> Option<LoopDirective> {
+    (par > 0).then_some(LoopDirective {
+        tile: (tile > 0).then_some(tile),
+        parallel: par,
+        pipeline: match pipe {
+            0 => PipelineMode::Off,
+            1 => PipelineMode::On,
+            _ => PipelineMode::Flatten,
+        },
+        tree_reduce: tree,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    // The `_with` variants take a normalized point; the plain entry
+    // points normalize a raw one first. Both routes must agree on raw
+    // points that need every rule: flatten, non-reducible recurrences,
+    // oversized parallel and tile factors, and odd port widths.
+    #[test]
+    fn with_variants_on_the_normalized_point_equal_the_raw_entry_points(
+        tc_pow in 3u32..8,
+        reducible in any::<bool>(),
+        outer in (0u32..4096, 0u32..2048, 0u8..3, any::<bool>()),
+        inner in (0u32..512, 0u32..300, 0u8..3, any::<bool>()),
+        widths in (1u32..1024, 1u32..1024),
+    ) {
+        let mut s = summary(1 << tc_pow, 2, 2);
+        s.loops[1].carried.as_mut().unwrap().reducible = reducible;
+        let mut raw = DesignConfig::new();
+        for (id, d) in [(LoopId(0), outer), (LoopId(1), inner)] {
+            if let Some(d) = raw_directive(d) {
+                raw.loops.insert(id, d);
+            }
+        }
+        raw.buffer_bits.insert("in_1".into(), widths.0);
+        raw.buffer_bits.insert("out_1".into(), widths.1);
+        let mut norm = raw.clone();
+        norm.normalize(&s);
+
+        let est = Estimator::new();
+        let inv = est.invariants(&s);
+        prop_assert_eq!(est.evaluate(&s, &raw), est.evaluate_with(&s, &inv, &norm));
+        prop_assert_eq!(
+            est.resource_screen(&s, &raw),
+            est.resource_screen_with(&s, &inv, &norm)
+        );
     }
 }

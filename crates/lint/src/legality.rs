@@ -115,6 +115,15 @@ impl Legality {
     /// estimator prices performance, not correctness. Without attached
     /// facts the verdict is exactly the estimator's, bit for bit.
     pub fn prescreen(&self, config: &DesignConfig) -> Option<PruneHit> {
+        let mut norm = config.clone();
+        norm.normalize(&self.summary);
+        self.prescreen_normalized(&norm)
+    }
+
+    /// [`prescreen`](Self::prescreen) of an already normalized `config`
+    /// (the evaluation engine's path, which normalizes every point once
+    /// before the screen, the fingerprint and the estimator).
+    pub fn prescreen_normalized(&self, config: &DesignConfig) -> Option<PruneHit> {
         let screen = self
             .estimator
             .resource_screen_with(&self.summary, &self.invariants, config);
@@ -148,22 +157,20 @@ impl Legality {
         self.prescreen(config).is_some()
     }
 
-    /// `Some((loop, why))` when `config`, after normalization, replicates
-    /// a loop carrying a proven write-write race: a parallel factor above
+    /// `Some((loop, why))` when the normalized `config` replicates a
+    /// loop carrying a proven write-write race: a parallel factor above
     /// one on the racy loop itself, or `flatten` on a strict ancestor
     /// (which fully unrolls it). Requires attached dependence facts;
     /// returns `None` otherwise, keeping the default prescreen bit-
     /// identical to the estimator's verdict.
     fn replicated_race(&self, config: &DesignConfig) -> Option<(LoopId, String)> {
         let df = self.summary.dataflow.as_ref()?;
-        let mut norm = config.clone();
-        norm.normalize(&self.summary);
         for (&id, facts) in &df.loops {
             let Some(race) = &facts.write_race else {
                 continue;
             };
-            let replicated =
-                norm.loop_directive(id).parallel_factor() > 1 || self.flattened_ancestor(&norm, id);
+            let replicated = config.loop_directive(id).parallel_factor() > 1
+                || self.flattened_ancestor(config, id);
             if replicated {
                 return Some((
                     id,

@@ -1,6 +1,7 @@
 //! Design configurations — points of Table 1's design space.
 
 use s2fa_hlsir::{BufferDir, KernelSummary, LoopId, PipelineMode};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -116,88 +117,86 @@ impl DesignConfig {
     }
 
     /// Enforces the factor-dependency rules of the design space
-    /// (Impediment 2), returning the list of adjustments made:
+    /// (Impediment 2), returning whether the configuration changed:
     ///
+    /// * every loop of `summary` gets an explicit directive (all-off if
+    ///   absent);
+    /// * a parallel factor above the trip count is clamped to it, and a
+    ///   tile factor outside `(1, TC)` is dropped;
+    /// * a parallel factor on a loop whose recurrence is *not* reducible is
+    ///   reset to 1 and its `tree_reduce` dropped (the transformation is
+    ///   illegal without tree reduction);
+    /// * a parallel factor above 1 on a reducible recurrence implies
+    ///   `tree_reduce`; `tree_reduce` is dropped where no recurrence
+    ///   exists;
     /// * `flatten` on a loop **invalidates every directive of its
     ///   descendants** (they are fully unrolled by definition);
-    /// * a parallel factor on a loop whose recurrence is *not* reducible is
-    ///   reset (the transformation is illegal without tree reduction);
-    /// * `tree_reduce` is dropped where no reducible recurrence exists;
-    /// * tile/parallel factors are clamped to the loop trip count.
-    pub fn normalize(&mut self, summary: &KernelSummary) -> Vec<String> {
-        let mut notes = Vec::new();
+    /// * buffer widths round up to a power of two within
+    ///   [`MIN_BUFFER_BITS`]`..=`[`MAX_BUFFER_BITS`].
+    ///
+    /// Idempotent: a second call returns `false`.
+    pub fn normalize(&mut self, summary: &KernelSummary) -> bool {
+        let mut changed = false;
+        let mut any_flatten = false;
         // Clamp factors and legality per loop.
         for l in &summary.loops {
-            let d = self.loops.entry(l.id).or_default();
+            let d = match self.loops.entry(l.id) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => {
+                    changed = true;
+                    e.insert(LoopDirective::none())
+                }
+            };
+            let before = *d;
             if d.parallel > l.trip_count {
-                notes.push(format!(
-                    "{}: parallel {} clamped to trip count {}",
-                    l.id, d.parallel, l.trip_count
-                ));
                 d.parallel = l.trip_count.max(1);
             }
-            if let Some(t) = d.tile {
-                if t <= 1 || t >= l.trip_count {
-                    notes.push(format!("{}: tile {} out of (1, TC) — dropped", l.id, t));
-                    d.tile = None;
-                }
+            if d.tile.is_some_and(|t| t <= 1 || t >= l.trip_count) {
+                d.tile = None;
             }
             match &l.carried {
                 Some(c) if !c.reducible => {
-                    if d.parallel > 1 {
-                        notes.push(format!(
-                            "{}: parallel on non-reducible recurrence via `{}` — reset",
-                            l.id, c.via
-                        ));
-                        d.parallel = 1;
-                    }
-                    if d.tree_reduce {
-                        notes.push(format!("{}: tree reduction illegal — dropped", l.id));
-                        d.tree_reduce = false;
-                    }
+                    d.parallel = d.parallel.min(1);
+                    d.tree_reduce = false;
                 }
-                Some(c) if c.reducible => {
-                    // Parallelizing a reduction requires the tree rewrite.
-                    if d.parallel > 1 && !d.tree_reduce {
-                        d.tree_reduce = true;
-                        notes.push(format!(
-                            "{}: parallel reduction implies tree reduction",
-                            l.id
-                        ));
-                    }
-                }
-                _ => {
-                    if d.tree_reduce {
-                        notes.push(format!("{}: no recurrence — tree reduction dropped", l.id));
-                        d.tree_reduce = false;
-                    }
-                }
+                // Parallelizing a reduction requires the tree rewrite.
+                Some(_) => d.tree_reduce |= d.parallel > 1,
+                None => d.tree_reduce = false,
             }
+            changed |= *d != before;
+            any_flatten |= d.pipeline == PipelineMode::Flatten;
         }
         // Flatten invalidates descendants (top-down so nested flattens
         // collapse deterministically).
-        for l in &summary.loops {
-            if self.loop_directive(l.id).pipeline == PipelineMode::Flatten {
-                for c in summary.descendants(l.id) {
-                    let d = self.loops.entry(c).or_default();
-                    if *d != LoopDirective::none() {
-                        notes.push(format!("{c}: invalidated by flatten on {}", l.id));
-                    }
-                    *d = LoopDirective::none();
+        if any_flatten {
+            for l in &summary.loops {
+                if self.loop_directive(l.id).pipeline == PipelineMode::Flatten {
+                    changed |= self.clear_below(summary, l.id);
                 }
             }
         }
         // Clamp buffer widths into range and to powers of two.
-        for (name, bits) in self.buffer_bits.iter_mut() {
+        for bits in self.buffer_bits.values_mut() {
             let clamped = bits
                 .next_power_of_two()
                 .clamp(MIN_BUFFER_BITS, MAX_BUFFER_BITS);
-            if clamped != *bits {
-                notes.push(format!("{name}: width {bits} adjusted to {clamped}"));
-                *bits = clamped;
-            }
+            changed |= clamped != *bits;
+            *bits = clamped;
         }
-        notes
+        changed
+    }
+
+    /// Resets every strict descendant of loop `id` to the all-off
+    /// directive; true if any was not already off.
+    fn clear_below(&mut self, summary: &KernelSummary, id: LoopId) -> bool {
+        let mut changed = false;
+        for &c in summary.loop_info(id).map_or(&[][..], |l| &l.children) {
+            let d = self.loops.entry(c).or_default();
+            changed |= *d != LoopDirective::none();
+            *d = LoopDirective::none();
+            changed |= self.clear_below(summary, c);
+        }
+        changed
     }
 
     /// A short one-line summary of the configuration (for traces/logs).
@@ -310,9 +309,8 @@ mod tests {
         let s = summary();
         let mut cfg = DesignConfig::perf_seed(&s);
         cfg.loop_directive_mut(LoopId(0)).pipeline = PipelineMode::Flatten;
-        let notes = cfg.normalize(&s);
+        assert!(cfg.normalize(&s));
         assert_eq!(cfg.loop_directive(LoopId(1)), LoopDirective::none());
-        assert!(notes.iter().any(|n| n.contains("invalidated by flatten")));
     }
 
     #[test]
@@ -340,10 +338,9 @@ mod tests {
         let mut cfg = DesignConfig::new();
         cfg.loop_directive_mut(LoopId(1)).parallel = 4;
         cfg.loop_directive_mut(LoopId(1)).tree_reduce = true;
-        let notes = cfg.normalize(&s);
+        assert!(cfg.normalize(&s));
         assert_eq!(cfg.loop_directive(LoopId(1)).parallel, 1);
         assert!(!cfg.loop_directive(LoopId(1)).tree_reduce);
-        assert!(!notes.is_empty());
     }
 
     #[test]

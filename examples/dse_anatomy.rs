@@ -41,8 +41,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("    -> {}\n", estimator.evaluate(&summary, &area));
 
     // --- static partitioning (§4.3.1) --------------------------------------
-    let tree = Partitioner::default().partition(&space, &summary, &mut |cfg| {
-        estimator.evaluate(&summary, &space.decode(cfg)).objective()
+    let tree = Partitioner::default().partition(&space, &summary, |cfgs| {
+        cfgs.iter()
+            .map(|cfg| estimator.evaluate(&summary, &space.decode(cfg)).objective())
+            .collect()
     });
     println!("=== decision-tree partitions (ranked, most promising first) ===");
     for (i, rule) in tree.describe().iter().enumerate() {

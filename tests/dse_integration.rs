@@ -160,3 +160,33 @@ fn different_rng_seeds_explore_differently_but_converge_similarly() {
     let ratio = a.best_value() / b.best_value();
     assert!((0.5..=2.0).contains(&ratio), "ratio {ratio}");
 }
+
+#[test]
+fn outcome_invariant_to_eval_threads_on_every_table2_kernel() {
+    // The probe sample and every tuning batch run on the DSE's one pool;
+    // how many executors share that work must not reach the outcome.
+    let est = Estimator::new();
+    for w in s2fa_workloads::all_workloads() {
+        let s = summary_of(&w.spec);
+        let mut opts = DseOptions::s2fa();
+        opts.budget_minutes = 60.0;
+        let runs: Vec<_> = [1, 3]
+            .into_iter()
+            .map(|threads| {
+                opts.eval_threads = threads;
+                run_dse(&s, &est, &opts)
+            })
+            .collect();
+        let (a, b) = (&runs[0], &runs[1]);
+        assert_eq!(a.best, b.best, "{}: best", w.name);
+        assert_eq!(a.convergence, b.convergence, "{}: convergence", w.name);
+        assert_eq!(a.total_evaluations, b.total_evaluations, "{}", w.name);
+        assert_eq!(a.per_partition.len(), b.per_partition.len(), "{}", w.name);
+        for (pa, pb) in a.per_partition.iter().zip(&b.per_partition) {
+            let key = |p: &s2fa_dse::PartitionRun| {
+                (p.rules.clone(), p.evaluations, p.best_value, p.worker)
+            };
+            assert_eq!(key(pa), key(pb), "{}: partition {}", w.name, pa.index);
+        }
+    }
+}

@@ -137,8 +137,10 @@ fn dead_fraction_is_a_share_on_every_partition_leaf() {
     for (name, s) in summaries().into_iter().take(3) {
         let ds = DesignSpace::build(&s);
         let engine = EvalEngine::new(&s, &est);
-        let tree = Partitioner::default().partition(&ds, &s, &mut |cfg| {
-            engine.evaluate(&ds.decode(cfg)).objective()
+        let tree = Partitioner::default().partition(&ds, &s, |cfgs| {
+            cfgs.iter()
+                .map(|cfg| engine.evaluate(&ds.decode(cfg)).objective())
+                .collect()
         });
         let oracle = Legality::new(&s, &est);
         let leaves = tree.leaves();
