@@ -27,18 +27,21 @@
 //! histogram, recorded in microseconds), queue depth, the batch-size
 //! distribution, the fallback fraction, and per-tenant counters.
 //!
-//! `--smoke` is the CI gate: fewer requests, then the artifact shape is
-//! validated — three regimes present, positive throughput, finite
-//! percentiles, conservation (submitted = completed + rejected), and a
-//! fallback fraction of exactly zero (all eight kernels are registered,
-//! so nothing may take the JVM path). Any violation exits non-zero.
+//! Every run validates the artifact before writing it: against
+//! `docs/bench_serving.schema.json` (three regimes, every field present
+//! with its type and range, nothing extra), then the invariants the
+//! schema subset cannot state: positive throughput, conservation
+//! (submitted = completed + rejected), and a fallback fraction of
+//! exactly zero (all eight kernels are registered, so nothing may take
+//! the JVM path). Any violation exits non-zero without writing. `--smoke`
+//! is the CI gate: the same run with fewer requests.
 
 use s2fa::{S2fa, S2faOptions};
 use s2fa_bench::results::save;
 use s2fa_blaze::{AccelTimeModel, ServeOutcome};
 use s2fa_blaze::{AcceleratorRegistry, ServingConfig, ServingRuntime, TenantSpec};
 use s2fa_hlsir::analysis;
-use s2fa_obs::{Histogram, Json, Profiler};
+use s2fa_obs::{validate, Histogram, Json, Profiler};
 use s2fa_trace::NullSink;
 use s2fa_workloads::all_workloads;
 
@@ -207,47 +210,35 @@ fn run_regime(
     (doc, outcome)
 }
 
-/// `--smoke` artifact checks; returns human-readable violations.
+/// Checks the artifact against `docs/bench_serving.schema.json`, then
+/// per regime the invariants the schema subset cannot state. Returns
+/// human-readable violations (empty = valid).
 fn validate_doc(doc: &Json) -> Vec<String> {
-    let mut bad = Vec::new();
-    let Some(regimes) = doc.get("regimes").and_then(Json::as_arr) else {
-        return vec!["artifact has no `regimes` array".into()];
-    };
-    if regimes.len() < 3 {
-        bad.push(format!("expected >= 3 regimes, found {}", regimes.len()));
+    let schema = Json::parse(include_str!("../../../../docs/bench_serving.schema.json"))
+        .expect("checked-in schema parses");
+    let bad = validate(&schema, doc);
+    if !bad.is_empty() {
+        return bad;
     }
+    let regimes = doc
+        .get("regimes")
+        .and_then(Json::as_arr)
+        .unwrap_or_default();
+    let mut bad = Vec::new();
     for r in regimes {
-        if r.as_obj().is_none() {
-            bad.push("regime entry is not an object".into());
-            continue;
-        }
         let name = r.get("regime").and_then(Json::as_str).unwrap_or("?");
-        let num = |k: &str| r.get(k).and_then(Json::as_f64);
-        match num("throughput_rps") {
-            Some(t) if t > 0.0 => {}
-            _ => bad.push(format!("{name}: throughput_rps missing or not positive")),
+        let num = |k: &str| r.get(k).and_then(Json::as_f64).unwrap_or(f64::NAN);
+        if num("throughput_rps") <= 0.0 {
+            bad.push(format!("{name}: throughput_rps is not positive"));
         }
-        match r.get("latency_ms") {
-            Some(lat @ Json::Obj(_)) => {
-                for k in ["p50", "p90", "p99"] {
-                    match lat.get(k).and_then(Json::as_f64) {
-                        Some(v) if v.is_finite() && v >= 0.0 => {}
-                        _ => bad.push(format!("{name}: latency_ms.{k} missing/non-finite")),
-                    }
-                }
-            }
-            _ => bad.push(format!("{name}: latency_ms missing")),
+        let fallback = num("fallback_fraction");
+        if fallback != 0.0 {
+            bad.push(format!(
+                "{name}: fallback fraction {fallback} != 0 with all kernels registered"
+            ));
         }
-        match num("fallback_fraction") {
-            Some(0.0) => {}
-            Some(f) => bad.push(format!(
-                "{name}: fallback fraction {f} != 0 with all kernels registered"
-            )),
-            None => bad.push(format!("{name}: fallback_fraction missing")),
-        }
-        match (num("submitted"), num("completed"), num("rejected")) {
-            (Some(s), Some(c), Some(x)) if s == c + x => {}
-            _ => bad.push(format!("{name}: submitted != completed + rejected")),
+        if num("submitted") != num("completed") + num("rejected") {
+            bad.push(format!("{name}: submitted != completed + rejected"));
         }
     }
     bad
@@ -358,19 +349,15 @@ fn main() {
         ),
         ("regimes", Json::Arr(regime_docs)),
     ]);
-    save("BENCH_serving", &doc);
-
-    if smoke {
-        let bad = validate_doc(&doc);
-        if bad.is_empty() {
-            println!("\nsmoke: BENCH_serving.json shape OK, fallback fraction 0 in all regimes");
-        } else {
-            for b in &bad {
-                eprintln!("smoke FAIL: {b}");
-            }
-            std::process::exit(1);
+    let bad = validate_doc(&doc);
+    if !bad.is_empty() {
+        for b in &bad {
+            eprintln!("BENCH_serving.json FAIL: {b}");
         }
+        std::process::exit(1);
     }
+    println!("\nBENCH_serving.json conforms to its schema, fallback fraction 0 in all regimes");
+    save("BENCH_serving", &doc);
 }
 
 /// Worker threads for functional batch execution (timing-neutral). Uses
@@ -386,4 +373,72 @@ fn host_cores() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn artifact() -> Json {
+        Json::parse(include_str!("../../../../results/BENCH_serving.json"))
+            .expect("checked-in artifact parses")
+    }
+
+    /// Replaces member `key` of the first regime.
+    fn with_first_regime(doc: &mut Json, key: &str, value: Json) {
+        let Json::Obj(top) = doc else { unreachable!() };
+        let (_, Json::Arr(regimes)) = top.iter_mut().find(|(k, _)| k == "regimes").unwrap() else {
+            unreachable!()
+        };
+        let Json::Obj(first) = &mut regimes[0] else {
+            unreachable!()
+        };
+        first.iter_mut().find(|(k, _)| k == key).unwrap().1 = value;
+    }
+
+    #[test]
+    fn checked_in_artifact_conforms() {
+        assert_eq!(validate_doc(&artifact()), Vec::<String>::new());
+    }
+
+    #[test]
+    fn violations_are_reported() {
+        for (key, value, want) in [
+            (
+                "fallback_fraction",
+                Json::num(0.5),
+                "light: fallback fraction 0.5",
+            ),
+            (
+                "rejected",
+                Json::int(3),
+                "light: submitted != completed + rejected",
+            ),
+            (
+                "throughput_rps",
+                Json::num(0.0),
+                "light: throughput_rps is not positive",
+            ),
+            (
+                "regime",
+                Json::str("heavy"),
+                "$.regimes[0].regime: not one of the enum",
+            ),
+            (
+                "batches",
+                Json::num(1.5),
+                "$.regimes[0].batches: expected type integer",
+            ),
+            (
+                "latency_ms",
+                Json::Null,
+                "$.regimes[0].latency_ms: expected type object",
+            ),
+        ] {
+            let mut doc = artifact();
+            with_first_regime(&mut doc, key, value);
+            let bad = validate_doc(&doc).join("\n");
+            assert!(bad.contains(want), "{key}: {bad}");
+        }
+    }
 }

@@ -298,7 +298,8 @@ impl<'r> ServingRuntime<'r> {
             .filter(|r| routes[r.tenant].accel.is_none())
             .map(|r| r.id as usize)
             .collect();
-        let computed = parallel_map(self.config.exec_threads, idxs.len(), |k| {
+        let in_order: Vec<usize> = (0..idxs.len()).collect();
+        let computed = parallel_map(self.config.exec_threads, &in_order, |k| {
             let req = &requests[idxs[k]];
             run_fallback(&tenants[req.tenant].fallback, &req.records)
         })?;
@@ -534,6 +535,8 @@ impl<'r> ServingRuntime<'r> {
     /// Functionally executes every formed batch and fills the outputs
     /// into the (already timed) outcomes. Purely output-producing, so
     /// it parallelizes over `exec_threads` without affecting timing.
+    /// Threads claim the costliest batches first (see [`claim_order`]),
+    /// so a long batch does not start last while the others idle.
     fn execute_batches(
         &self,
         requests: &[Request],
@@ -541,7 +544,23 @@ impl<'r> ServingRuntime<'r> {
         batches: &[BatchRec],
         outcomes: &mut [Option<RequestOutcome>],
     ) -> Result<(), BlazeError> {
-        let produced = parallel_map(self.config.exec_threads, batches.len(), |bi| {
+        let costs: Vec<f64> = batches
+            .iter()
+            .map(|b| {
+                let records: usize = b
+                    .members
+                    .iter()
+                    .map(|&rid| requests[rid as usize].records.len())
+                    .sum();
+                let per_record = routes[b.route]
+                    .accel
+                    .as_ref()
+                    .and_then(|a| a.time_model)
+                    .map_or(1.0, |m| m.per_task_ms);
+                records as f64 * per_record
+            })
+            .collect();
+        let produced = parallel_map(self.config.exec_threads, &claim_order(&costs), |bi| {
             let b = &batches[bi];
             let accel = routes[b.route]
                 .accel
@@ -768,16 +787,26 @@ fn run_fallback(
     Ok((out, total_ns / 1e6))
 }
 
-/// Index-parallel map with deterministic assembly: work items are
-/// claimed off a shared counter by up to `threads` OS threads, but
-/// results are re-sorted by index before being returned (and the error
-/// at the smallest index wins), so the caller sees the same value
-/// regardless of the thread schedule.
-fn parallel_map<T, F>(threads: usize, n: usize, f: F) -> Result<Vec<T>, BlazeError>
+/// Batch indices in descending order of `costs`, ties by index: the
+/// order in which exec threads claim batches.
+fn claim_order(costs: &[f64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    order.sort_by(|&x, &y| costs[y].total_cmp(&costs[x]).then(x.cmp(&y)));
+    order
+}
+
+/// Index-parallel map with deterministic assembly: up to `threads` OS
+/// threads claim the work items `0..order.len()` off a shared counter
+/// in the sequence `order` (a permutation) gives, but results are
+/// re-sorted by index before being returned (and the error at the
+/// smallest index wins), so the caller sees the same value regardless
+/// of the claim order and the thread schedule.
+fn parallel_map<T, F>(threads: usize, order: &[usize], f: F) -> Result<Vec<T>, BlazeError>
 where
     T: Send,
     F: Fn(usize) -> Result<T, BlazeError> + Sync,
 {
+    let n = order.len();
     if threads <= 1 || n <= 1 {
         return (0..n).map(&f).collect();
     }
@@ -788,10 +817,10 @@ where
                 scope.spawn(|| {
                     let mut local = Vec::new();
                     loop {
-                        let i = counter.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
+                        let k = counter.fetch_add(1, Ordering::Relaxed);
+                        let Some(&i) = order.get(k) else {
                             break;
-                        }
+                        };
                         local.push((i, f(i)));
                     }
                     local
@@ -837,17 +866,21 @@ mod tests {
         assert_eq!(heap.pop().unwrap().ev, Sim::Arrival { request: 0 });
     }
 
+    fn in_order(n: usize) -> Vec<usize> {
+        (0..n).collect()
+    }
+
     #[test]
     fn parallel_map_matches_serial() {
-        let serial = parallel_map(1, 100, |i| Ok(i * i)).unwrap();
-        let threaded = parallel_map(4, 100, |i| Ok(i * i)).unwrap();
+        let serial = parallel_map(1, &in_order(100), |i| Ok(i * i)).unwrap();
+        let threaded = parallel_map(4, &in_order(100), |i| Ok(i * i)).unwrap();
         assert_eq!(serial, threaded);
         assert_eq!(serial[7], 49);
     }
 
     #[test]
     fn parallel_map_surfaces_the_lowest_index_error() {
-        let r = parallel_map(4, 50, |i| {
+        let r = parallel_map(4, &in_order(50), |i| {
             if i >= 10 {
                 Err(BlazeError::Accel(format!("boom {i}")))
             } else {
@@ -855,6 +888,33 @@ mod tests {
             }
         });
         assert_eq!(r.unwrap_err(), BlazeError::Accel("boom 10".into()));
+    }
+
+    #[test]
+    fn permuted_claim_order_keeps_index_order_and_the_lowest_index_error() {
+        // Reversed, and a stride-7 permutation of 0..50.
+        let reversed: Vec<usize> = (0..50).rev().collect();
+        let strided: Vec<usize> = (0..50).map(|k| k * 7 % 50).collect();
+        for order in [reversed, strided] {
+            for threads in [1, 2, 4] {
+                let squares = parallel_map(threads, &order, |i| Ok(i * i)).unwrap();
+                assert_eq!(squares, (0..50).map(|i| i * i).collect::<Vec<_>>());
+                let r = parallel_map(threads, &order, |i| {
+                    if i % 10 == 3 {
+                        Err(BlazeError::Accel(format!("boom {i}")))
+                    } else {
+                        Ok(i)
+                    }
+                });
+                assert_eq!(r.unwrap_err(), BlazeError::Accel("boom 3".into()));
+            }
+        }
+    }
+
+    #[test]
+    fn claim_order_is_costliest_first_ties_by_index() {
+        assert_eq!(claim_order(&[1.0, 3.0, 2.0, 3.0, 0.5]), vec![1, 3, 2, 0, 4]);
+        assert_eq!(claim_order(&[]), Vec::<usize>::new());
     }
 
     #[test]

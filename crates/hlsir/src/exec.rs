@@ -7,18 +7,26 @@
 //! bytecode-to-C compiler. It also stands in for RTL co-simulation when the
 //! Blaze runtime "offloads" a task batch.
 //!
-//! Every run first *resolves* the function into a slot-indexed tree: each
-//! distinct scalar name becomes an index into a value vector, each
-//! distinct array name an index into an array vector (bound buffers are
-//! moved in for the run and handed back afterwards, also on error), and
-//! each loop carries its own iteration-order override. The evaluator then
-//! walks that tree without a single name lookup; names reappear only in
+//! Every run first *lowers* the function, straight from the AST, into
+//! boxed closures. Each distinct scalar name becomes an index into a value
+//! vector, each distinct array name an index into an array vector (bound
+//! buffers are moved in for the run and handed back afterwards, also on
+//! error), each loop captures its own iteration-order override, and each
+//! binary operator becomes a closure for its one operator and numeric
+//! kind. Running the kernel is calling the body's closures: no name
+//! lookup and no dispatch on operator or kind. Names reappear only in
 //! error messages and in [`Observed`].
+//!
+//! Expression closures return a plain [`CVal`]. The first fault of a run
+//! is parked in the machine's fault slot, and the expression returns a
+//! placeholder; every statement checks the slot before it writes anything
+//! and stops the run when it is set.
 
 use crate::ast::{
     CBinOp, CFunction, CIntrinsic, CNumKind, CType, Expr, LValue, LoopId, ParamKind, Stmt,
 };
 use crate::HlsirError;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// A scalar value in the executor.
@@ -118,7 +126,7 @@ impl<'f> Executor<'f> {
         scalars: &BTreeMap<String, CVal>,
         buffers: &mut BTreeMap<String, Vec<CVal>>,
     ) -> Result<(), HlsirError> {
-        self.execute(scalars, buffers, false).map(drop)
+        self.execute::<false>(scalars, buffers).map(drop)
     }
 
     /// Runs the kernel like [`run`](Self::run) while tracking which reads
@@ -132,16 +140,17 @@ impl<'f> Executor<'f> {
         scalars: &BTreeMap<String, CVal>,
         buffers: &mut BTreeMap<String, Vec<CVal>>,
     ) -> Result<Observed, HlsirError> {
-        self.execute(scalars, buffers, true)
+        self.execute::<true>(scalars, buffers)
     }
 
-    /// Checks the bindings, resolves the function and runs it. Buffers
-    /// moved into the run go back to `buffers` whatever the outcome.
-    fn execute(
+    /// Checks the bindings, lowers the function and runs it. `OBSERVE`
+    /// compiles initialization tracking into the closures; without it
+    /// they carry no tracking code at all. Buffers moved into the run go
+    /// back to `buffers` whatever the outcome.
+    fn execute<const OBSERVE: bool>(
         &self,
         scalars: &BTreeMap<String, CVal>,
         buffers: &mut BTreeMap<String, Vec<CVal>>,
-        observe: bool,
     ) -> Result<Observed, HlsirError> {
         for p in &self.f.params {
             let (bound, what) = match p.kind {
@@ -155,28 +164,37 @@ impl<'f> Executor<'f> {
                 )));
             }
         }
-        let mut resolver = Resolver {
+        let mut lower = Lower::<OBSERVE> {
             scalars: Slots::default(),
             arrays: Slots::default(),
             orders: &self.orders,
         };
-        let body = resolver.stmts(&self.f.body)?;
-        let mut machine = Machine::new(&resolver, scalars, buffers, self.fuel, observe);
-        let result = machine.stmts(&body);
-        let observed = machine.finish(buffers);
-        result.map(|()| observed)
+        let body = lower.stmts(&self.f.body)?;
+        let (scalar_names, array_names) = (&lower.scalars.names, &lower.arrays.names);
+        let mut machine = Machine::new(
+            scalar_names,
+            array_names,
+            scalars,
+            buffers,
+            self.fuel,
+            OBSERVE,
+        );
+        run_block(&body, &mut machine);
+        let fault = machine.fault.take();
+        let observed = machine.finish(scalar_names, array_names, buffers);
+        fault.map_or(Ok(observed), Err)
     }
 }
 
 /// One namespace's slot table: slot `k` is the `k`-th distinct name met.
 #[derive(Default)]
-struct Slots<'f> {
-    names: Vec<&'f str>,
-    index: HashMap<&'f str, usize>,
+struct Slots<'a> {
+    names: Vec<&'a str>,
+    index: HashMap<&'a str, usize>,
 }
 
-impl<'f> Slots<'f> {
-    fn slot(&mut self, name: &'f str) -> usize {
+impl<'a> Slots<'a> {
+    fn slot(&mut self, name: &'a str) -> usize {
         *self.index.entry(name).or_insert_with(|| {
             self.names.push(name);
             self.names.len() - 1
@@ -184,121 +202,240 @@ impl<'f> Slots<'f> {
     }
 }
 
-/// A resolved expression: names replaced by slots.
-enum RExpr {
-    Const(CVal),
-    Var(usize),
-    Index(usize, Box<RExpr>),
-    Bin(CBinOp, CNumKind, Box<RExpr>, Box<RExpr>),
-    Neg(CNumKind, Box<RExpr>),
-    /// Argument count checked against [`CIntrinsic::arity`].
-    Call(CIntrinsic, CNumKind, Box<[RExpr]>),
-    Cast(CNumKind, CNumKind, Box<RExpr>),
-    Select(Box<RExpr>, Box<RExpr>, Box<RExpr>),
+/// A lowered expression. On a fault it parks the error in the machine's
+/// fault slot (keeping an earlier one) and returns a placeholder value.
+type ExprFn<'a> = Box<dyn Fn(&mut Machine) -> CVal + 'a>;
+
+/// A lowered statement: charges one unit of fuel, runs, and returns
+/// `false` once the run has faulted.
+type StmtFn<'a> = Box<dyn Fn(&mut Machine) -> bool + 'a>;
+
+/// Runs statements in order until one faults; true if none did.
+fn run_block(body: &[StmtFn], m: &mut Machine) -> bool {
+    body.iter().all(|s| s(m))
 }
 
-/// A resolved statement.
-enum RStmt<'o> {
-    DeclArr {
-        arr: usize,
-        zero: CVal,
-        len: usize,
-    },
-    Decl {
-        var: usize,
-        zero: CVal,
-        init: Option<RExpr>,
-    },
-    Store {
-        var: usize,
-        rhs: RExpr,
-    },
-    StoreIndex {
-        arr: usize,
-        idx: RExpr,
-        rhs: RExpr,
-    },
-    For {
-        var: usize,
-        bound: RExpr,
-        /// The loop's iteration-order override, if any.
-        order: Option<&'o [i64]>,
-        body: Vec<RStmt<'o>>,
-    },
-    If {
-        cond: RExpr,
-        then: Vec<RStmt<'o>>,
-        els: Vec<RStmt<'o>>,
-    },
+/// Lowers a [`CFunction`] body to closures, assigning slots as it meets
+/// names. `OBSERVE` selects closures that also track initialization.
+struct Lower<'a, const OBSERVE: bool> {
+    scalars: Slots<'a>,
+    arrays: Slots<'a>,
+    orders: &'a BTreeMap<LoopId, Vec<i64>>,
 }
 
-/// Lowers a [`CFunction`] body to the slot-indexed tree.
-struct Resolver<'f, 'o> {
-    scalars: Slots<'f>,
-    arrays: Slots<'f>,
-    orders: &'o BTreeMap<LoopId, Vec<i64>>,
-}
-
-impl<'f, 'o> Resolver<'f, 'o> {
-    fn stmts(&mut self, list: &'f [Stmt]) -> Result<Vec<RStmt<'o>>, HlsirError> {
+impl<'a, const OBSERVE: bool> Lower<'a, OBSERVE> {
+    fn stmts(&mut self, list: &'a [Stmt]) -> Result<Vec<StmtFn<'a>>, HlsirError> {
         list.iter().map(|s| self.stmt(s)).collect()
     }
 
-    fn stmt(&mut self, s: &'f Stmt) -> Result<RStmt<'o>, HlsirError> {
+    fn stmt(&mut self, s: &'a Stmt) -> Result<StmtFn<'a>, HlsirError> {
         Ok(match s {
-            Stmt::DeclArr { name, ty, len } => RStmt::DeclArr {
-                arr: self.arrays.slot(name),
-                zero: CVal::zero_of(*ty),
-                len: *len as usize,
-            },
-            Stmt::Decl { name, ty, init } => RStmt::Decl {
-                var: self.scalars.slot(name),
-                zero: CVal::zero_of(*ty),
-                init: init.as_ref().map(|e| self.expr(e)).transpose()?,
-            },
-            Stmt::Assign {
-                lhs: LValue::Var(n),
+            Stmt::DeclArr { name, ty, len } => {
+                let arr = self.arrays.slot(name);
+                let (zero, len) = (CVal::zero_of(*ty), *len as usize);
+                Box::new(move |m: &mut Machine| {
+                    if !m.charge() {
+                        return false;
+                    }
+                    m.arrays[arr].declare(zero, len);
+                    if OBSERVE {
+                        let fresh = &mut m.track.array_uninit[arr];
+                        fresh.clear();
+                        fresh.resize(len, true);
+                    }
+                    true
+                })
+            }
+            Stmt::Decl {
+                name,
+                ty,
+                init: None,
+            } => {
+                let var = self.scalars.slot(name);
+                let zero = CVal::zero_of(*ty);
+                Box::new(move |m: &mut Machine| {
+                    if !m.charge() {
+                        return false;
+                    }
+                    if OBSERVE {
+                        m.track.uninit_scalars[var] = true;
+                    }
+                    m.scalars[var] = Some(zero);
+                    true
+                })
+            }
+            Stmt::Decl {
+                name,
+                init: Some(rhs),
+                ..
+            }
+            | Stmt::Assign {
+                lhs: LValue::Var(name),
                 rhs,
-            } => RStmt::Store {
-                var: self.scalars.slot(n),
-                rhs: self.expr(rhs)?,
-            },
+            } => {
+                let var = self.scalars.slot(name);
+                let rhs = self.expr(rhs)?;
+                Box::new(move |m: &mut Machine| {
+                    if !m.charge() {
+                        return false;
+                    }
+                    let v = rhs(m);
+                    if m.fault.is_some() {
+                        return false;
+                    }
+                    if OBSERVE {
+                        m.track.uninit_scalars[var] = false;
+                    }
+                    m.scalars[var] = Some(v);
+                    true
+                })
+            }
             Stmt::Assign {
-                lhs: LValue::Index(n, idx),
+                lhs: LValue::Index(name, idx),
                 rhs,
-            } => RStmt::StoreIndex {
-                arr: self.arrays.slot(n),
-                idx: self.expr(idx)?,
-                rhs: self.expr(rhs)?,
-            },
+            } => {
+                let arr = self.arrays.slot(name);
+                let idx = self.expr(idx)?;
+                let rhs = self.expr(rhs)?;
+                Box::new(move |m: &mut Machine| {
+                    if !m.charge() {
+                        return false;
+                    }
+                    // The right-hand side runs before the index.
+                    let v = rhs(m);
+                    let i = idx(m).as_i();
+                    if m.fault.is_some() {
+                        return false;
+                    }
+                    if OBSERVE {
+                        if let Some(fresh) = m.track.array_uninit[arr].get_mut(i as usize) {
+                            *fresh = false;
+                        }
+                    }
+                    let fault = match m.arrays[arr].data.as_mut() {
+                        Some(data) => match data.get_mut(i as usize) {
+                            Some(slot) => {
+                                *slot = v;
+                                return true;
+                            }
+                            None => out_of_bounds(name, i, data.len()),
+                        },
+                        None => unknown_array(name),
+                    };
+                    m.fault = Some(fault);
+                    false
+                })
+            }
             Stmt::For {
                 id,
                 var,
                 bound,
                 body,
                 ..
-            } => RStmt::For {
-                var: self.scalars.slot(var),
-                bound: self.expr(bound)?,
-                order: self.orders.get(id).map(Vec::as_slice),
-                body: self.stmts(body)?,
-            },
-            Stmt::If { cond, then, els } => RStmt::If {
-                cond: self.expr(cond)?,
-                then: self.stmts(then)?,
-                els: self.stmts(els)?,
-            },
+            } => {
+                let var = self.scalars.slot(var);
+                let bound = self.expr(bound)?;
+                let order = self.orders.get(id).map(Vec::as_slice);
+                let body = self.stmts(body)?;
+                Box::new(move |m: &mut Machine| {
+                    if !m.charge() {
+                        return false;
+                    }
+                    let n = bound(m).as_i();
+                    if m.fault.is_some() {
+                        return false;
+                    }
+                    if OBSERVE {
+                        m.track.uninit_scalars[var] = false;
+                    }
+                    let mut iteration = |i: i64| {
+                        m.scalars[var] = Some(CVal::I(i));
+                        run_block(&body, m)
+                    };
+                    match order {
+                        Some(order) => order.iter().all(|&i| iteration(i)),
+                        None => (0..n).all(iteration),
+                    }
+                })
+            }
+            Stmt::If { cond, then, els } => {
+                let cond = self.expr(cond)?;
+                let then = self.stmts(then)?;
+                let els = self.stmts(els)?;
+                Box::new(move |m: &mut Machine| {
+                    if !m.charge() {
+                        return false;
+                    }
+                    let taken = cond(m).as_i() != 0;
+                    if m.fault.is_some() {
+                        return false;
+                    }
+                    run_block(if taken { &then } else { &els }, m)
+                })
+            }
         })
     }
 
-    fn expr(&mut self, e: &'f Expr) -> Result<RExpr, HlsirError> {
+    fn expr(&mut self, e: &'a Expr) -> Result<ExprFn<'a>, HlsirError> {
         Ok(match e {
-            Expr::ConstI(v) => RExpr::Const(CVal::I(*v)),
-            Expr::ConstF(v) => RExpr::Const(CVal::F(*v)),
-            Expr::Var(n) => RExpr::Var(self.scalars.slot(n)),
-            Expr::Index(n, idx) => RExpr::Index(self.arrays.slot(n), self.boxed(idx)?),
-            Expr::Bin(op, kind, a, b) => RExpr::Bin(*op, *kind, self.boxed(a)?, self.boxed(b)?),
-            Expr::Neg(kind, a) => RExpr::Neg(*kind, self.boxed(a)?),
+            Expr::ConstI(v) => constant(CVal::I(*v)),
+            Expr::ConstF(v) => constant(CVal::F(*v)),
+            Expr::Var(name) => {
+                let s = self.scalars.slot(name);
+                Box::new(move |m: &mut Machine| {
+                    if OBSERVE && m.track.uninit_scalars[s] {
+                        m.track.scalar_reads[s] = true;
+                    }
+                    match m.scalars[s] {
+                        Some(v) => v,
+                        None => m.fail(unknown_variable(name)),
+                    }
+                })
+            }
+            Expr::Index(name, idx) => {
+                let a = self.arrays.slot(name);
+                let idx = self.expr(idx)?;
+                Box::new(move |m: &mut Machine| {
+                    let i = idx(m).as_i();
+                    if OBSERVE && m.track.array_uninit[a].get(i as usize) == Some(&true) {
+                        m.track.array_reads.insert((a, i));
+                    }
+                    let fault = match m.arrays[a].data.as_deref() {
+                        Some(data) => match data.get(i as usize) {
+                            Some(v) => return *v,
+                            None => out_of_bounds(name, i, data.len()),
+                        },
+                        None => unknown_array(name),
+                    };
+                    m.fail(fault)
+                })
+            }
+            Expr::Bin(op, kind, a, b) => {
+                let (a, b) = (self.expr(a)?, self.expr(b)?);
+                match (op.is_cmp(), kind) {
+                    (true, CNumKind::I32 | CNumKind::I64) => {
+                        compare(*op, a, b, |x, y| x.as_i().cmp(&y.as_i()))
+                    }
+                    // NaN compares neither less nor greater: equal, as in
+                    // the sjvm interpreter's sign test.
+                    (true, CNumKind::F32 | CNumKind::F64) => compare(*op, a, b, |x, y| {
+                        x.as_f().partial_cmp(&y.as_f()).unwrap_or(Ordering::Equal)
+                    }),
+                    (false, CNumKind::I32) => int_arith::<true>(*op, a, b),
+                    (false, CNumKind::I64) => int_arith::<false>(*op, a, b),
+                    (false, CNumKind::F32) => float_arith::<true>(*op, a, b),
+                    (false, CNumKind::F64) => float_arith::<false>(*op, a, b),
+                }
+            }
+            Expr::Neg(kind, a) => {
+                let kind = *kind;
+                let a = self.expr(a)?;
+                if kind.is_float() {
+                    unary(a, move |v| CVal::F(round(-v.as_f(), kind)))
+                } else {
+                    unary(a, move |v| CVal::I(wrap(v.as_i().wrapping_neg(), kind)))
+                }
+            }
             Expr::Call(f, kind, args) => {
                 if args.len() != f.arity() {
                     return Err(HlsirError::Exec(format!(
@@ -308,20 +445,161 @@ impl<'f, 'o> Resolver<'f, 'o> {
                         args.len()
                     )));
                 }
-                let args = args
+                let mut args = args
                     .iter()
                     .map(|a| self.expr(a))
-                    .collect::<Result<_, _>>()?;
-                RExpr::Call(*f, *kind, args)
+                    .collect::<Result<Vec<_>, _>>()?
+                    .into_iter();
+                let mut arg = || args.next().expect("arity checked above");
+                match (f, kind.is_float()) {
+                    (CIntrinsic::Exp, _) => unary(arg(), |x| CVal::F(x.as_f().exp())),
+                    (CIntrinsic::Log, _) => unary(arg(), |x| CVal::F(x.as_f().ln())),
+                    (CIntrinsic::Sqrt, _) => unary(arg(), |x| CVal::F(x.as_f().sqrt())),
+                    (CIntrinsic::Abs, true) => unary(arg(), |x| CVal::F(x.as_f().abs())),
+                    (CIntrinsic::Abs, false) => unary(arg(), |x| CVal::I(x.as_i().wrapping_abs())),
+                    (CIntrinsic::Min, true) => {
+                        binary(arg(), arg(), |x, y| CVal::F(x.as_f().min(y.as_f())))
+                    }
+                    (CIntrinsic::Min, false) => {
+                        binary(arg(), arg(), |x, y| CVal::I(x.as_i().min(y.as_i())))
+                    }
+                    (CIntrinsic::Max, true) => {
+                        binary(arg(), arg(), |x, y| CVal::F(x.as_f().max(y.as_f())))
+                    }
+                    (CIntrinsic::Max, false) => {
+                        binary(arg(), arg(), |x, y| CVal::I(x.as_i().max(y.as_i())))
+                    }
+                }
             }
-            Expr::Cast(from, to, a) => RExpr::Cast(*from, *to, self.boxed(a)?),
-            Expr::Select(c, a, b) => RExpr::Select(self.boxed(c)?, self.boxed(a)?, self.boxed(b)?),
+            Expr::Cast(from, to, a) => {
+                let (from, to) = (*from, *to);
+                unary(self.expr(a)?, move |v| cast(v, from, to))
+            }
+            Expr::Select(c, a, b) => {
+                let (c, a, b) = (self.expr(c)?, self.expr(a)?, self.expr(b)?);
+                Box::new(
+                    move |m: &mut Machine| {
+                        if c(m).as_i() != 0 {
+                            a(m)
+                        } else {
+                            b(m)
+                        }
+                    },
+                )
+            }
         })
     }
+}
 
-    fn boxed(&mut self, e: &'f Expr) -> Result<Box<RExpr>, HlsirError> {
-        self.expr(e).map(Box::new)
+fn constant<'a>(v: CVal) -> ExprFn<'a> {
+    Box::new(move |_: &mut Machine| v)
+}
+
+/// Evaluates `a` and applies `f`.
+fn unary<'a>(a: ExprFn<'a>, f: impl Fn(CVal) -> CVal + 'a) -> ExprFn<'a> {
+    Box::new(move |m: &mut Machine| f(a(m)))
+}
+
+/// Evaluates `a`, then `b`, and combines them with `f`.
+fn binary<'a>(a: ExprFn<'a>, b: ExprFn<'a>, f: impl Fn(CVal, CVal) -> CVal + 'a) -> ExprFn<'a> {
+    Box::new(move |m: &mut Machine| {
+        let x = a(m);
+        let y = b(m);
+        f(x, y)
+    })
+}
+
+/// A comparison: `ord` orders the operands, the result is 0 or 1.
+fn compare<'a>(
+    op: CBinOp,
+    a: ExprFn<'a>,
+    b: ExprFn<'a>,
+    ord: impl Fn(CVal, CVal) -> Ordering + Copy + 'a,
+) -> ExprFn<'a> {
+    let flag = |hit: bool| CVal::I(hit as i64);
+    match op {
+        CBinOp::Lt => binary(a, b, move |x, y| flag(ord(x, y).is_lt())),
+        CBinOp::Le => binary(a, b, move |x, y| flag(ord(x, y).is_le())),
+        CBinOp::Gt => binary(a, b, move |x, y| flag(ord(x, y).is_gt())),
+        CBinOp::Ge => binary(a, b, move |x, y| flag(ord(x, y).is_ge())),
+        CBinOp::Eq => binary(a, b, move |x, y| flag(ord(x, y).is_eq())),
+        CBinOp::Ne => binary(a, b, move |x, y| flag(ord(x, y).is_ne())),
+        _ => unreachable!("{op:?} is not a comparison"),
     }
+}
+
+/// Integer arithmetic and bitwise operators. Arithmetic wraps to 32 bits
+/// when `I32`; shifts and bitwise ops act on the 64-bit representation
+/// (same deviation as the sjvm interpreter).
+fn int_arith<'a, const I32: bool>(op: CBinOp, a: ExprFn<'a>, b: ExprFn<'a>) -> ExprFn<'a> {
+    let wrap = |r: i64| CVal::I(if I32 { r as i32 as i64 } else { r });
+    let shift = |y: CVal| (y.as_i() & 63) as u32;
+    match op {
+        CBinOp::Add => binary(a, b, move |x, y| wrap(x.as_i().wrapping_add(y.as_i()))),
+        CBinOp::Sub => binary(a, b, move |x, y| wrap(x.as_i().wrapping_sub(y.as_i()))),
+        CBinOp::Mul => binary(a, b, move |x, y| wrap(x.as_i().wrapping_mul(y.as_i()))),
+        CBinOp::Div => int_divide(a, b, "integer division by zero", move |x, y| {
+            wrap(x.wrapping_div(y))
+        }),
+        CBinOp::Rem => int_divide(a, b, "integer remainder by zero", move |x, y| {
+            wrap(x.wrapping_rem(y))
+        }),
+        CBinOp::Shl => binary(a, b, move |x, y| CVal::I(x.as_i().wrapping_shl(shift(y)))),
+        CBinOp::Shr => binary(a, b, move |x, y| CVal::I(x.as_i().wrapping_shr(shift(y)))),
+        CBinOp::UShr => binary(a, b, move |x, y| {
+            CVal::I((x.as_i() as u64).wrapping_shr(shift(y)) as i64)
+        }),
+        CBinOp::And => binary(a, b, |x, y| CVal::I(x.as_i() & y.as_i())),
+        CBinOp::Or => binary(a, b, |x, y| CVal::I(x.as_i() | y.as_i())),
+        CBinOp::Xor => binary(a, b, |x, y| CVal::I(x.as_i() ^ y.as_i())),
+        _ => unreachable!("comparisons are lowered by `compare`"),
+    }
+}
+
+/// Integer division or remainder: faults with `zero` on a zero divisor
+/// once both operands have run.
+fn int_divide<'a>(
+    a: ExprFn<'a>,
+    b: ExprFn<'a>,
+    zero: &'static str,
+    f: impl Fn(i64, i64) -> CVal + 'a,
+) -> ExprFn<'a> {
+    Box::new(move |m: &mut Machine| {
+        let x = a(m).as_i();
+        let y = b(m).as_i();
+        if y == 0 {
+            return m.fail(HlsirError::Exec(zero.into()));
+        }
+        f(x, y)
+    })
+}
+
+/// Float arithmetic: operands and result round through `f32` when
+/// `F32`. Bitwise operators fault once both operands have run.
+fn float_arith<'a, const F32: bool>(op: CBinOp, a: ExprFn<'a>, b: ExprFn<'a>) -> ExprFn<'a> {
+    match op {
+        CBinOp::Add => float_op::<F32>(a, b, |x, y| x + y),
+        CBinOp::Sub => float_op::<F32>(a, b, |x, y| x - y),
+        CBinOp::Mul => float_op::<F32>(a, b, |x, y| x * y),
+        CBinOp::Div => float_op::<F32>(a, b, |x, y| x / y),
+        CBinOp::Rem => float_op::<F32>(a, b, |x, y| x % y),
+        _ => Box::new(move |m: &mut Machine| {
+            a(m);
+            b(m);
+            m.fail(HlsirError::Exec(format!(
+                "bitwise operator {op:?} on floats"
+            )))
+        }),
+    }
+}
+
+fn float_op<'a, const F32: bool>(
+    a: ExprFn<'a>,
+    b: ExprFn<'a>,
+    f: impl Fn(f64, f64) -> f64 + 'a,
+) -> ExprFn<'a> {
+    let r = |v: f64| if F32 { v as f32 as f64 } else { v };
+    binary(a, b, move |x, y| CVal::F(r(f(r(x.as_f()), r(y.as_f())))))
 }
 
 /// One array name's storage for the run.
@@ -337,7 +615,23 @@ struct ArraySlot {
     key: Option<String>,
 }
 
-/// Initialization state of an observed run, per slot.
+impl ArraySlot {
+    /// Runs a `DeclArr`: the first one shadows the caller's buffer, and
+    /// every one re-zeroes the local array, reusing its allocation.
+    fn declare(&mut self, zero: CVal, len: usize) {
+        if !self.local {
+            self.shadowed = self.data.take();
+            self.local = true;
+        }
+        let data = self.data.get_or_insert_with(Vec::new);
+        data.clear();
+        data.resize(len, zero);
+    }
+}
+
+/// Initialization state of an observed run, per slot. Empty and never
+/// touched in an unobserved run.
+#[derive(Default)]
 struct Track {
     /// Scalar slots holding only their zero default.
     uninit_scalars: Vec<bool>,
@@ -350,29 +644,27 @@ struct Track {
     array_reads: BTreeSet<(usize, i64)>,
 }
 
-/// The evaluator over a resolved tree.
-struct Machine<'r, 'f> {
+/// The state the lowered closures run against.
+struct Machine {
     /// Scalar slots; `None` until bound by the caller, a `Decl`, an
     /// assignment or a loop.
     scalars: Vec<Option<CVal>>,
     arrays: Vec<ArraySlot>,
     fuel: u64,
-    /// Initialization tracking (observed runs only).
-    track: Option<Track>,
-    scalar_names: &'r [&'f str],
-    array_names: &'r [&'f str],
+    /// The run's first fault; the run stops at the statement that sees it.
+    fault: Option<HlsirError>,
+    track: Track,
 }
 
-impl<'r, 'f> Machine<'r, 'f> {
+impl Machine {
     fn new(
-        names: &'r Resolver<'f, '_>,
+        scalar_names: &[&str],
+        array_names: &[&str],
         scalars: &BTreeMap<String, CVal>,
         buffers: &mut BTreeMap<String, Vec<CVal>>,
         fuel: u64,
         observe: bool,
     ) -> Self {
-        let scalar_names = names.scalars.names.as_slice();
-        let array_names = names.arrays.names.as_slice();
         let arrays = array_names
             .iter()
             .map(|n| {
@@ -385,12 +677,16 @@ impl<'r, 'f> Machine<'r, 'f> {
                 }
             })
             .collect();
-        let track = observe.then(|| Track {
-            uninit_scalars: vec![false; scalar_names.len()],
-            scalar_reads: vec![false; scalar_names.len()],
-            array_uninit: vec![Vec::new(); array_names.len()],
-            array_reads: BTreeSet::new(),
-        });
+        let track = if observe {
+            Track {
+                uninit_scalars: vec![false; scalar_names.len()],
+                scalar_reads: vec![false; scalar_names.len()],
+                array_uninit: vec![Vec::new(); array_names.len()],
+                array_reads: BTreeSet::new(),
+            }
+        } else {
+            Track::default()
+        };
         Machine {
             scalars: scalar_names
                 .iter()
@@ -398,189 +694,59 @@ impl<'r, 'f> Machine<'r, 'f> {
                 .collect(),
             arrays,
             fuel,
+            fault: None,
             track,
-            scalar_names,
-            array_names,
         }
+    }
+
+    /// Charges one statement's fuel; on an empty budget records the fault
+    /// and returns false.
+    #[inline]
+    fn charge(&mut self) -> bool {
+        if self.fuel == 0 {
+            self.fault = Some(HlsirError::Exec("statement budget exhausted".into()));
+            return false;
+        }
+        self.fuel -= 1;
+        true
+    }
+
+    /// Records `e` unless an earlier fault is already recorded, and
+    /// returns the placeholder value the faulting expression yields.
+    #[cold]
+    fn fail(&mut self, e: HlsirError) -> CVal {
+        self.fault.get_or_insert(e);
+        CVal::I(0)
     }
 
     /// Hands the buffers back to the caller and maps the observations
     /// back to names.
-    fn finish(self, buffers: &mut BTreeMap<String, Vec<CVal>>) -> Observed {
+    fn finish(
+        self,
+        scalar_names: &[&str],
+        array_names: &[&str],
+        buffers: &mut BTreeMap<String, Vec<CVal>>,
+    ) -> Observed {
         for slot in self.arrays {
             let buffer = if slot.local { slot.shadowed } else { slot.data };
             if let (Some(key), Some(buffer)) = (slot.key, buffer) {
                 buffers.insert(key, buffer);
             }
         }
-        let mut uninit_reads = BTreeSet::new();
-        if let Some(t) = self.track {
-            for (s, _) in t.scalar_reads.iter().enumerate().filter(|(_, r)| **r) {
-                uninit_reads.insert((self.scalar_names[s].to_string(), None));
-            }
-            for (a, i) in t.array_reads {
-                uninit_reads.insert((self.array_names[a].to_string(), Some(i)));
-            }
+        let t = self.track;
+        let scalars = t
+            .scalar_reads
+            .iter()
+            .enumerate()
+            .filter(|(_, read)| **read)
+            .map(|(s, _)| (scalar_names[s].to_string(), None));
+        let arrays = t
+            .array_reads
+            .into_iter()
+            .map(|(a, i)| (array_names[a].to_string(), Some(i)));
+        Observed {
+            uninit_reads: scalars.chain(arrays).collect(),
         }
-        Observed { uninit_reads }
-    }
-
-    fn stmts(&mut self, list: &[RStmt]) -> Result<(), HlsirError> {
-        for s in list {
-            self.stmt(s)?;
-        }
-        Ok(())
-    }
-
-    fn stmt(&mut self, s: &RStmt) -> Result<(), HlsirError> {
-        if self.fuel == 0 {
-            return Err(HlsirError::Exec("statement budget exhausted".into()));
-        }
-        self.fuel -= 1;
-        match s {
-            RStmt::DeclArr { arr, zero, len } => {
-                let slot = &mut self.arrays[*arr];
-                if !slot.local {
-                    slot.shadowed = slot.data.take();
-                    slot.local = true;
-                }
-                let data = slot.data.get_or_insert_with(Vec::new);
-                data.clear();
-                data.resize(*len, *zero);
-                if let Some(t) = &mut self.track {
-                    let fresh = &mut t.array_uninit[*arr];
-                    fresh.clear();
-                    fresh.resize(*len, true);
-                }
-            }
-            RStmt::Decl { var, zero, init } => {
-                let v = match init {
-                    Some(e) => self.eval(e)?,
-                    None => *zero,
-                };
-                if let Some(t) = &mut self.track {
-                    t.uninit_scalars[*var] = init.is_none();
-                }
-                self.scalars[*var] = Some(v);
-            }
-            RStmt::Store { var, rhs } => {
-                let v = self.eval(rhs)?;
-                if let Some(t) = &mut self.track {
-                    t.uninit_scalars[*var] = false;
-                }
-                self.scalars[*var] = Some(v);
-            }
-            RStmt::StoreIndex { arr, idx, rhs } => {
-                let v = self.eval(rhs)?;
-                let i = self.eval(idx)?.as_i();
-                if let Some(t) = &mut self.track {
-                    if let Some(fresh) = t.array_uninit[*arr].get_mut(i as usize) {
-                        *fresh = false;
-                    }
-                }
-                let name = self.array_names[*arr];
-                let data = self.arrays[*arr]
-                    .data
-                    .as_mut()
-                    .ok_or_else(|| unknown_array(name))?;
-                let len = data.len();
-                *data
-                    .get_mut(i as usize)
-                    .ok_or_else(|| out_of_bounds(name, i, len))? = v;
-            }
-            RStmt::For {
-                var,
-                bound,
-                order,
-                body,
-            } => {
-                let n = self.eval(bound)?.as_i();
-                if let Some(t) = &mut self.track {
-                    t.uninit_scalars[*var] = false;
-                }
-                if let Some(order) = order {
-                    for &i in *order {
-                        self.scalars[*var] = Some(CVal::I(i));
-                        self.stmts(body)?;
-                    }
-                } else {
-                    for i in 0..n {
-                        self.scalars[*var] = Some(CVal::I(i));
-                        self.stmts(body)?;
-                    }
-                }
-            }
-            RStmt::If { cond, then, els } => {
-                if self.eval(cond)?.as_i() != 0 {
-                    self.stmts(then)?;
-                } else {
-                    self.stmts(els)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn eval(&mut self, e: &RExpr) -> Result<CVal, HlsirError> {
-        Ok(match e {
-            RExpr::Const(v) => *v,
-            RExpr::Var(s) => {
-                if let Some(t) = &mut self.track {
-                    if t.uninit_scalars[*s] {
-                        t.scalar_reads[*s] = true;
-                    }
-                }
-                self.scalars[*s].ok_or_else(|| unknown_variable(self.scalar_names[*s]))?
-            }
-            RExpr::Index(a, idx) => {
-                let i = self.eval(idx)?.as_i();
-                if let Some(t) = &mut self.track {
-                    if t.array_uninit[*a].get(i as usize) == Some(&true) {
-                        t.array_reads.insert((*a, i));
-                    }
-                }
-                let name = self.array_names[*a];
-                let data = self.arrays[*a]
-                    .data
-                    .as_deref()
-                    .ok_or_else(|| unknown_array(name))?;
-                *data
-                    .get(i as usize)
-                    .ok_or_else(|| out_of_bounds(name, i, data.len()))?
-            }
-            RExpr::Bin(op, kind, a, b) => {
-                let va = self.eval(a)?;
-                let vb = self.eval(b)?;
-                eval_bin(*op, *kind, va, vb)?
-            }
-            RExpr::Neg(kind, a) => {
-                let v = self.eval(a)?;
-                if kind.is_float() {
-                    CVal::F(round(-v.as_f(), *kind))
-                } else {
-                    CVal::I(wrap(v.as_i().wrapping_neg(), *kind))
-                }
-            }
-            RExpr::Call(f, kind, args) => {
-                let x = self.eval(&args[0])?;
-                let y = match args.get(1) {
-                    Some(b) => self.eval(b)?,
-                    None => x,
-                };
-                eval_call(*f, *kind, x, y)
-            }
-            RExpr::Cast(from, to, a) => {
-                let v = self.eval(a)?;
-                cast(v, *from, *to)
-            }
-            RExpr::Select(c, a, b) => {
-                if self.eval(c)?.as_i() != 0 {
-                    self.eval(a)?
-                } else {
-                    self.eval(b)?
-                }
-            }
-        })
     }
 }
 
@@ -610,111 +776,6 @@ fn round(v: f64, k: CNumKind) -> f64 {
     match k {
         CNumKind::F32 => v as f32 as f64,
         _ => v,
-    }
-}
-
-fn eval_bin(op: CBinOp, kind: CNumKind, a: CVal, b: CVal) -> Result<CVal, HlsirError> {
-    if op.is_cmp() {
-        let s = if kind.is_float() {
-            let (x, y) = (a.as_f(), b.as_f());
-            if x < y {
-                -1
-            } else if x > y {
-                1
-            } else {
-                0
-            }
-        } else {
-            a.as_i().cmp(&b.as_i()) as i32
-        };
-        let hit = match op {
-            CBinOp::Lt => s < 0,
-            CBinOp::Le => s <= 0,
-            CBinOp::Gt => s > 0,
-            CBinOp::Ge => s >= 0,
-            CBinOp::Eq => s == 0,
-            CBinOp::Ne => s != 0,
-            _ => unreachable!(),
-        };
-        return Ok(CVal::I(hit as i64));
-    }
-    if kind.is_float() {
-        let x = round(a.as_f(), kind);
-        let y = round(b.as_f(), kind);
-        let r = match op {
-            CBinOp::Add => x + y,
-            CBinOp::Sub => x - y,
-            CBinOp::Mul => x * y,
-            CBinOp::Div => x / y,
-            CBinOp::Rem => x % y,
-            other => {
-                return Err(HlsirError::Exec(format!(
-                    "bitwise operator {other:?} on floats"
-                )))
-            }
-        };
-        Ok(CVal::F(round(r, kind)))
-    } else {
-        let x = a.as_i();
-        let y = b.as_i();
-        let r = match op {
-            CBinOp::Add => x.wrapping_add(y),
-            CBinOp::Sub => x.wrapping_sub(y),
-            CBinOp::Mul => x.wrapping_mul(y),
-            CBinOp::Div => {
-                if y == 0 {
-                    return Err(HlsirError::Exec("integer division by zero".into()));
-                }
-                x.wrapping_div(y)
-            }
-            CBinOp::Rem => {
-                if y == 0 {
-                    return Err(HlsirError::Exec("integer remainder by zero".into()));
-                }
-                x.wrapping_rem(y)
-            }
-            CBinOp::Shl => x.wrapping_shl((y & 63) as u32),
-            CBinOp::Shr => x.wrapping_shr((y & 63) as u32),
-            CBinOp::UShr => ((x as u64).wrapping_shr((y & 63) as u32)) as i64,
-            CBinOp::And => x & y,
-            CBinOp::Or => x | y,
-            CBinOp::Xor => x ^ y,
-            _ => unreachable!("comparisons handled above"),
-        };
-        let r = match op {
-            // Shifts and bitwise ops act on the 64-bit representation (same
-            // deviation as the sjvm interpreter); arithmetic wraps per kind.
-            CBinOp::Shl | CBinOp::Shr | CBinOp::UShr | CBinOp::And | CBinOp::Or | CBinOp::Xor => r,
-            _ => wrap(r, kind),
-        };
-        Ok(CVal::I(r))
-    }
-}
-
-/// Applies an intrinsic to its first argument `x` and, for the binary
-/// ones, its second argument `y` (unary intrinsics ignore `y`).
-fn eval_call(f: CIntrinsic, kind: CNumKind, x: CVal, y: CVal) -> CVal {
-    match f {
-        CIntrinsic::Exp => CVal::F(x.as_f().exp()),
-        CIntrinsic::Log => CVal::F(x.as_f().ln()),
-        CIntrinsic::Sqrt => CVal::F(x.as_f().sqrt()),
-        CIntrinsic::Abs => {
-            if kind.is_float() {
-                CVal::F(x.as_f().abs())
-            } else {
-                CVal::I(x.as_i().wrapping_abs())
-            }
-        }
-        CIntrinsic::Min | CIntrinsic::Max => {
-            let take_min = matches!(f, CIntrinsic::Min);
-            if kind.is_float() {
-                let (x, y) = (x.as_f(), y.as_f());
-                CVal::F(if take_min { x.min(y) } else { x.max(y) })
-            } else {
-                let (x, y) = (x.as_i(), y.as_i());
-                CVal::I(if take_min { x.min(y) } else { x.max(y) })
-            }
-        }
     }
 }
 
@@ -877,30 +938,48 @@ mod tests {
     #[test]
     fn int_semantics_match_jvm() {
         assert_eq!(
-            eval_bin(
+            eval(Expr::bin(
                 CBinOp::Add,
                 CNumKind::I32,
-                CVal::I(i32::MAX as i64),
-                CVal::I(1)
-            )
+                Expr::ConstI(i32::MAX as i64),
+                Expr::ConstI(1)
+            ))
             .unwrap(),
             CVal::I(i32::MIN as i64)
         );
         assert_eq!(
-            eval_bin(CBinOp::Xor, CNumKind::I32, CVal::I(-1), CVal::I(0xff)).unwrap(),
+            eval(Expr::bin(
+                CBinOp::Xor,
+                CNumKind::I32,
+                Expr::ConstI(-1),
+                Expr::ConstI(0xff)
+            ))
+            .unwrap(),
             CVal::I(-256)
         );
     }
 
     #[test]
     fn f32_rounding() {
-        let r = eval_bin(CBinOp::Add, CNumKind::F32, CVal::F(0.1), CVal::F(0.2)).unwrap();
+        let r = eval(Expr::bin(
+            CBinOp::Add,
+            CNumKind::F32,
+            Expr::ConstF(0.1),
+            Expr::ConstF(0.2),
+        ))
+        .unwrap();
         assert_eq!(r, CVal::F((0.1f32 + 0.2f32) as f64));
     }
 
     #[test]
     fn div_by_zero_is_an_error() {
-        assert!(eval_bin(CBinOp::Div, CNumKind::I32, CVal::I(1), CVal::I(0)).is_err());
+        assert!(eval(Expr::bin(
+            CBinOp::Div,
+            CNumKind::I32,
+            Expr::ConstI(1),
+            Expr::ConstI(0)
+        ))
+        .is_err());
     }
 
     #[test]
@@ -1330,5 +1409,264 @@ mod tests {
             .run(&BTreeMap::new(), &mut buffers)
             .unwrap();
         assert_eq!(buffers["out_1"], ints(&[1, 2, 0, 4, 5, 3]));
+    }
+
+    /// Runs `f` with only `out_1` bound (to `len` zeros) through both
+    /// `run` and `run_observed`, asserts they agree, and returns `run`'s
+    /// result and output.
+    fn run_both(f: &CFunction, len: usize) -> (Result<(), HlsirError>, Vec<CVal>) {
+        let (r, out) = run_out(f, len);
+        let mut buffers = BTreeMap::new();
+        buffers.insert("out_1".to_string(), vec![CVal::I(0); len]);
+        let observed = Executor::new(f).run_observed(&BTreeMap::new(), &mut buffers);
+        assert_eq!(observed.map(drop), r, "run vs run_observed");
+        assert_eq!(buffers["out_1"], out, "run vs run_observed output");
+        (r, out)
+    }
+
+    /// Evaluates one expression by storing it into `out_1[0]`.
+    fn eval(e: Expr) -> Result<CVal, HlsirError> {
+        let f = body_kernel(
+            vec![out_param(CType::Int(64))],
+            vec![store("out_1", Expr::ConstI(0), e)],
+        );
+        let (r, out) = run_both(&f, 1);
+        r.map(|()| out[0])
+    }
+
+    fn exec_err(text: &str) -> HlsirError {
+        HlsirError::Exec(text.into())
+    }
+
+    /// `unknown variable `zz`` when evaluated.
+    fn bad_var() -> Expr {
+        Expr::var("zz")
+    }
+
+    /// `integer division by zero` when evaluated.
+    fn bad_div() -> Expr {
+        Expr::bin(CBinOp::Div, CNumKind::I32, Expr::ConstI(1), Expr::ConstI(0))
+    }
+
+    /// `` `out_1[9]` out of bounds (1) `` when evaluated.
+    fn bad_read() -> Expr {
+        Expr::index("out_1", Expr::ConstI(9))
+    }
+
+    #[test]
+    fn left_operand_faults_before_right() {
+        for kind in [CNumKind::I32, CNumKind::I64, CNumKind::F32, CNumKind::F64] {
+            for op in [CBinOp::Add, CBinOp::Div, CBinOp::Lt] {
+                assert_eq!(
+                    eval(Expr::bin(op, kind, bad_var(), bad_read())),
+                    Err(exec_err("unknown variable `zz`"))
+                );
+                assert_eq!(
+                    eval(Expr::bin(op, kind, bad_read(), bad_var())),
+                    Err(exec_err("`out_1[9]` out of bounds (1)"))
+                );
+            }
+        }
+        // A float bitwise op faults only after both operands ran clean.
+        assert_eq!(
+            eval(Expr::bin(
+                CBinOp::And,
+                CNumKind::F32,
+                bad_div(),
+                Expr::ConstF(1.0)
+            )),
+            Err(exec_err("integer division by zero"))
+        );
+        assert_eq!(
+            eval(Expr::bin(
+                CBinOp::And,
+                CNumKind::F32,
+                Expr::ConstF(1.0),
+                Expr::ConstF(1.0)
+            )),
+            Err(exec_err("bitwise operator And on floats"))
+        );
+        // Division checks its divisor only after both operands ran clean.
+        assert_eq!(
+            eval(Expr::bin(
+                CBinOp::Rem,
+                CNumKind::I64,
+                Expr::ConstI(3),
+                bad_read()
+            )),
+            Err(exec_err("`out_1[9]` out of bounds (1)"))
+        );
+    }
+
+    #[test]
+    fn intrinsic_arguments_evaluate_in_order() {
+        for f in [CIntrinsic::Min, CIntrinsic::Max] {
+            for kind in [CNumKind::I32, CNumKind::F32] {
+                assert_eq!(
+                    eval(Expr::Call(f, kind, vec![bad_div(), bad_var()])),
+                    Err(exec_err("integer division by zero"))
+                );
+                assert_eq!(
+                    eval(Expr::Call(f, kind, vec![bad_var(), bad_div()])),
+                    Err(exec_err("unknown variable `zz`"))
+                );
+                assert_eq!(
+                    eval(Expr::Call(f, kind, vec![Expr::ConstI(1), bad_read()])),
+                    Err(exec_err("`out_1[9]` out of bounds (1)"))
+                );
+            }
+        }
+        for f in [
+            CIntrinsic::Exp,
+            CIntrinsic::Log,
+            CIntrinsic::Sqrt,
+            CIntrinsic::Abs,
+        ] {
+            assert_eq!(
+                eval(Expr::Call(f, CNumKind::F32, vec![bad_read()])),
+                Err(exec_err("`out_1[9]` out of bounds (1)"))
+            );
+        }
+    }
+
+    #[test]
+    fn condition_faults_before_either_branch_runs() {
+        let select = Expr::Select(
+            Box::new(bad_var()),
+            Box::new(bad_read()),
+            Box::new(bad_div()),
+        );
+        assert_eq!(eval(select), Err(exec_err("unknown variable `zz`")));
+        // A clean condition runs only the branch it picks.
+        for (c, want) in [
+            (1, exec_err("`out_1[9]` out of bounds (1)")),
+            (0, exec_err("integer division by zero")),
+        ] {
+            let select = Expr::Select(
+                Box::new(Expr::ConstI(c)),
+                Box::new(bad_read()),
+                Box::new(bad_div()),
+            );
+            assert_eq!(eval(select), Err(want));
+        }
+        // if (zz) out_1[0] = 1; else out_1[0] = 2; — neither store runs.
+        let f = body_kernel(
+            vec![out_param(CType::Int(32))],
+            vec![Stmt::If {
+                cond: bad_var(),
+                then: vec![store("out_1", Expr::ConstI(0), Expr::ConstI(1))],
+                els: vec![store("out_1", Expr::ConstI(0), Expr::ConstI(2))],
+            }],
+        );
+        let (r, out) = run_both(&f, 1);
+        assert_eq!(r, Err(exec_err("unknown variable `zz`")));
+        assert_eq!(out, ints(&[0]));
+    }
+
+    #[test]
+    fn first_of_two_faulting_siblings_is_reported() {
+        assert_eq!(
+            eval(Expr::iadd(bad_div(), bad_var())),
+            Err(exec_err("integer division by zero"))
+        );
+        assert_eq!(
+            eval(Expr::iadd(
+                Expr::iadd(Expr::ConstI(1), bad_read()),
+                bad_div()
+            )),
+            Err(exec_err("`out_1[9]` out of bounds (1)"))
+        );
+        // A faulting index expression reports before the array is checked.
+        assert_eq!(
+            eval(Expr::index("nope", bad_var())),
+            Err(exec_err("unknown variable `zz`"))
+        );
+        // An indexed store runs its right-hand side before its index.
+        let f = body_kernel(
+            vec![out_param(CType::Int(32))],
+            vec![store("out_1", bad_var(), bad_div())],
+        );
+        assert_eq!(run_both(&f, 1).0, Err(exec_err("integer division by zero")));
+        let f = body_kernel(
+            vec![out_param(CType::Int(32))],
+            vec![store("nope", bad_var(), Expr::ConstI(1))],
+        );
+        assert_eq!(run_both(&f, 1).0, Err(exec_err("unknown variable `zz`")));
+        // A faulting scalar store or declaration leaves the scalar unbound.
+        for s in [
+            Stmt::Assign {
+                lhs: LValue::Var("x".into()),
+                rhs: bad_div(),
+            },
+            Stmt::Decl {
+                name: "x".into(),
+                ty: CType::Int(32),
+                init: Some(bad_div()),
+            },
+        ] {
+            let f = body_kernel(
+                vec![out_param(CType::Int(32))],
+                vec![s, store("out_1", Expr::ConstI(0), Expr::var("x"))],
+            );
+            assert_eq!(run_both(&f, 1).0, Err(exec_err("integer division by zero")));
+        }
+    }
+
+    #[test]
+    fn exhausted_fuel_reports_before_a_faulting_expression() {
+        // out_1[0] = 5; out_1[0] = 1 / 0;
+        let f = body_kernel(
+            vec![out_param(CType::Int(32))],
+            vec![
+                store("out_1", Expr::ConstI(0), Expr::ConstI(5)),
+                store("out_1", Expr::ConstI(0), bad_div()),
+            ],
+        );
+        for (fuel, want, out) in [
+            (0, "statement budget exhausted", 0),
+            (1, "statement budget exhausted", 5),
+            (2, "integer division by zero", 5),
+        ] {
+            let mut buffers = BTreeMap::new();
+            buffers.insert("out_1".to_string(), ints(&[0]));
+            let r = Executor::new(&f)
+                .with_fuel(fuel)
+                .run(&BTreeMap::new(), &mut buffers);
+            assert_eq!(r, Err(exec_err(want)), "fuel {fuel}");
+            assert_eq!(buffers["out_1"], ints(&[out]), "fuel {fuel}");
+            buffers.insert("out_1".to_string(), ints(&[0]));
+            let r = Executor::new(&f)
+                .with_fuel(fuel)
+                .run_observed(&BTreeMap::new(), &mut buffers);
+            assert_eq!(r.map(drop), Err(exec_err(want)), "observed, fuel {fuel}");
+            assert_eq!(buffers["out_1"], ints(&[out]), "observed, fuel {fuel}");
+        }
+    }
+
+    #[test]
+    fn faulting_for_bound_runs_no_iteration() {
+        // for i < zz { out_1[0] = 1; }, with and without an order override.
+        let f = body_kernel(
+            vec![out_param(CType::Int(32))],
+            vec![Stmt::For {
+                id: LoopId(0),
+                var: "i".into(),
+                bound: bad_var(),
+                trip_count: None,
+                attrs: LoopAttrs::none(),
+                body: vec![store("out_1", Expr::ConstI(0), Expr::ConstI(1))],
+            }],
+        );
+        let (r, out) = run_both(&f, 1);
+        assert_eq!(r, Err(exec_err("unknown variable `zz`")));
+        assert_eq!(out, ints(&[0]));
+        let mut buffers = BTreeMap::new();
+        buffers.insert("out_1".to_string(), ints(&[0]));
+        let exec = Executor::new(&f).with_iteration_order(LoopId(0), vec![0]);
+        let r = exec.run(&BTreeMap::new(), &mut buffers);
+        assert_eq!(r, Err(exec_err("unknown variable `zz`")));
+        let r = exec.run_observed(&BTreeMap::new(), &mut buffers);
+        assert_eq!(r.map(drop), Err(exec_err("unknown variable `zz`")));
+        assert_eq!(buffers["out_1"], ints(&[0]));
     }
 }

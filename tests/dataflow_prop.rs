@@ -23,6 +23,8 @@
 //!    one, diagnostic for diagnostic, on the same kernels; and the lazy
 //!    differential check (`transform_new_errors`) finds exactly what the
 //!    eager two-report diff finds.
+//! 7. `Executor::run` and `Executor::run_observed` agree, result and
+//!    buffers, under order overrides and statement budgets.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -34,8 +36,8 @@ use s2fa_hlsir::dataflow::{
 };
 use s2fa_hlsir::index::KernelIndex;
 use s2fa_hlsir::{
-    analysis, CFunction, CType, CVal, Executor, Expr, LValue, LoopId, Observed, Param, ParamKind,
-    Stmt,
+    analysis, CFunction, CType, CVal, Executor, Expr, HlsirError, LValue, LoopId, Observed, Param,
+    ParamKind, Stmt,
 };
 use s2fa_lint::{
     dataflow_checks, dataflow_errors, new_dataflow_errors, new_errors, transform_new_errors,
@@ -97,6 +99,39 @@ fn run(f: &CFunction, orders: &[(LoopId, Vec<i64>)]) -> (Observed, Vec<CVal>) {
         .run_observed(&scalars, &mut buffers)
         .expect("generated kernel executes");
     (obs, buffers.remove("out_1").expect("output bound"))
+}
+
+/// Runs `f` over the fixed input record through `run` or, when
+/// `observe` is set, `run_observed`, with the given order overrides and
+/// statement budget (`None` keeps the default). Returns the result
+/// without its observations, and every buffer afterwards.
+fn run_to_outcome(
+    f: &CFunction,
+    orders: &[(LoopId, Vec<i64>)],
+    fuel: Option<u64>,
+    observe: bool,
+) -> (Result<(), HlsirError>, BTreeMap<String, Vec<CVal>>) {
+    let mut exec = Executor::new(f);
+    for (id, order) in orders {
+        exec = exec.with_iteration_order(*id, order.clone());
+    }
+    if let Some(fuel) = fuel {
+        exec = exec.with_fuel(fuel);
+    }
+    let scalars = BTreeMap::from([("n".to_string(), CVal::I(1))]);
+    let mut buffers = BTreeMap::from([
+        (
+            "in_1".to_string(),
+            (0..8).map(|i| CVal::I(i * 3 + 1)).collect::<Vec<_>>(),
+        ),
+        ("out_1".to_string(), vec![CVal::I(0); 8]),
+    ]);
+    let result = if observe {
+        exec.run_observed(&scalars, &mut buffers).map(drop)
+    } else {
+        exec.run(&scalars, &mut buffers)
+    };
+    (result, buffers)
 }
 
 /// Whether the observations contain the read a diagnostic subject names:
@@ -162,6 +197,110 @@ fn assert_views_agree(f: &CFunction, hint: u32) {
     assert_eq!(from_summary, from_index, "{}", f.name);
 }
 
+/// The uninitialized-read family: a scalar `x` declared with or without
+/// an initializer, a local array `a[2]` whose first element may be
+/// written, and a loop reading `in_1[j + shift]` plus any of `x`, `a[0]`
+/// and `a[1]` into `out_1[j]`. A `shift` above 4 reads past `in_1`.
+fn uninit_kernel(
+    init_x: bool,
+    write_a0: bool,
+    read_x: bool,
+    read_a0: bool,
+    read_a1: bool,
+    shift: i64,
+) -> CFunction {
+    let mut body = vec![
+        Stmt::Decl {
+            name: "x".into(),
+            ty: CType::Int(32),
+            init: init_x.then_some(Expr::ConstI(7)),
+        },
+        Stmt::Decl {
+            name: "y".into(),
+            ty: CType::Int(32),
+            init: Some(Expr::ConstI(0)),
+        },
+        Stmt::DeclArr {
+            name: "a".into(),
+            ty: CType::Int(32),
+            len: 2,
+        },
+    ];
+    if write_a0 {
+        body.push(Stmt::Assign {
+            lhs: LValue::Index("a".into(), Box::new(Expr::ConstI(0))),
+            rhs: Expr::index("in_1", Expr::ConstI(0)),
+        });
+    }
+    let read = match shift {
+        0 => Expr::var("j"),
+        _ => Expr::iadd(Expr::var("j"), Expr::ConstI(shift)),
+    };
+    let mut rhs = Expr::iadd(Expr::var("y"), Expr::index("in_1", read));
+    if read_x {
+        rhs = Expr::iadd(rhs, Expr::var("x"));
+    }
+    if read_a0 {
+        rhs = Expr::iadd(rhs, Expr::index("a", Expr::ConstI(0)));
+    }
+    if read_a1 {
+        rhs = Expr::iadd(rhs, Expr::index("a", Expr::ConstI(1)));
+    }
+    body.push(Stmt::counted_for(
+        LoopId(1),
+        "j",
+        4,
+        vec![Stmt::Assign {
+            lhs: LValue::Index("out_1".into(), Box::new(Expr::var("j"))),
+            rhs,
+        }],
+    ));
+    kernel(body)
+}
+
+/// The write-race family: `a[i] = in_1[i]` over 8 iterations (loop 10),
+/// then loop 11 writing `a[c*j + o]` for `j < t`, then `out_1[i] = a[i]`
+/// (loop 12). Returns the kernel and loop 11's body.
+fn race_kernel(c: i64, o: i64, t: u32, varying: bool) -> (CFunction, Vec<Stmt>) {
+    let idx = Expr::iadd(Expr::imul(Expr::ConstI(c), Expr::var("j")), Expr::ConstI(o));
+    let rhs = if varying {
+        Expr::iadd(Expr::index("in_1", Expr::var("j")), Expr::var("j"))
+    } else {
+        Expr::ConstI(5)
+    };
+    let l1_body = vec![Stmt::Assign {
+        lhs: LValue::Index("a".into(), Box::new(idx)),
+        rhs,
+    }];
+    let body = vec![
+        Stmt::DeclArr {
+            name: "a".into(),
+            ty: CType::Int(32),
+            len: 8,
+        },
+        Stmt::counted_for(
+            LoopId(10),
+            "i",
+            8,
+            vec![Stmt::Assign {
+                lhs: LValue::Index("a".into(), Box::new(Expr::var("i"))),
+                rhs: Expr::index("in_1", Expr::var("i")),
+            }],
+        ),
+        Stmt::counted_for(LoopId(11), "j", t, l1_body.clone()),
+        Stmt::counted_for(
+            LoopId(12),
+            "i",
+            8,
+            vec![Stmt::Assign {
+                lhs: LValue::Index("out_1".into(), Box::new(Expr::var("i"))),
+                rhs: Expr::index("a", Expr::var("i")),
+            }],
+        ),
+    ];
+    (kernel(body), l1_body)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -175,45 +314,7 @@ proptest! {
         read_a0 in any::<bool>(),
         read_a1 in any::<bool>(),
     ) {
-        let mut body = vec![
-            Stmt::Decl {
-                name: "x".into(),
-                ty: CType::Int(32),
-                init: init_x.then_some(Expr::ConstI(7)),
-            },
-            Stmt::Decl {
-                name: "y".into(),
-                ty: CType::Int(32),
-                init: Some(Expr::ConstI(0)),
-            },
-            Stmt::DeclArr { name: "a".into(), ty: CType::Int(32), len: 2 },
-        ];
-        if write_a0 {
-            body.push(Stmt::Assign {
-                lhs: LValue::Index("a".into(), Box::new(Expr::ConstI(0))),
-                rhs: Expr::index("in_1", Expr::ConstI(0)),
-            });
-        }
-        let mut rhs = Expr::iadd(Expr::var("y"), Expr::index("in_1", Expr::var("j")));
-        if read_x {
-            rhs = Expr::iadd(rhs, Expr::var("x"));
-        }
-        if read_a0 {
-            rhs = Expr::iadd(rhs, Expr::index("a", Expr::ConstI(0)));
-        }
-        if read_a1 {
-            rhs = Expr::iadd(rhs, Expr::index("a", Expr::ConstI(1)));
-        }
-        body.push(Stmt::counted_for(
-            LoopId(1),
-            "j",
-            4,
-            vec![Stmt::Assign {
-                lhs: LValue::Index("out_1".into(), Box::new(Expr::var("j"))),
-                rhs,
-            }],
-        ));
-        let f = kernel(body);
+        let f = uninit_kernel(init_x, write_a0, read_x, read_a0, read_a1, 0);
         assert_views_agree(&f, HINT);
         assert_errors_only_agrees(&f, HINT);
 
@@ -251,39 +352,7 @@ proptest! {
         t in 2u32..=3,
         varying in any::<bool>(),
     ) {
-        let idx = Expr::iadd(Expr::imul(Expr::ConstI(c), Expr::var("j")), Expr::ConstI(o));
-        let rhs = if varying {
-            Expr::iadd(Expr::index("in_1", Expr::var("j")), Expr::var("j"))
-        } else {
-            Expr::ConstI(5)
-        };
-        let l1_body = vec![Stmt::Assign {
-            lhs: LValue::Index("a".into(), Box::new(idx)),
-            rhs,
-        }];
-        let body = vec![
-            Stmt::DeclArr { name: "a".into(), ty: CType::Int(32), len: 8 },
-            Stmt::counted_for(
-                LoopId(10),
-                "i",
-                8,
-                vec![Stmt::Assign {
-                    lhs: LValue::Index("a".into(), Box::new(Expr::var("i"))),
-                    rhs: Expr::index("in_1", Expr::var("i")),
-                }],
-            ),
-            Stmt::counted_for(LoopId(11), "j", t, l1_body.clone()),
-            Stmt::counted_for(
-                LoopId(12),
-                "i",
-                8,
-                vec![Stmt::Assign {
-                    lhs: LValue::Index("out_1".into(), Box::new(Expr::var("i"))),
-                    rhs: Expr::index("a", Expr::var("i")),
-                }],
-            ),
-        ];
-        let f = kernel(body);
+        let (f, l1_body) = race_kernel(c, o, t, varying);
         assert_views_agree(&f, HINT);
         assert_errors_only_agrees(&f, HINT);
         let sites = KernelIndex::build(&f).sites;
@@ -380,6 +449,56 @@ proptest! {
                 "disproved a real dependence: c1={c1} o1={o1} c2={c2} o2={o2} t={t}"
             ),
             Tri::Unknown => {}
+        }
+    }
+
+    // Property 7: `run` and `run_observed` are one evaluator. On both
+    // kernel families above, with no order override, the natural order
+    // and the reversed order, and under a random statement budget as
+    // well as the default one, they return the same result (error text
+    // included) and leave identical buffers.
+    #[test]
+    fn run_and_run_observed_agree(
+        (init_x, write_a0, read_x, read_a0, read_a1) in
+            (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
+        shift in 0i64..=6,
+        (c, o, t, varying) in (0i64..=2, 0i64..=1, 2u32..=3, any::<bool>()),
+        fuel in 0u64..=48,
+    ) {
+        let mut uninit = uninit_kernel(init_x, write_a0, read_x, read_a0, read_a1, shift);
+        uninit.name = "uninit".into();
+        let (race, _) = race_kernel(c, o, t, varying);
+        let families = [
+            (uninit, vec![(LoopId(1), 4)]),
+            (race, vec![(LoopId(10), 8), (LoopId(11), t as i64), (LoopId(12), 8)]),
+        ];
+        for (f, loops) in &families {
+            let natural: Vec<_> = loops
+                .iter()
+                .map(|&(id, n)| (id, (0..n).collect::<Vec<i64>>()))
+                .collect();
+            let reversed: Vec<_> = loops
+                .iter()
+                .map(|&(id, n)| (id, (0..n).rev().collect::<Vec<i64>>()))
+                .collect();
+            for orders in [vec![], natural, reversed] {
+                for fuel in [Some(fuel), None] {
+                    let plain = run_to_outcome(f, &orders, fuel, false);
+                    let observed = run_to_outcome(f, &orders, fuel, true);
+                    // Non-vacuity: the reads past `in_1` really fault.
+                    if fuel.is_none() && f.name == "uninit" {
+                        prop_assert_eq!(plain.0.is_err(), shift > 4);
+                    }
+                    prop_assert_eq!(
+                        &plain,
+                        &observed,
+                        "{:?} under orders {:?}, fuel {:?}",
+                        f.body,
+                        orders,
+                        fuel
+                    );
+                }
+            }
         }
     }
 }
