@@ -39,11 +39,12 @@
 //! `results/PROFILE_<kernel>.json` (validated against
 //! `docs/profile.schema.json` before writing), a timing-free structure
 //! document for the CI golden diff, and folded stacks for flamegraph
-//! tooling — then prints the human-readable report. A dedicated sweep
-//! phase re-measures the threaded batch loop at each `--threads` count
-//! (512-point batches on an uncached engine, a `threads - 1` worker pool
-//! per count) so the report attributes the batch loop's wall-time —
-//! submit, estimate, wait, merge, idle — per thread count.
+//! tooling — then prints the human-readable report. `profile` runs on 2
+//! eval threads unless `--eval-threads` says otherwise: with one, the
+//! first tuning batch runs serially and `batch/{submit,wait,merge}`
+//! drop out of the span tree, so the committed structure golden
+//! (`results/PROFILE_structure_S-W.json`) would not reproduce on a
+//! one-core host.
 //!
 //! `report` re-renders a previously written profile without running
 //! anything.
@@ -88,17 +89,12 @@ use s2fa::lint::{
 use s2fa::{S2fa, S2faOptions};
 use s2fa_bench::results::save;
 use s2fa_blaze::{AcceleratorRegistry, ServingConfig, ServingRuntime, TenantSpec};
-use s2fa_dse::{DesignSpace, EvalEngine};
-use s2fa_engine::WorkerPool;
+use s2fa_dse::DesignSpace;
 use s2fa_hlsir::analysis;
 use s2fa_hlssim::{report, Estimator};
 use s2fa_merlin::{apply_structural, DesignConfig};
-use s2fa_obs::{
-    aggregate_spans, analyze_batch_loop, correlate, validate, verify_spans, CorrelatorSink,
-    Histogram, Json, Profile, Profiler,
-};
+use s2fa_obs::{aggregate_spans, validate, verify_spans, Histogram, Json, Profile, Profiler};
 use s2fa_trace::{JsonlSink, NullSink, TraceSink};
-use s2fa_tuner::{Config, Measurement, Objective, ThreadedObjective};
 use s2fa_workloads::all_workloads;
 use std::sync::Arc;
 
@@ -119,7 +115,6 @@ struct Args {
     list: bool,
     trace: Option<String>,
     metrics: Option<String>,
-    threads: Vec<usize>,
     eval_threads: Option<usize>,
     profile_path: Option<String>,
     prescreen: bool,
@@ -152,7 +147,6 @@ fn parse_args() -> Result<Args, String> {
         list: false,
         trace: None,
         metrics: None,
-        threads: vec![1, 2, 4, 8],
         eval_threads: None,
         profile_path: None,
         prescreen: false,
@@ -191,6 +185,9 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or("--budget needs minutes")?
                     .parse()
                     .map_err(|e| format!("bad --budget: {e}"))?;
+                if !(args.budget > 0.0 && args.budget.is_finite()) {
+                    return Err("--budget must be positive and finite".to_string());
+                }
             }
             "--tasks" => {
                 args.tasks = it
@@ -207,21 +204,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--profile" => {
                 args.profile_path = Some(it.next().ok_or("--profile needs a path")?);
-            }
-            "--threads" => {
-                args.threads = it
-                    .next()
-                    .ok_or("--threads needs a comma-separated list")?
-                    .split(',')
-                    .map(|t| {
-                        t.trim()
-                            .parse::<usize>()
-                            .map_err(|e| format!("bad --threads entry `{t}`: {e}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-                if args.threads.is_empty() {
-                    return Err("--threads needs at least one count".to_string());
-                }
             }
             "--eval-threads" => {
                 args.eval_threads = Some(
@@ -288,11 +270,13 @@ const USAGE: &str = "usage: s2fa_cli --kernel <name> [--budget <minutes>] [--tas
 [--manual] [--emit-c] [--report] [--prescreen] [--dataflow-prescreen] [--eval-threads <n>] \
 [--trace <path>] [--metrics <path>] | --list\n       \
 s2fa_cli lint [--kernel <name>] [--tasks <n>] [--format text|json] [--save]\n       \
-s2fa_cli profile --kernel <name> [--budget <minutes>] [--tasks <n>] [--threads 1,2,4,8] \
-[--eval-threads <n>]\n       \
+s2fa_cli profile --kernel <name> [--budget <minutes>] [--tasks <n>] [--eval-threads <n>]\n       \
 s2fa_cli report (--kernel <name> | --profile <path>)\n       \
 s2fa_cli serve [--kernel <name>] [--requests <n>] [--util <x>] [--nodes <n>] \
-[--trace <path>]";
+[--trace <path>]\n\
+profile's --eval-threads defaults to 2: with one eval thread the first tuning batch runs \
+serially, its batch/{submit,wait,merge} spans disappear, and \
+results/PROFILE_structure_S-W.json does not reproduce.";
 
 fn main() {
     let args = match parse_args() {
@@ -361,12 +345,14 @@ fn main() {
         let summary =
             analysis::summarize(&generated.cfunc, args.tasks).expect("manual kernel analyzes");
         let cfg = (w.manual_config)(&summary);
-        framework
-            .compile_with_config(&w.manual_spec, &cfg)
-            .expect("manual design synthesizes")
+        framework.compile_with_config(&w.manual_spec, &cfg)
     } else {
-        framework.compile(&w.spec).expect("automatic flow succeeds")
+        framework.compile(&w.spec)
     };
+    let compiled = compiled.unwrap_or_else(|e| {
+        eprintln!("{}: {e}", w.name);
+        std::process::exit(1);
+    });
     let wall = wall.elapsed();
 
     println!(
@@ -686,16 +672,9 @@ fn conforms(doc: &Json, schema: &str, what: &str) -> bool {
     violations.is_empty()
 }
 
-/// Batch geometry of the dedicated thread sweep: the satellite-bench
-/// batch size at a handful of repetitions — enough spans to average the
-/// per-batch spawn/join costs without turning the sweep into a benchmark.
-const SWEEP_BATCH: usize = 512;
-const SWEEP_BATCHES: usize = 4;
-const SWEEP_SEED: u64 = 2018;
-
 /// The `profile` subcommand: run the kernel's automatic flow under full
-/// profiling, sweep the batch loop across thread counts, and write the
-/// flight-recorder artifacts. Returns the process exit code.
+/// profiling and write the flight-recorder artifacts. Returns the
+/// process exit code.
 fn run_profile(args: &Args) -> i32 {
     let Some(name) = &args.kernel else {
         eprintln!("{USAGE}");
@@ -713,70 +692,31 @@ fn run_profile(args: &Args) -> i32 {
     options.dse.budget_minutes = args.budget;
     options.dse.prescreen = args.prescreen;
     options.dse.dataflow_prescreen = args.dataflow_prescreen;
-    if let Some(t) = args.eval_threads {
-        options.dse.eval_threads = t;
-    }
+    // Two by default, whatever the host: see the module docs.
+    options.dse.eval_threads = args.eval_threads.unwrap_or(2);
 
-    // 1. The profiled pipeline run, with the dual-clock correlator
-    // shadowing the virtual-minute event stream.
+    // 1. The profiled pipeline run.
     let profiler = Profiler::enabled();
-    let corr = Arc::new(CorrelatorSink::new(NullSink, profiler.clone()));
-    let framework = S2fa::new(options)
-        .with_profiler(profiler.clone())
-        .with_trace_sink(corr.clone() as Arc<dyn TraceSink>);
-    let compiled = framework.compile(&w.spec).expect("automatic flow succeeds");
+    let framework = S2fa::new(options).with_profiler(profiler.clone());
+    if let Err(e) = framework.compile(&w.spec) {
+        eprintln!("{}: {e}", w.name);
+        return 1;
+    }
     let spans = profiler.take_spans();
     if let Err(e) = verify_spans(&spans) {
         eprintln!("internal error: recorded span forest is ill-formed: {e}");
         return 1;
     }
-    let correlation = correlate(&corr.samples(), &spans);
     let metrics = profiler.metrics().expect("enabled profiler").snapshot();
-
-    // 2. The dedicated batch-loop sweep: same kernel, uncached engine (so
-    // every eval pays the estimator walk), one pool and ThreadedObjective
-    // per thread count, batches of SWEEP_BATCH random points. Batches run
-    // serially within a sweep, which is what lets `analyze_batch_loop`
-    // associate worker spans to batches by containment.
-    let summary = &compiled.summary;
-    let ds = DesignSpace::build(summary);
-    let est = Estimator::new();
-    let mut batch_loop = Vec::new();
-    for &threads in &args.threads {
-        use rand::{rngs::SmallRng, SeedableRng};
-        let sweep = Profiler::enabled();
-        let mut engine = EvalEngine::new(summary, &est);
-        engine.set_caching(false);
-        let eval = |cfg: &Config| -> Measurement {
-            let e = engine.evaluate(&ds.decode(cfg));
-            Measurement {
-                value: e.objective(),
-                minutes: e.hls_minutes,
-            }
-        };
-        let pool = WorkerPool::new(threads.max(1) - 1);
-        let mut obj = ThreadedObjective::new(&eval, &pool).with_profiler(&sweep);
-        let mut rng = SmallRng::seed_from_u64(SWEEP_SEED);
-        for _ in 0..SWEEP_BATCHES {
-            let configs: Vec<Config> = (0..SWEEP_BATCH)
-                .map(|_| ds.space().random(&mut rng))
-                .collect();
-            std::hint::black_box(obj.measure_batch(&configs));
-        }
-        drop(obj);
-        batch_loop.push(analyze_batch_loop(&sweep.take_spans(), threads as u64));
-    }
 
     let profile = Profile {
         kernel: w.name.to_string(),
         mode: "full".to_string(),
         tree: aggregate_spans(&spans),
         metrics,
-        correlation,
-        batch_loop,
     };
 
-    // 3. Validate against the checked-in schema before shipping anything.
+    // 2. Validate against the checked-in schema before shipping anything.
     let doc = profile.to_json();
     if !conforms(
         &doc,
@@ -786,7 +726,7 @@ fn run_profile(args: &Args) -> i32 {
         return 1;
     }
 
-    // 4. Artifacts: the full profile, the timing-free structure document
+    // 3. Artifacts: the full profile, the timing-free structure document
     // (CI's golden diff target), and folded stacks for flamegraphs.
     if let Err(e) = std::fs::create_dir_all("results") {
         eprintln!("cannot create results/: {e}");

@@ -2,13 +2,12 @@
 
 //! # s2fa-obs — host-side profiling and metrics
 //!
-//! The repo's PR 3 trace layer answers "what did the search decide, and
-//! at which *virtual* minute" — it is deterministic by design and knows
+//! The `s2fa-trace` layer answers "what did the search decide, and at
+//! which *virtual* minute" — it is deterministic by design and knows
 //! nothing about real time. This crate answers the complementary
-//! question the ROADMAP's top open item (the 0.71× eight-thread
-//! regression) demands: **where does the host wall-clock go?**
+//! question: **where does the host wall-clock go?**
 //!
-//! Three instruments, three disciplines:
+//! Two instruments, two disciplines:
 //!
 //! * [`Profiler`] / [`Lane`] — hierarchical **spans** over the pipeline
 //!   stages (codegen → lint → space identification → partitioning →
@@ -24,36 +23,28 @@
 //!   per-eval latency, batch fan-out/join, cache probe and lock-wait,
 //!   bandit pulls. Recording is a single relaxed atomic op — the
 //!   threaded path gains no contention points.
-//! * [`CorrelatorSink`] — the dual-clock join: wraps any `TraceSink`,
-//!   shadow-records the host instant of every virtual-minute event, and
-//!   [`correlate()`] answers "virtual minute M was produced during host
-//!   span S".
 //!
 //! ## Zero cost when disabled
 //!
 //! Everything hangs off a [`Profiler`] handle whose disabled form (the
 //! default everywhere) is a `None`: no clock reads, no allocation, one
 //! branch per instrumentation point. The determinism tests in `s2fa-dse`
-//! pin profiling-enabled ≡ profiling-disabled DSE outcomes bit-for-bit,
-//! and the throughput bench bounds the disabled-path overhead.
+//! pin profiling-enabled ≡ profiling-disabled DSE outcomes bit-for-bit.
 //!
 //! [`report`] turns a recorded session into the shipped artifacts: the
-//! aggregated span tree, the per-thread-count batch-loop attribution
-//! (spawn/dispatch/estimate/collect/merge + honest idle), folded stacks
-//! for flamegraphs, and the JSON profile `s2fa_cli profile` writes and
+//! aggregated span tree, folded stacks for flamegraphs, the timing-free
+//! structure golden, and the JSON profile `s2fa_cli profile` writes and
 //! `s2fa_cli report` re-renders ([`Json`] is the workspace's one JSON
 //! type, re-exported from `s2fa-trace`; [`schema`] the validator CI's
 //! `profile-smoke` job runs).
 
-pub mod correlate;
 pub mod metrics;
 pub mod report;
 pub mod schema;
 pub mod span;
 
-pub use correlate::{correlate, CorrelatorSink, MinuteSample, SpanMinutes};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use report::{aggregate_spans, analyze_batch_loop, BatchLoopProfile, Profile, SpanNode};
+pub use report::{aggregate_spans, Profile, SpanNode};
 pub use s2fa_trace::Json;
 pub use schema::validate;
 pub use span::{verify_spans, Lane, Profiler, SpanRecord};

@@ -1,20 +1,15 @@
-//! The flight-recorder report: aggregation, attribution, rendering.
+//! The flight-recorder report: aggregation and rendering.
 //!
 //! Raw [`SpanRecord`]s are a flat forest of timed intervals. This module
 //! turns them into the artifacts `s2fa_cli profile` / `report` ship:
 //!
 //! * an **aggregated span tree** ([`aggregate_spans`]) — spans merged by
 //!   name-path across lanes, with counts and total/self durations;
-//! * a **batch-loop attribution** ([`analyze_batch_loop`]) — the
-//!   pooled evaluator's wall-clock decomposed into the four named
-//!   phases (`submit`/`estimate`/`wait`/`merge`) plus an honest `idle`
-//!   residual, per thread count;
-//! * a [`Profile`] bundling tree + metrics + dual-clock correlation +
-//!   attribution, with a JSON round-trip (`results/PROFILE_<kernel>.json`),
+//! * a [`Profile`] bundling the tree with a metrics snapshot, with a
+//!   JSON round-trip (`results/PROFILE_<kernel>.json`),
 //!   a text renderer, folded-stack (flamegraph) output, and a
 //!   timing-free *structure* view for golden diffs in CI.
 
-use crate::correlate::SpanMinutes;
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
 use crate::span::SpanRecord;
 use s2fa_trace::Json;
@@ -82,136 +77,6 @@ fn merge_level(
         .collect()
 }
 
-/// The pooled batch loop's wall-clock, attributed to named phases at
-/// one thread count.
-///
-/// `submit` and `merge` are measured directly on the calling lane. The
-/// estimation window is concurrent: the caller helps execute chunks
-/// under its own `estimate` span while pool workers burn through
-/// `pool_chunk` spans on their own lanes, so `estimate_ns` is the
-/// combined busy time mapped to wall-clock proportionally
-/// (`(caller estimate + Σ pool_chunk) / threads` — during the window
-/// every wall nanosecond has `threads` executors of capacity). When no
-/// worker chunk landed inside the batch (a one-core host, or a batch
-/// the caller drained alone), the caller's `estimate` span *is* the
-/// wall story and counts 1:1. `wait_ns` is the caller's blocking join
-/// minus the portion where workers were still busy (that time is
-/// already attributed through the chunk shares). What no phase claims
-/// is `idle_ns` — the report never silently inflates a named phase to
-/// make the numbers add up.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchLoopProfile {
-    /// Thread count the batches ran at.
-    pub threads: u64,
-    /// Batches aggregated.
-    pub batches: u64,
-    /// Total wall time inside `batch` spans.
-    pub wall_ns: u64,
-    /// Job hand-off to the persistent pool (chunk math + enqueue).
-    pub submit_ns: u64,
-    /// Estimation: caller + worker chunk time, wall-proportional share.
-    pub estimate_ns: u64,
-    /// Caller blocking on stragglers beyond the worker-busy window.
-    pub wait_ns: u64,
-    /// Writeback of results into input order.
-    pub merge_ns: u64,
-    /// Wall time no named phase claims.
-    pub idle_ns: u64,
-}
-
-impl BatchLoopProfile {
-    /// Sum of the named phases.
-    pub fn attributed_ns(&self) -> u64 {
-        self.submit_ns + self.estimate_ns + self.wait_ns + self.merge_ns
-    }
-
-    /// Fraction of batch wall-time the named phases explain (capped at
-    /// 1.0; 0 when no batches were seen).
-    pub fn attributed_fraction(&self) -> f64 {
-        if self.wall_ns == 0 {
-            return 0.0;
-        }
-        (self.attributed_ns() as f64 / self.wall_ns as f64).min(1.0)
-    }
-}
-
-/// Attributes batch-loop wall-time from one profiling session's spans.
-///
-/// Expects the span shape `ThreadedObjective` records: `batch` spans on
-/// the calling lane with `submit`/`estimate`/`wait`/`merge` children
-/// (pooled) or a lone `estimate` child (serial), and `pool_chunk` root
-/// spans on their own per-chunk lanes, associated to their batch by
-/// time containment (batches within one session run serially, so
-/// containment is unambiguous).
-pub fn analyze_batch_loop(spans: &[SpanRecord], threads: u64) -> BatchLoopProfile {
-    let child = |parent: &SpanRecord, name: &str| -> Option<&SpanRecord> {
-        spans
-            .iter()
-            .find(|s| s.parent == Some(parent.id) && s.name == name)
-    };
-    let mut p = BatchLoopProfile {
-        threads,
-        batches: 0,
-        wall_ns: 0,
-        submit_ns: 0,
-        estimate_ns: 0,
-        wait_ns: 0,
-        merge_ns: 0,
-        idle_ns: 0,
-    };
-    for batch in spans.iter().filter(|s| s.name == "batch") {
-        p.batches += 1;
-        p.wall_ns += batch.duration_ns();
-        let before = p.attributed_ns();
-        if let Some(submit) = child(batch, "submit") {
-            // Pooled path. Worker chunks inside this batch's window.
-            let chunks: Vec<&SpanRecord> = spans
-                .iter()
-                .filter(|s| {
-                    s.name == "pool_chunk"
-                        && s.parent.is_none()
-                        && s.lane != batch.lane
-                        && s.start_ns >= batch.start_ns
-                        && s.end_ns <= batch.end_ns
-                })
-                .collect();
-            let chunk_time: u64 = chunks.iter().map(|s| s.duration_ns()).sum();
-            p.submit_ns += submit.duration_ns();
-            if let Some(est) = child(batch, "estimate") {
-                if chunk_time == 0 {
-                    // No worker claimed a chunk (one executor, or the
-                    // caller drained the job alone): the caller's
-                    // estimate span is the whole wall story.
-                    p.estimate_ns += est.duration_ns();
-                } else {
-                    p.estimate_ns += (est.duration_ns() + chunk_time) / threads.max(1);
-                }
-            }
-            if let Some(wait) = child(batch, "wait") {
-                // Subtract the sub-window where workers were still
-                // busy — that time is attributed via the chunk shares,
-                // and counting the caller's full block as well would
-                // double-book it.
-                let busy = chunks.iter().map(|s| s.end_ns).max().map_or(0, |last_end| {
-                    last_end
-                        .min(wait.end_ns)
-                        .saturating_sub(wait.start_ns.max(batch.start_ns))
-                });
-                p.wait_ns += wait.duration_ns().saturating_sub(busy);
-            }
-            if let Some(merge) = child(batch, "merge") {
-                p.merge_ns += merge.duration_ns();
-            }
-        } else if let Some(est) = child(batch, "estimate") {
-            // Serial path: one estimate span covers the whole map.
-            p.estimate_ns += est.duration_ns();
-        }
-        let attributed = p.attributed_ns() - before;
-        p.idle_ns += batch.duration_ns().saturating_sub(attributed);
-    }
-    p
-}
-
 /// A complete flight-recorder profile — what `PROFILE_<kernel>.json`
 /// holds.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -224,10 +89,6 @@ pub struct Profile {
     pub tree: Vec<SpanNode>,
     /// Metrics registry snapshot.
     pub metrics: MetricsSnapshot,
-    /// Dual-clock join of virtual minutes to host spans.
-    pub correlation: Vec<SpanMinutes>,
-    /// Batch-loop attribution, one entry per swept thread count.
-    pub batch_loop: Vec<BatchLoopProfile>,
 }
 
 impl Profile {
@@ -237,43 +98,6 @@ impl Profile {
         // saved profiles are diffed against each other, so their layout
         // stays sorted and stable.
         Json::obj([
-            (
-                "batch_loop",
-                Json::Arr(
-                    self.batch_loop
-                        .iter()
-                        .map(|b| {
-                            Json::obj([
-                                ("attributed_fraction", Json::num(b.attributed_fraction())),
-                                ("batches", Json::int(b.batches)),
-                                ("estimate_ns", Json::int(b.estimate_ns)),
-                                ("idle_ns", Json::int(b.idle_ns)),
-                                ("merge_ns", Json::int(b.merge_ns)),
-                                ("submit_ns", Json::int(b.submit_ns)),
-                                ("threads", Json::int(b.threads)),
-                                ("wait_ns", Json::int(b.wait_ns)),
-                                ("wall_ns", Json::int(b.wall_ns)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "correlation",
-                Json::Arr(
-                    self.correlation
-                        .iter()
-                        .map(|c| {
-                            Json::obj([
-                                ("events", Json::int(c.events)),
-                                ("first_minute", Json::num(c.first_minute)),
-                                ("last_minute", Json::num(c.last_minute)),
-                                ("span", Json::str(&c.span)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
             ("kernel", Json::str(&self.kernel)),
             ("metrics", metrics_to_json(&self.metrics)),
             ("mode", Json::str(&self.mode)),
@@ -281,7 +105,7 @@ impl Profile {
                 "span_tree",
                 Json::Arr(self.tree.iter().map(node_to_json).collect()),
             ),
-            ("version", Json::int(1)),
+            ("version", Json::int(2)),
         ])
     }
 
@@ -297,54 +121,17 @@ impl Profile {
                 .map(str::to_string)
                 .ok_or_else(|| format!("missing string `{key}`"))
         };
-        let int_of = |j: &Json, key: &str| -> Result<u64, String> {
-            j.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("missing integer `{key}`"))
-        };
-        let num_of = |j: &Json, key: &str| -> Result<f64, String> {
-            j.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("missing number `{key}`"))
-        };
-        let arr_of = |j: &Json, key: &str| -> Result<Vec<Json>, String> {
-            j.get(key)
-                .and_then(Json::as_arr)
-                .map(<[Json]>::to_vec)
-                .ok_or_else(|| format!("missing array `{key}`"))
-        };
-        let mut correlation = Vec::new();
-        for c in arr_of(j, "correlation")? {
-            correlation.push(SpanMinutes {
-                span: str_of(&c, "span")?,
-                events: int_of(&c, "events")?,
-                first_minute: num_of(&c, "first_minute")?,
-                last_minute: num_of(&c, "last_minute")?,
-            });
-        }
-        let mut batch_loop = Vec::new();
-        for b in arr_of(j, "batch_loop")? {
-            batch_loop.push(BatchLoopProfile {
-                threads: int_of(&b, "threads")?,
-                batches: int_of(&b, "batches")?,
-                wall_ns: int_of(&b, "wall_ns")?,
-                submit_ns: int_of(&b, "submit_ns")?,
-                estimate_ns: int_of(&b, "estimate_ns")?,
-                wait_ns: int_of(&b, "wait_ns")?,
-                merge_ns: int_of(&b, "merge_ns")?,
-                idle_ns: int_of(&b, "idle_ns")?,
-            });
-        }
         Ok(Profile {
             kernel: str_of(j, "kernel")?,
             mode: str_of(j, "mode")?,
-            tree: arr_of(j, "span_tree")?
+            tree: j
+                .get("span_tree")
+                .and_then(Json::as_arr)
+                .ok_or("missing array `span_tree`")?
                 .iter()
                 .map(node_from_json)
                 .collect::<Result<_, _>>()?,
             metrics: metrics_from_json(j.get("metrics").ok_or("missing object `metrics`")?)?,
-            correlation,
-            batch_loop,
         })
     }
 
@@ -356,54 +143,6 @@ impl Profile {
             let _ = writeln!(out, "\nspan tree (host wall-time):");
             for node in &self.tree {
                 render_node(&mut out, node, 0);
-            }
-        }
-        if !self.batch_loop.is_empty() {
-            let _ = writeln!(out, "\nbatch-loop attribution (per thread count):");
-            let _ = writeln!(
-                out,
-                "  {:>7} {:>8} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>6}",
-                "threads",
-                "batches",
-                "wall_ms",
-                "submit%",
-                "est%",
-                "wait%",
-                "merge%",
-                "idle%",
-                "attr%"
-            );
-            for b in &self.batch_loop {
-                let pct = |ns: u64| {
-                    if b.wall_ns == 0 {
-                        0.0
-                    } else {
-                        100.0 * ns as f64 / b.wall_ns as f64
-                    }
-                };
-                let _ = writeln!(
-                    out,
-                    "  {:>7} {:>8} {:>10.2} {:>8.1}% {:>8.1}% {:>8.1}% {:>8.1}% {:>8.1}% {:>5.1}%",
-                    b.threads,
-                    b.batches,
-                    b.wall_ns as f64 / 1e6,
-                    pct(b.submit_ns),
-                    pct(b.estimate_ns),
-                    pct(b.wait_ns),
-                    pct(b.merge_ns),
-                    pct(b.idle_ns),
-                    100.0 * b.attributed_fraction(),
-                );
-            }
-        }
-        if !self.correlation.is_empty() {
-            let _ = writeln!(out, "\ndual-clock join (virtual minutes per host span):");
-            for c in &self.correlation {
-                let _ = writeln!(
-                    out,
-                    "  {:<24} {:>6} events   minutes {:.2} .. {:.2}",
-                    c.span, c.events, c.first_minute, c.last_minute
-                );
             }
         }
         if !self.metrics.histograms.is_empty() {
@@ -687,62 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_loop_attribution_tiles_the_wall() {
-        let p = analyze_batch_loop(&threaded_batch(), 3);
-        assert_eq!(p.batches, 1);
-        assert_eq!(p.wall_ns, 120);
-        assert_eq!(p.submit_ns, 10);
-        // caller estimate (80) + chunk time (88 + 90), ÷ 3 executors
-        assert_eq!(p.estimate_ns, (80 + 88 + 90) / 3);
-        // wait 90-110 minus the worker-busy part 90-105
-        assert_eq!(p.wait_ns, 5);
-        assert_eq!(p.merge_ns, 10);
-        assert!(
-            p.attributed_fraction() > 0.9,
-            "fraction {}",
-            p.attributed_fraction()
-        );
-        assert_eq!(
-            p.wall_ns,
-            p.attributed_ns() + p.idle_ns,
-            "idle is the exact residual"
-        );
-    }
-
-    #[test]
-    fn serial_batches_attribute_to_estimate() {
-        let spans = vec![
-            rec(1, None, "batch", 0, 0, 100),
-            rec(2, Some(1), "estimate", 0, 2, 99),
-        ];
-        let p = analyze_batch_loop(&spans, 1);
-        assert_eq!(p.estimate_ns, 97);
-        assert_eq!(p.submit_ns, 0);
-        assert_eq!(p.idle_ns, 3);
-        assert!(p.attributed_fraction() > 0.95);
-    }
-
-    #[test]
-    fn pooled_batch_without_worker_chunks_counts_caller_estimate_fully() {
-        // One-core host (or the caller drained every chunk): no
-        // pool_chunk spans land, so the caller's estimate is 1:1 and
-        // nothing is divided away.
-        let spans = vec![
-            rec(1, None, "batch", 0, 0, 100),
-            rec(2, Some(1), "submit", 0, 0, 5),
-            rec(3, Some(1), "estimate", 0, 5, 90),
-            rec(4, Some(1), "wait", 0, 90, 92),
-            rec(5, Some(1), "merge", 0, 92, 100),
-        ];
-        let p = analyze_batch_loop(&spans, 8);
-        assert_eq!(p.submit_ns, 5);
-        assert_eq!(p.estimate_ns, 85);
-        assert_eq!(p.wait_ns, 2);
-        assert_eq!(p.merge_ns, 8);
-        assert_eq!(p.idle_ns, 0);
-    }
-
-    #[test]
     fn profile_json_round_trips() {
         let profile = Profile {
             kernel: "S-W".into(),
@@ -755,13 +438,6 @@ mod tests {
                 r.gauge("inflight").set(-1);
                 r.snapshot()
             },
-            correlation: vec![SpanMinutes {
-                span: "merge".into(),
-                events: 12,
-                first_minute: 0.5,
-                last_minute: 240.0,
-            }],
-            batch_loop: vec![analyze_batch_loop(&threaded_batch(), 2)],
         };
         let j = profile.to_json();
         assert_keys_sorted(&j);
@@ -787,11 +463,11 @@ mod tests {
     fn negative_or_fractional_counts_are_rejected() {
         for bad in ["-5", "1.5"] {
             let text = format!(
-                r#"{{"correlation": [{{"span": "tune", "events": {bad},
-                    "first_minute": 0, "last_minute": 1}}]}}"#
+                r#"{{"kernel": "S-W", "mode": "full", "span_tree":
+                    [{{"name": "tune", "count": {bad}, "total_ns": 1}}]}}"#
             );
             let err = Profile::from_json(&Json::parse(&text).unwrap()).unwrap_err();
-            assert_eq!(err, "missing integer `events`");
+            assert_eq!(err, "span node missing `count`");
         }
     }
 
@@ -856,18 +532,9 @@ mod tests {
                 r.counter("cache_hits").inc();
                 r.snapshot()
             },
-            correlation: vec![SpanMinutes {
-                span: "tune".into(),
-                events: 3,
-                first_minute: 1.0,
-                last_minute: 3.0,
-            }],
-            batch_loop: vec![analyze_batch_loop(&threaded_batch(), 2)],
         };
         let text = profile.render_text();
         assert!(text.contains("span tree"));
-        assert!(text.contains("batch-loop attribution"));
-        assert!(text.contains("dual-clock join"));
         assert!(text.contains("latency histograms"));
         assert!(text.contains("counters"));
     }

@@ -11,8 +11,8 @@
 //!
 //! All timestamps are nanoseconds on the host's **monotonic** clock
 //! ([`std::time::Instant`]), relative to the profiler's epoch. Virtual
-//! HLS minutes never appear here — joining the two time domains is the
-//! correlator's job (see [`crate::correlate()`]).
+//! HLS minutes never appear here; they live in the `s2fa-trace` event
+//! stream.
 //!
 //! ## Zero cost when disabled
 //!
@@ -116,15 +116,6 @@ impl Profiler {
     /// The session's metrics registry (`None` when disabled).
     pub fn metrics(&self) -> Option<&Arc<MetricsRegistry>> {
         self.inner.as_ref().map(|i| &i.metrics)
-    }
-
-    /// Nanoseconds since the session epoch on the monotonic clock
-    /// (0 when disabled).
-    pub fn now_ns(&self) -> u64 {
-        match &self.inner {
-            Some(i) => i.epoch.elapsed().as_nanos() as u64,
-            None => 0,
-        }
     }
 
     /// A fresh recording lane for the calling thread.
@@ -367,9 +358,9 @@ mod tests {
     fn disabled_profiler_records_nothing() {
         let p = Profiler::disabled();
         assert!(!p.is_enabled());
-        assert_eq!(p.now_ns(), 0);
         let mut lane = p.lane();
         assert!(!lane.enabled());
+        assert_eq!(lane.now_ns(), 0);
         let id = lane.open("x");
         assert_eq!(id, 0);
         lane.close(id);

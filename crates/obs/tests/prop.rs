@@ -1,7 +1,7 @@
 //! Property tests for the span layer: *any* interleaving of lane
 //! operations — however unbalanced — must leave the recorded forest
-//! well-formed, because every consumer (`aggregate_spans`,
-//! `analyze_batch_loop`, the correlator) assumes [`verify_spans`] holds.
+//! well-formed, because every consumer (`aggregate_spans` and the
+//! reports built on it) assumes [`verify_spans`] holds.
 //! The same random programs drive the histogram-bound and JSON
 //! round-trip checks.
 

@@ -111,9 +111,9 @@ pub enum Event {
     // --- Serving events ------------------------------------------------
     //
     // The Blaze serving runtime stamps its events on a virtual
-    // *millisecond* clock (request latencies are sub-second); `minute()`
-    // converts so one flight recorder spans the DSE's minute-scale
-    // schedule and the serving runtime's ms-scale one.
+    // *millisecond* clock (request latencies are sub-second), so one
+    // flight recorder spans the DSE's minute-scale schedule and the
+    // serving runtime's ms-scale one.
     /// A tenant submitted a request to the serving runtime.
     Submit {
         /// Virtual millisecond of submission.
@@ -218,36 +218,6 @@ impl Event {
             Event::BatchFormed { .. } => "batch_formed",
             Event::Execute { .. } => "execute",
             Event::Reply { .. } => "reply",
-        }
-    }
-
-    /// The virtual-minute stamp of the event, if it carries one.
-    ///
-    /// `Some` exactly for the variants stamped on a virtual clock: DSE
-    /// events with a `minute` field (evaluations, partition start/stop,
-    /// run stop) and serving events, whose millisecond stamp is
-    /// converted to minutes here. Host-side events (cache stats, prunes,
-    /// technique bookkeeping) return `None` — they exist outside the
-    /// virtual clock. The dual-clock correlator in `s2fa-obs` keys off
-    /// this to join the virtual schedule against host wall-time spans.
-    pub fn minute(&self) -> Option<f64> {
-        match self {
-            Event::Eval { minute, .. }
-            | Event::PartitionStart { minute, .. }
-            | Event::PartitionStop { minute, .. }
-            | Event::RunStop { minute, .. } => Some(*minute),
-            Event::Submit { ms, .. }
-            | Event::Admit { ms, .. }
-            | Event::Reject { ms, .. }
-            | Event::Enqueue { ms, .. }
-            | Event::BatchFormed { ms, .. }
-            | Event::Execute { ms, .. }
-            | Event::Reply { ms, .. } => Some(*ms / 60_000.0),
-            Event::RunStart { .. }
-            | Event::CacheStats { .. }
-            | Event::Prune { .. }
-            | Event::TechniquePull { .. }
-            | Event::TechniqueReward { .. } => None,
         }
     }
 
@@ -537,47 +507,6 @@ mod tests {
     }
 
     #[test]
-    fn minute_is_some_exactly_for_virtual_clock_events() {
-        let stamped = Event::Eval {
-            minute: 2.5,
-            partition: None,
-            iteration: 0,
-            technique: "seed".into(),
-            value: 1.0,
-            best_value: 1.0,
-            improved: true,
-        };
-        assert_eq!(stamped.minute(), Some(2.5));
-        assert_eq!(
-            Event::RunStop {
-                minute: 9.0,
-                evaluations: 1,
-                reason: "merged".into()
-            }
-            .minute(),
-            Some(9.0)
-        );
-        assert_eq!(
-            Event::CacheStats {
-                hits: 1,
-                misses: 0,
-                overwrites: 0
-            }
-            .minute(),
-            None
-        );
-        assert_eq!(
-            Event::RunStart {
-                kernel: "k".into(),
-                budget_minutes: 1.0,
-                partitions: 1
-            }
-            .minute(),
-            None
-        );
-    }
-
-    #[test]
     fn prune_carries_its_rule() {
         let e = Event::Prune {
             rule: "S2FA-E201".into(),
@@ -661,28 +590,6 @@ mod tests {
             }
             .kind(),
             "enqueue"
-        );
-    }
-
-    #[test]
-    fn serving_events_stamp_minutes_from_their_ms_clock() {
-        let e = Event::Reply {
-            ms: 90_000.0,
-            request: 1,
-            tenant: 0,
-            latency_ms: 3.0,
-            path: "fallback".into(),
-        };
-        assert_eq!(e.minute(), Some(1.5));
-        assert_eq!(
-            Event::Submit {
-                ms: 0.0,
-                request: 0,
-                tenant: 0,
-                accel: "PR".into()
-            }
-            .minute(),
-            Some(0.0)
         );
     }
 }

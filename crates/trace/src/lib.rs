@@ -18,9 +18,7 @@
 //! * [`Event`] — typed pipeline events: evaluations, batched cache
 //!   statistics, technique pulls/rewards, partition start/stop, and run
 //!   stop reasons. Events serialize to single-line JSON for flight
-//!   recording; [`Event::minute`] exposes the virtual stamp uniformly so
-//!   the `s2fa-obs` dual-clock correlator can join events against host
-//!   wall-time spans.
+//!   recording.
 //! * [`TraceSink`] — the pluggable emission channel: [`NullSink`] (drop
 //!   everything), [`RingSink`] (bounded in-memory ring, for tests and
 //!   post-hoc inspection), and [`JsonlSink`] (a JSONL flight recorder,

@@ -1,0 +1,128 @@
+//! Evaluation-engine gates: the estimate-cache miss path must price a
+//! point exactly as the raw estimator does, and the worker pool must
+//! scale on hosts that have the cores.
+//!
+//! ```text
+//! cargo test -p s2fa --test engine_gates                       # chain gate
+//! cargo test --release -p s2fa --test engine_gates -- --include-ignored --test-threads 1
+//! ```
+//!
+//! The chain gate is deterministic and reads no clock. It earns its
+//! release run: `Estimator::evaluate_with` only `debug_assert!`s that
+//! its point is normalized, so an engine that skipped `normalize` on a
+//! miss would panic in a debug build but quietly misprice in release.
+//! Only this comparison catches that there. The scaling gate reads the
+//! wall clock, so it is `#[ignore]`d in the default run and
+//! `--test-threads 1` keeps the chain gate off its cores.
+
+use rand::{rngs::SmallRng, SeedableRng};
+use s2fa::compile_kernel;
+use s2fa_dse::{DesignSpace, EvalEngine};
+use s2fa_engine::WorkerPool;
+use s2fa_hlsir::analysis;
+use s2fa_hlssim::Estimator;
+use s2fa_tuner::{Config, Measurement, Objective, ThreadedObjective};
+use s2fa_workloads::{all_workloads, sw};
+use std::time::Instant;
+
+/// Neighbor-mutation points walked per design space.
+const CHAIN: usize = 1024;
+/// Points per batch in the scaling gate.
+const BATCH: usize = 512;
+/// Timed batches per thread count in the scaling gate.
+const ROUNDS: usize = 10;
+/// The 4-thread rate must beat the 1-thread rate by this factor.
+const SCALING_FLOOR: f64 = 1.5;
+
+fn design_space(spec: &s2fa_sjvm::KernelSpec) -> (s2fa_hlsir::KernelSummary, DesignSpace) {
+    let g = compile_kernel(spec).expect("compiles");
+    let s = analysis::summarize(&g.cfunc, 1024).expect("analyzes");
+    let ds = DesignSpace::build(&s);
+    (s, ds)
+}
+
+/// A caching engine, an uncaching engine and `Estimator::evaluate` on the
+/// raw point agree bit for bit along a seeded chain of single-factor
+/// mutations, on every workload's design space. Decoded points are
+/// rarely normalized (no tree reduction, live directives under a
+/// flatten), so an engine that skips `normalize` prices them
+/// differently. `Debug` prints every float in round-trip form, so equal
+/// strings mean equal bits.
+#[test]
+fn mutation_chain_estimates_are_bit_identical_cached_uncached_and_raw() {
+    let est = Estimator::new();
+    for (i, w) in all_workloads().into_iter().enumerate() {
+        let (s, ds) = design_space(&w.spec);
+        let cached = EvalEngine::new(&s, &est);
+        let mut uncached = EvalEngine::new(&s, &est);
+        uncached.set_caching(false);
+        let mut rng = SmallRng::seed_from_u64(42 + i as u64);
+        let mut cur = ds.space().random(&mut rng);
+        let (mut diverged, mut off_model) = (0usize, 0usize);
+        for _ in 0..CHAIN {
+            ds.space().mutate_one(&mut cur, &mut rng);
+            let dc = ds.decode(&cur);
+            let [c, u, raw] = [
+                cached.evaluate(&dc),
+                uncached.evaluate(&dc),
+                est.evaluate(&s, &dc),
+            ]
+            .map(|e| format!("{e:?}"));
+            diverged += usize::from(c != u);
+            off_model += usize::from(c != raw || u != raw);
+        }
+        assert_eq!(
+            (diverged, off_model),
+            (0, 0),
+            "{}: of {CHAIN} chain points, (cached != uncached, engine != \
+             Estimator::evaluate on the raw point)",
+            w.name
+        );
+    }
+}
+
+/// On a host with ≥ 4 cores, the pooled batch path at 4 threads beats
+/// 1 thread by `SCALING_FLOOR` on 512-point batches of an uncached S-W
+/// engine (one warm-up batch, then `ROUNDS` timed ones). Smaller hosts
+/// skip: thread counts above the core count only time-slice.
+#[test]
+#[ignore = "wall-time gate, run by CI in release"]
+fn four_threads_beat_one_on_the_pooled_batch_path() {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (s, ds) = design_space(&sw::workload().spec);
+    let est = Estimator::new();
+    let mut rng = SmallRng::seed_from_u64(42);
+    let configs: Vec<Config> = (0..BATCH).map(|_| ds.space().random(&mut rng)).collect();
+    let mut engine = EvalEngine::new(&s, &est);
+    engine.set_caching(false);
+    let eval = |cfg: &Config| -> Measurement {
+        let e = engine.evaluate(&ds.decode(cfg));
+        Measurement {
+            value: e.objective(),
+            minutes: e.hls_minutes,
+        }
+    };
+    let rate_at = |threads: usize| -> f64 {
+        let pool = WorkerPool::new(threads - 1);
+        let mut obj = ThreadedObjective::new(&eval, &pool);
+        std::hint::black_box(obj.measure_batch(&configs));
+        let t0 = Instant::now();
+        for _ in 0..ROUNDS {
+            std::hint::black_box(obj.measure_batch(&configs));
+        }
+        (BATCH * ROUNDS) as f64 / t0.elapsed().as_secs_f64()
+    };
+    let (r1, r4) = (rate_at(1), rate_at(4));
+    let ratio = r4 / r1.max(1e-9);
+    println!(
+        "pooled batch path ({cores} cores): 1 thread {r1:.0}/s, 4 threads {r4:.0}/s ({ratio:.2}x)"
+    );
+    if cores < 4 {
+        println!("SKIP: the scaling floor needs >= 4 host cores, found {cores}");
+        return;
+    }
+    assert!(
+        ratio >= SCALING_FLOOR,
+        "4-thread rate is {ratio:.2}x the 1-thread rate (floor {SCALING_FLOOR}x on a {cores}-core host)"
+    );
+}
