@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use s2fa::compile_kernel;
-use s2fa_dse::{DesignSpace, Partitioner};
+use s2fa_dse::{DecisionTree, DesignSpace};
 use s2fa_hlsir::analysis;
 use s2fa_hlssim::Estimator;
 use s2fa_merlin::DesignConfig;
@@ -93,7 +93,7 @@ fn bench_partitioner(c: &mut Criterion) {
     let est = Estimator::new();
     g.bench_function("decision_tree/S-W", |b| {
         b.iter(|| {
-            Partitioner::default().partition(&ds, &s, |cfgs: &[Config]| {
+            DecisionTree::build(&ds, &s, |cfgs: &[Config]| {
                 cfgs.iter()
                     .map(|cfg| est.evaluate(&s, &ds.decode(cfg)).objective())
                     .collect()

@@ -249,7 +249,9 @@ fn main() {
     let (requests, records_per_request) = if smoke { (40, 16) } else { (200, 64) };
     let config = ServingConfig {
         nodes: 4,
-        exec_threads: host_cores(),
+        // Functional batch execution only: outcomes are the same for any
+        // thread count.
+        exec_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         max_batch: 8,
         max_wait_ms: 2.0,
         max_inflight: 32,
@@ -358,21 +360,6 @@ fn main() {
     }
     println!("\nBENCH_serving.json conforms to its schema, fallback fraction 0 in all regimes");
     save("BENCH_serving", &doc);
-}
-
-/// Worker threads for functional batch execution (timing-neutral). Uses
-/// the `S2FA_HOST_CORES` override when CI pins the container.
-fn host_cores() -> usize {
-    if let Ok(v) = std::env::var("S2FA_HOST_CORES") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 #[cfg(test)]

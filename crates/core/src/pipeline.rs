@@ -75,12 +75,6 @@ impl S2fa {
         }
     }
 
-    /// Replaces the HLS estimator (e.g. a different device).
-    pub fn with_estimator(mut self, estimator: Estimator) -> Self {
-        self.estimator = estimator;
-        self
-    }
-
     /// Attaches a structured-event sink: [`compile`](Self::compile) then
     /// streams the DSE's virtual schedule (evaluations, partitions,
     /// technique pulls, cache activity) through it. Emission is purely

@@ -36,7 +36,7 @@
 //! recorder.
 
 use crate::entropy::EntropyStop;
-use crate::partition::Partitioner;
+use crate::partition::DecisionTree;
 use crate::space::DesignSpace;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -93,8 +93,6 @@ pub struct DseOptions {
     pub budget_minutes: f64,
     /// RNG seed (everything downstream derives from it).
     pub rng_seed: u64,
-    /// Partitioner settings.
-    pub partitioner: Partitioner,
     /// Host executors of the run: its one [`WorkerPool`] gets
     /// `eval_threads - 1` workers, and the calling thread is the last.
     /// Partitions and tuning batches share them. Purely a wall-clock
@@ -141,7 +139,6 @@ impl DseOptions {
             parallel_evals: 1,
             budget_minutes: 240.0,
             rng_seed: 2018,
-            partitioner: Partitioner::default(),
             eval_threads: host_parallelism(),
             caching: true,
             prescreen: false,
@@ -166,7 +163,6 @@ pub fn vanilla_options() -> DseOptions {
         parallel_evals: 8,
         budget_minutes: 240.0,
         rng_seed: 2018,
-        partitioner: Partitioner::default(),
         eval_threads: host_parallelism(),
         caching: true,
         prescreen: false,
@@ -431,7 +427,7 @@ pub fn run_dse_profiled(
     // priced like a tuning batch; it warms the shared cache.
     let part_span = lane.open("partition");
     let (subspaces, rule_descriptions) = if opts.partition {
-        let tree = opts.partitioner.partition(&ds, summary, |cfgs| {
+        let tree = DecisionTree::build(&ds, summary, |cfgs| {
             ThreadedObjective::new(&measure, &pool)
                 .with_profiler(profiler)
                 .measure_batch(cfgs)

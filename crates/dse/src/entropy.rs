@@ -45,11 +45,6 @@ impl EntropyStop {
         }
     }
 
-    /// The defaults used by S2FA's DSE (θ = 0.10, N = 3).
-    pub fn with_defaults(n_params: usize) -> Self {
-        Self::new(n_params, 0.10, 3)
-    }
-
     /// Overrides the minimum evaluation count before stopping is allowed.
     pub fn with_min_evals(mut self, min_evals: usize) -> Self {
         self.min_evals = min_evals;

@@ -35,6 +35,6 @@ pub use driver::{
     PartitionRun, StoppingKind,
 };
 pub use entropy::EntropyStop;
-pub use partition::{DecisionTree, Partitioner};
+pub use partition::DecisionTree;
 pub use s2fa_engine::{CacheStats, EvalEngine};
 pub use space::DesignSpace;

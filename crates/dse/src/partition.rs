@@ -25,13 +25,13 @@ use s2fa_tuner::{Config, SearchSpace};
 
 /// A split rule: `param <= threshold` (on domain indices).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Rule {
+struct Rule {
     /// Parameter index.
-    pub param: usize,
+    param: usize,
     /// Parameter name (for reports).
-    pub name: String,
+    name: String,
     /// Inclusive upper bound of the left branch (domain index).
-    pub threshold: u32,
+    threshold: u32,
 }
 
 /// A node of the regression tree.
@@ -46,7 +46,6 @@ enum Node {
         n: usize,
     },
     Split {
-        rule: Rule,
         left: Box<Node>,
         right: Box<Node>,
     },
@@ -59,6 +58,53 @@ pub struct DecisionTree {
 }
 
 impl DecisionTree {
+    /// Builds the tree for a design space. All probe configs
+    /// are drawn first, then priced in one call to `probe`, which receives
+    /// the raw tuner configs and returns their objectives in ms (`+inf`
+    /// for infeasible points) in input order. The values never feed back
+    /// into the draws, so the caller may price the batch in parallel.
+    pub fn build(
+        ds: &DesignSpace,
+        summary: &KernelSummary,
+        probe: impl FnOnce(&[Config]) -> Vec<f64>,
+    ) -> DecisionTree {
+        let mut rng = SmallRng::seed_from_u64(RNG_SEED);
+        let full = ds.space().clone();
+        let configs: Vec<Config> = (0..SAMPLES).map(|_| full.random(&mut rng)).collect();
+        let values = probe(&configs);
+        assert_eq!(values.len(), configs.len(), "one probe value per config");
+        let samples: Vec<Sample> = configs
+            .into_iter()
+            .zip(values)
+            .map(|(cfg, v)| {
+                // Regress on ln(ms); infeasible points get a large but
+                // finite penalty so they inform the tree instead of
+                // poisoning it.
+                let y = if v.is_finite() {
+                    v.max(1e-9).ln()
+                } else {
+                    30.0
+                };
+                Sample { cfg, y }
+            })
+            .collect();
+        // Per-parameter split bias from the two partition methodologies.
+        let bias: Vec<f64> = (0..full.params().len())
+            .map(|i| {
+                let mut b = 1.0;
+                if ds.is_task_loop_param(i, summary) {
+                    b *= TASK_LOOP_BIAS;
+                }
+                if let Some(d) = ds.param_loop_depth(i, summary) {
+                    b *= DEPTH_DECAY.powi(d as i32);
+                }
+                b
+            })
+            .collect();
+        let root = grow(full, samples, Vec::new(), 0, &bias, &mut 1);
+        DecisionTree { root }
+    }
+
     /// The partitions, *ranked*: most promising first (lowest sampled
     /// objective), the realization of "we determine and rank the rules"
     /// (§4.3.1). The FCFS scheduler therefore explores high-potential
@@ -77,20 +123,6 @@ impl DecisionTree {
         walk(&self.root, &mut out);
         out.sort_by(|a, b| a.0.total_cmp(&b.0));
         out.into_iter().map(|(_, s)| s).collect()
-    }
-
-    /// Every split rule in the tree, root-first.
-    pub fn split_rules(&self) -> Vec<Rule> {
-        let mut out = Vec::new();
-        fn walk(n: &Node, out: &mut Vec<Rule>) {
-            if let Node::Split { rule, left, right } = n {
-                out.push(rule.clone());
-                walk(left, out);
-                walk(right, out);
-            }
-        }
-        walk(&self.root, &mut out);
-        out
     }
 
     /// Human-readable description of every partition's rule path, in the
@@ -128,152 +160,83 @@ impl DecisionTree {
     }
 }
 
-/// Builds the partition tree from probe samples.
-#[derive(Debug, Clone)]
-pub struct Partitioner {
-    /// Number of probe samples used as training data.
-    pub samples: usize,
-    /// Desired number of leaves (≥ the worker count so the FCFS scheduler
-    /// keeps every core busy).
-    pub target_leaves: usize,
-    /// Depth cap.
-    pub max_depth: u32,
-    /// RNG seed for the probe sample.
-    pub rng_seed: u64,
-    /// Information-gain bias for template-loop factors (the RDD-semantics
-    /// rule).
-    pub task_loop_bias: f64,
-    /// Per-level decay of the loop-hierarchy bias.
-    pub depth_decay: f64,
-}
-
-impl Default for Partitioner {
-    fn default() -> Self {
-        Partitioner {
-            samples: 256,
-            target_leaves: 16,
-            max_depth: 8,
-            rng_seed: 0x5EED,
-            task_loop_bias: 1.2,
-            depth_decay: 0.97,
-        }
-    }
-}
+/// Number of probe samples used as training data.
+const SAMPLES: usize = 256;
+/// Desired number of leaves (≥ the worker count so the FCFS scheduler
+/// keeps every core busy).
+const TARGET_LEAVES: usize = 16;
+/// Depth cap.
+const MAX_DEPTH: u32 = 8;
+/// RNG seed for the probe sample.
+const RNG_SEED: u64 = 0x5EED;
+/// Information-gain bias for template-loop factors (the RDD-semantics
+/// rule).
+const TASK_LOOP_BIAS: f64 = 1.2;
+/// Per-level decay of the loop-hierarchy bias.
+const DEPTH_DECAY: f64 = 0.97;
 
 struct Sample {
     cfg: Config,
     y: f64,
 }
 
-impl Partitioner {
-    /// Builds the tree for a design space. All `samples` probe configs
-    /// are drawn first, then priced in one call to `probe`, which receives
-    /// the raw tuner configs and returns their objectives in ms (`+inf`
-    /// for infeasible points) in input order. The values never feed back
-    /// into the draws, so the caller may price the batch in parallel.
-    pub fn partition(
-        &self,
-        ds: &DesignSpace,
-        summary: &KernelSummary,
-        probe: impl FnOnce(&[Config]) -> Vec<f64>,
-    ) -> DecisionTree {
-        let mut rng = SmallRng::seed_from_u64(self.rng_seed);
-        let full = ds.space().clone();
-        let configs: Vec<Config> = (0..self.samples).map(|_| full.random(&mut rng)).collect();
-        let values = probe(&configs);
-        assert_eq!(values.len(), configs.len(), "one probe value per config");
-        let samples: Vec<Sample> = configs
-            .into_iter()
-            .zip(values)
-            .map(|(cfg, v)| {
-                // Regress on ln(ms); infeasible points get a large but
-                // finite penalty so they inform the tree instead of
-                // poisoning it.
-                let y = if v.is_finite() {
-                    v.max(1e-9).ln()
-                } else {
-                    30.0
-                };
-                Sample { cfg, y }
-            })
-            .collect();
-        // Per-parameter split bias from the two partition methodologies.
-        let bias: Vec<f64> = (0..full.params().len())
-            .map(|i| {
-                let mut b = 1.0;
-                if ds.is_task_loop_param(i, summary) {
-                    b *= self.task_loop_bias;
-                }
-                if let Some(d) = ds.param_loop_depth(i, summary) {
-                    b *= self.depth_decay.powi(d as i32);
-                }
-                b
-            })
-            .collect();
-        let root = self.grow(full, samples, Vec::new(), 0, &bias, &mut 1);
-        DecisionTree { root }
+fn grow(
+    space: SearchSpace,
+    samples: Vec<Sample>,
+    rules: Vec<String>,
+    depth: u32,
+    bias: &[f64],
+    leaves: &mut usize,
+) -> Node {
+    let n = samples.len();
+    let mean = if n == 0 {
+        0.0
+    } else {
+        samples.iter().map(|s| s.y).sum::<f64>() / n as f64
+    };
+    let best = samples.iter().map(|s| s.y).fold(f64::INFINITY, f64::min);
+    if depth >= MAX_DEPTH || *leaves >= TARGET_LEAVES || n < 8 {
+        return Node::Leaf {
+            space,
+            rules,
+            mean,
+            best,
+            n,
+        };
     }
-
-    fn grow(
-        &self,
-        space: SearchSpace,
-        samples: Vec<Sample>,
-        rules: Vec<String>,
-        depth: u32,
-        bias: &[f64],
-        leaves: &mut usize,
-    ) -> Node {
-        let n = samples.len();
-        let mean = if n == 0 {
-            0.0
-        } else {
-            samples.iter().map(|s| s.y).sum::<f64>() / n as f64
+    let Some((rule, gain)) = best_split(&space, &samples, bias) else {
+        return Node::Leaf {
+            space,
+            rules,
+            mean,
+            best,
+            n,
         };
-        let best = samples.iter().map(|s| s.y).fold(f64::INFINITY, f64::min);
-        if depth >= self.max_depth || *leaves >= self.target_leaves || n < 8 {
-            return Node::Leaf {
-                space,
-                rules,
-                mean,
-                best,
-                n,
-            };
-        }
-        let Some((rule, gain)) = best_split(&space, &samples, bias) else {
-            return Node::Leaf {
-                space,
-                rules,
-                mean,
-                best,
-                n,
-            };
+    };
+    if gain <= 1e-9 {
+        return Node::Leaf {
+            space,
+            rules,
+            mean,
+            best,
+            n,
         };
-        if gain <= 1e-9 {
-            return Node::Leaf {
-                space,
-                rules,
-                mean,
-                best,
-                n,
-            };
-        }
-        *leaves += 1; // splitting one leaf adds one
-        let (ls, rs): (Vec<Sample>, Vec<Sample>) = samples
-            .into_iter()
-            .partition(|s| s.cfg[rule.param] <= rule.threshold);
-        let left_space = space.restricted(rule.param, 0, rule.threshold);
-        let right_space = space.restricted(rule.param, rule.threshold + 1, u32::MAX);
-        let mut lrules = rules.clone();
-        lrules.push(format!("{} <= {}", rule.name, rule.threshold));
-        let mut rrules = rules;
-        rrules.push(format!("{} > {}", rule.name, rule.threshold));
-        let left = self.grow(left_space, ls, lrules, depth + 1, bias, leaves);
-        let right = self.grow(right_space, rs, rrules, depth + 1, bias, leaves);
-        Node::Split {
-            rule,
-            left: Box::new(left),
-            right: Box::new(right),
-        }
+    }
+    *leaves += 1; // splitting one leaf adds one
+    let (ls, rs): (Vec<Sample>, Vec<Sample>) = samples
+        .into_iter()
+        .partition(|s| s.cfg[rule.param] <= rule.threshold);
+    let left_space = space.restricted(rule.param, 0, rule.threshold);
+    let right_space = space.restricted(rule.param, rule.threshold + 1, u32::MAX);
+    let mut lrules = rules.clone();
+    lrules.push(format!("{} <= {}", rule.name, rule.threshold));
+    let mut rrules = rules;
+    rrules.push(format!("{} > {}", rule.name, rule.threshold));
+    let left = grow(left_space, ls, lrules, depth + 1, bias, leaves);
+    let right = grow(right_space, rs, rrules, depth + 1, bias, leaves);
+    Node::Split {
+        left: Box::new(left),
+        right: Box::new(right),
     }
 }
 
@@ -396,10 +359,10 @@ mod tests {
     fn produces_disjoint_covering_partitions() {
         let s = summary();
         let ds = DesignSpace::build(&s);
-        let tree = Partitioner::default().partition(&ds, &s, |cs| probe_all(&ds, cs));
+        let tree = DecisionTree::build(&ds, &s, |cs| probe_all(&ds, cs));
         let leaves = tree.leaves();
         assert!(leaves.len() >= 2, "tree did not split");
-        assert!(leaves.len() <= Partitioner::default().target_leaves + 1);
+        assert!(leaves.len() <= TARGET_LEAVES + 1);
         // Disjoint and covering: every random config lies in exactly one
         // leaf.
         let mut rng = rand::rngs::SmallRng::seed_from_u64(123);
@@ -414,7 +377,7 @@ mod tests {
     fn splits_on_the_dominant_factor() {
         let s = summary();
         let ds = DesignSpace::build(&s);
-        let tree = Partitioner::default().partition(&ds, &s, |cs| probe_all(&ds, cs));
+        let tree = DecisionTree::build(&ds, &s, |cs| probe_all(&ds, cs));
         let desc = tree.describe();
         // at least one rule mentions the factor that actually drives
         // latency in the synthetic landscape
@@ -428,8 +391,8 @@ mod tests {
     fn deterministic() {
         let s = summary();
         let ds = DesignSpace::build(&s);
-        let t1 = Partitioner::default().partition(&ds, &s, |cs| probe_all(&ds, cs));
-        let t2 = Partitioner::default().partition(&ds, &s, |cs| probe_all(&ds, cs));
+        let t1 = DecisionTree::build(&ds, &s, |cs| probe_all(&ds, cs));
+        let t2 = DecisionTree::build(&ds, &s, |cs| probe_all(&ds, cs));
         assert_eq!(t1.describe(), t2.describe());
     }
 
@@ -437,7 +400,7 @@ mod tests {
     fn constant_landscape_yields_single_leaf() {
         let s = summary();
         let ds = DesignSpace::build(&s);
-        let tree = Partitioner::default().partition(&ds, &s, |cs| vec![42.0; cs.len()]);
+        let tree = DecisionTree::build(&ds, &s, |cs| vec![42.0; cs.len()]);
         assert_eq!(tree.leaves().len(), 1);
         assert!(tree.describe()[0].contains("entire space"));
     }
@@ -447,7 +410,7 @@ mod tests {
         let s = summary();
         let ds = DesignSpace::build(&s);
         let i = ds.space().param_index("L0.parallel").unwrap();
-        let tree = Partitioner::default().partition(&ds, &s, |cs| {
+        let tree = DecisionTree::build(&ds, &s, |cs| {
             cs.iter()
                 .map(|c| {
                     if c[i] > 5 {

@@ -193,11 +193,6 @@ impl DesignSpace {
             .collect()
     }
 
-    /// Index of the parameter controlling the given slot, if present.
-    pub fn slot_index(&self, slot: &Slot) -> Option<usize> {
-        self.slots.iter().position(|s| s == slot)
-    }
-
     /// True if parameter `i` controls a factor of the template (task)
     /// loop — the partition rules prefer splitting on these (§4.3.1,
     /// "partition the design space according to the RDD transformation

@@ -136,18 +136,6 @@ pub struct PoolStats {
     pub worker_chunks: u64,
 }
 
-impl PoolStats {
-    /// Fraction of chunks the pool workers carried (0 when no chunks ran)
-    /// — the utilization figure the CLI metrics dump prints.
-    pub fn worker_share(&self) -> f64 {
-        if self.chunks == 0 {
-            0.0
-        } else {
-            self.worker_chunks as f64 / self.chunks as f64
-        }
-    }
-}
-
 /// A persistent pool of evaluation workers.
 ///
 /// Spawn once per DSE run with `eval_threads - 1` workers (the submitting

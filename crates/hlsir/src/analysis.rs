@@ -109,10 +109,9 @@ pub struct KernelSummary {
     pub task_loop: LoopId,
     /// Batch size assumed for the task loop's trip count.
     pub tasks_hint: u32,
-    /// Exact per-loop dependence facts from the dataflow engine. `None`
-    /// unless explicitly attached ([`crate::dataflow::attach`]) — the
-    /// default estimation path never consults it, keeping results
-    /// bit-identical with the flag off.
+    /// Per-loop write-race verdicts from the dataflow engine. `None`
+    /// unless explicitly attached ([`crate::dataflow::attach`]); only the
+    /// legality prescreen's race rule reads them, never the estimator.
     pub dataflow: Option<crate::dataflow::KernelDataflow>,
 }
 
@@ -192,34 +191,6 @@ impl KernelSummary {
             }
         }
         (inb, outb)
-    }
-
-    /// The loop's carried dependence, consulting the attached dataflow
-    /// facts: the conservative scan's verdict wins when present (it knows
-    /// reducibility); otherwise a recurrence only the exact engine found
-    /// (a multi-statement scalar cycle) fills in. Identical to
-    /// `loop_info(id).carried` when no dataflow facts are attached.
-    pub fn effective_carried(&self, id: LoopId) -> Option<&CarriedDep> {
-        let li = self.loop_info(id)?;
-        if let Some(c) = &li.carried {
-            return Some(c);
-        }
-        self.dataflow
-            .as_ref()
-            .and_then(|d| d.loops.get(&id))
-            .and_then(|l| l.extra_carried.as_ref())
-    }
-
-    /// Dependence distance of the loop's recurrence in iterations
-    /// (default 1). A distance `d > 1` means `d` independent recurrence
-    /// chains interleave, relaxing the recurrence II bound by `d`.
-    pub fn carried_distance(&self, id: LoopId) -> u32 {
-        self.dataflow
-            .as_ref()
-            .and_then(|d| d.loops.get(&id))
-            .and_then(|l| l.carried_distance)
-            .unwrap_or(1)
-            .max(1)
     }
 
     /// Bytes of broadcast (once-per-batch) input data.

@@ -1,13 +1,11 @@
-//! Concrete dataflow analyses: reaching definitions, liveness, and
-//! def-use/use-def chains.
+//! Concrete dataflow analyses: reaching definitions and liveness.
 //!
-//! All three answer per-statement queries by replaying the fixpoint
+//! Both answer per-statement queries by replaying the fixpoint
 //! block sets through the statements of each block once, so queries are
 //! O(1) lookups after construction.
 
 use super::cfg::{BlockId, Cfg, StmtId, VarId};
 use super::solver::{solve, BitSet, DataflowProblem, Direction};
-use std::collections::HashMap;
 
 /// One definition site in the reaching-definitions universe.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -245,54 +243,6 @@ impl Liveness {
     /// True when `var` is live just after `stmt`.
     pub fn live_after(&self, stmt: StmtId, var: VarId) -> bool {
         self.after[stmt.0 as usize].get(var.0 as usize)
-    }
-}
-
-/// Def-use and use-def chains derived from reaching definitions.
-#[derive(Debug, Clone)]
-pub struct DefUse {
-    /// For each def site (indexed like [`ReachingDefs::sites`]), the
-    /// statements that may read its value.
-    pub uses_of_site: Vec<Vec<StmtId>>,
-    /// For each (reading statement, variable), the def-site indices that
-    /// may supply the value.
-    pub sites_for_use: HashMap<(StmtId, VarId), Vec<usize>>,
-}
-
-impl DefUse {
-    /// Builds the chains from a completed reaching-defs analysis.
-    pub fn compute(cfg: &Cfg, rd: &ReachingDefs) -> DefUse {
-        let mut uses_of_site: Vec<Vec<StmtId>> = vec![Vec::new(); rd.sites.len()];
-        let mut sites_for_use: HashMap<(StmtId, VarId), Vec<usize>> = HashMap::new();
-        for (i, info) in cfg.stmts.iter().enumerate() {
-            let sid = StmtId(i as u32);
-            let mut seen: Vec<VarId> = Vec::new();
-            for &v in &info.uses {
-                if seen.contains(&v) {
-                    continue;
-                }
-                seen.push(v);
-                let sites: Vec<usize> = rd.reaching_indices(sid, v).collect();
-                for &s in &sites {
-                    if !uses_of_site[s].contains(&sid) {
-                        uses_of_site[s].push(sid);
-                    }
-                }
-                sites_for_use.insert((sid, v), sites);
-            }
-        }
-        DefUse {
-            uses_of_site,
-            sites_for_use,
-        }
-    }
-
-    /// The def-site indices that may supply `var` at `stmt`.
-    pub fn defs_of_use(&self, stmt: StmtId, var: VarId) -> &[usize] {
-        self.sites_for_use
-            .get(&(stmt, var))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
     }
 }
 
@@ -538,7 +488,6 @@ mod tests {
             vec![out_param("out")],
         );
         let rd = ReachingDefs::compute(&cfg);
-        let du = DefUse::compute(&cfg, &rd);
         let s = cfg.vars.scalar("s").unwrap();
         // The loop-body def (s2) feeds both the in-loop read and the
         // final store (s3).
@@ -547,10 +496,9 @@ mod tests {
             .iter()
             .position(|d| d.stmt == Some(StmtId(2)))
             .unwrap();
-        assert!(du.uses_of_site[site_s2].contains(&StmtId(2)));
-        assert!(du.uses_of_site[site_s2].contains(&StmtId(3)));
+        assert!(rd.reaching_indices(StmtId(2), s).any(|i| i == site_s2));
+        assert!(rd.reaching_indices(StmtId(3), s).any(|i| i == site_s2));
         // The final store's read of s may come from the init or the loop.
-        let defs = du.defs_of_use(StmtId(3), s);
-        assert_eq!(defs.len(), 2);
+        assert_eq!(rd.reaching_indices(StmtId(3), s).count(), 2);
     }
 }

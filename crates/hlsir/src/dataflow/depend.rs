@@ -10,22 +10,17 @@
 //!    over the (small, statically known) iteration domains. Verdicts are
 //!    three-valued ([`Tri`]): `Proven` overlap, `Disproven`, or `Unknown`
 //!    when the form is non-affine or the domain is too large to decide.
-//!    This powers the E303 replication write-race rule, the
-//!    [`replication_safe`] clearance used by the interleaving oracle, and
-//!    exact dependence *distance* extraction ([`exact_distance`]) that can
-//!    relax a recurrence II bound by the distance. The access sites it
-//!    reads are those of [`KernelIndex`](crate::index::KernelIndex).
+//!    This powers the E303 replication write-race rule
+//!    ([`find_write_race`]) and the [`replication_safe`] clearance used by
+//!    the interleaving oracle. The access sites it reads are those of
+//!    [`KernelIndex`](crate::index::KernelIndex).
 //!
 //! 2. **The conservative recurrence scan** — the single source of truth for
 //!    the loop-carried dependences that bound the estimator's initiation
 //!    interval. This is the scan `hlsir::analysis` historically carried
 //!    inline; it moved here so the summary builder, the lint rules, and the
 //!    DSE prescreen all agree on one verdict. [`conservative_carried`]
-//!    reproduces its behavior exactly (goldens are bit-identical), and
-//!    [`transitive_scalar_carried`] extends it to scalar recurrences whose
-//!    cycle spans multiple statements (`t = s; s = t + a[i]`), which the
-//!    statement-local scan misses — consumed only behind the
-//!    `--dataflow-prescreen` flag.
+//!    reproduces its behavior exactly (goldens are bit-identical).
 
 use crate::analysis::CarriedDep;
 use crate::ast::{CBinOp, CIntrinsic, Expr, LValue, LoopId, Stmt};
@@ -586,111 +581,6 @@ fn writes_shared_scalar(stmts: &[Stmt], private: &HashSet<&str>) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Exact dependence distance
-// ---------------------------------------------------------------------------
-
-/// Exact distance of an array recurrence `via[w(i)] = f(via[r(i)])` in the
-/// immediate body of a loop over `var`: the number of iterations between
-/// the write and the dependent read. Returns `Some(d)` with `d >= 1` only
-/// when every read of `via` feeding a write of `via` sits at the same
-/// affine coefficient with a consistent positive integer distance; the
-/// minimum over all such read sites bounds the recurrence II as
-/// `chain / d`. Scalar recurrences and irregular accesses return `None`
-/// (distance 1 — no relaxation).
-pub fn exact_distance(body: &[Stmt], var: &str, via: &str) -> Option<u32> {
-    let mut dmin: Option<u32> = None;
-    fn reads_of<'a>(e: &'a Expr, arr: &str, out: &mut Vec<&'a Expr>) {
-        match e {
-            Expr::Index(n, idx) => {
-                if n == arr {
-                    out.push(idx);
-                }
-                reads_of(idx, arr, out);
-            }
-            Expr::Bin(_, _, a, b) => {
-                reads_of(a, arr, out);
-                reads_of(b, arr, out);
-            }
-            Expr::Neg(_, a) | Expr::Cast(_, _, a) => reads_of(a, arr, out),
-            Expr::Call(_, _, args) => args.iter().for_each(|a| reads_of(a, arr, out)),
-            Expr::Select(c, a, b) => {
-                reads_of(c, arr, out);
-                reads_of(a, arr, out);
-                reads_of(b, arr, out);
-            }
-            Expr::ConstI(_) | Expr::ConstF(_) | Expr::Var(_) => {}
-        }
-    }
-    fn visit(stmts: &[Stmt], var: &str, via: &str, dmin: &mut Option<u32>, bad: &mut bool) {
-        for s in stmts {
-            match s {
-                Stmt::Assign {
-                    lhs: LValue::Index(arr, widx),
-                    rhs,
-                } if arr == via => {
-                    let mut reads = Vec::new();
-                    reads_of(rhs, via, &mut reads);
-                    if reads.is_empty() {
-                        continue;
-                    }
-                    let Some(wf) = affine_form(widx) else {
-                        *bad = true;
-                        continue;
-                    };
-                    let cw = wf.coeff(var);
-                    for ridx in reads {
-                        let Some(rf) = affine_form(ridx) else {
-                            *bad = true;
-                            continue;
-                        };
-                        // Non-loop-var terms must match exactly for the
-                        // "same element, d iterations apart" reading.
-                        let mut wt = wf.terms.clone();
-                        let mut rt = rf.terms.clone();
-                        wt.remove(var);
-                        rt.remove(var);
-                        if wt != rt {
-                            *bad = true;
-                            continue;
-                        }
-                        let cr = rf.coeff(var);
-                        if cw != cr || cw == 0 {
-                            *bad = true;
-                            continue;
-                        }
-                        let num = wf.offset - rf.offset;
-                        if num % cw != 0 {
-                            // Never the same element: not a recurrence
-                            // through this pair at all; it doesn't bound d.
-                            continue;
-                        }
-                        let d = num / cw;
-                        if d < 1 {
-                            *bad = true;
-                            continue;
-                        }
-                        let d = d as u32;
-                        *dmin = Some(dmin.map_or(d, |m| m.min(d)));
-                    }
-                }
-                Stmt::If { then, els, .. } => {
-                    visit(then, var, via, dmin, bad);
-                    visit(els, var, via, dmin, bad);
-                }
-                _ => {}
-            }
-        }
-    }
-    let mut bad = false;
-    visit(body, var, via, &mut dmin, &mut bad);
-    if bad {
-        None
-    } else {
-        dmin.filter(|&d| d >= 1)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Conservative recurrence scan (moved from hlsir::analysis)
 // ---------------------------------------------------------------------------
 
@@ -1045,136 +935,10 @@ pub fn const_value(e: &Expr) -> Option<i64> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Multi-statement scalar recurrences (the gap the conservative scan misses)
-// ---------------------------------------------------------------------------
-
-/// Detects a scalar recurrence whose cycle spans multiple statements, e.g.
-/// `t = s; s = t + a[i]` — the conservative scan requires the assignment's
-/// right-hand side to read the assigned scalar *directly*, so such chains
-/// slip through and leave the estimator optimistic. The verdict here only
-/// ever *adds* a carried dependence (consulted when the conservative scan
-/// found none), keeping the default path untouched.
-///
-/// Scalars declared anywhere in the body (including nested loop variables)
-/// are private per iteration and cannot carry. Assignments under an `if`
-/// are treated as may-writes: they feed flows but do not kill the
-/// pre-iteration value.
-pub fn transitive_scalar_carried(body: &[Stmt]) -> Option<CarriedDep> {
-    use std::collections::HashMap;
-    let mut private: HashSet<&str> = HashSet::new();
-    collect_decl_names(body, &mut private);
-
-    #[derive(Default, Clone)]
-    struct Flow {
-        /// Scalars whose *pre-iteration* value transitively feeds this one.
-        pre: HashSet<String>,
-        chain: OpCounts,
-    }
-    struct V {
-        flows: HashMap<String, Flow>,
-        /// Scalars unconditionally assigned so far this iteration.
-        killed: HashSet<String>,
-    }
-    impl V {
-        fn flow_of(&self, e: &Expr) -> Flow {
-            let mut out = Flow::default();
-            crate::analysis::count_expr(e, &mut out.chain);
-            let mut reads = Vec::new();
-            e.free_vars(&mut reads);
-            for r in reads {
-                if let Some(f) = self.flows.get(&r) {
-                    out.pre.extend(f.pre.iter().cloned());
-                    out.chain += f.chain;
-                }
-                if !self.killed.contains(&r) {
-                    // The value may still be the pre-iteration one.
-                    out.pre.insert(r);
-                }
-            }
-            out
-        }
-    }
-    fn visit(
-        stmts: &[Stmt],
-        v: &mut V,
-        conditional: bool,
-        private: &HashSet<&str>,
-        best: &mut Option<CarriedDep>,
-    ) {
-        for s in stmts {
-            match s {
-                Stmt::Assign {
-                    lhs: LValue::Var(name),
-                    rhs,
-                } => {
-                    let f = v.flow_of(rhs);
-                    if !private.contains(name.as_str()) && f.pre.contains(name) {
-                        let cand = CarriedDep {
-                            via: name.clone(),
-                            chain: f.chain,
-                            reducible: false,
-                        };
-                        let better = match best {
-                            None => true,
-                            Some(b) => chain_weight(&cand.chain) > chain_weight(&b.chain),
-                        };
-                        if better {
-                            *best = Some(cand);
-                        }
-                    }
-                    if conditional {
-                        // May-write: merge so downstream reads see both the
-                        // flow and the surviving pre-value.
-                        let e = v.flows.entry(name.clone()).or_default();
-                        e.pre.extend(f.pre);
-                        e.chain += f.chain;
-                    } else {
-                        v.flows.insert(name.clone(), f);
-                        v.killed.insert(name.clone());
-                    }
-                }
-                Stmt::Decl {
-                    name,
-                    init: Some(e),
-                    ..
-                } => {
-                    let f = v.flow_of(e);
-                    v.flows.insert(name.clone(), f);
-                    v.killed.insert(name.clone());
-                }
-                Stmt::Decl {
-                    name, init: None, ..
-                } => {
-                    v.flows.insert(name.clone(), Flow::default());
-                    v.killed.insert(name.clone());
-                }
-                Stmt::If { then, els, .. } => {
-                    visit(then, v, true, private, best);
-                    visit(els, v, true, private, best);
-                }
-                // Nested loops carry their own dependences; their bodies
-                // assign only privates (their decls and induction vars are
-                // in the private set) or shared scalars, which the nested
-                // walk of `kernel_dataflow` covers per loop.
-                Stmt::For { body, .. } => visit(body, v, conditional, private, best),
-                _ => {}
-            }
-        }
-    }
-    let mut v = V {
-        flows: std::collections::HashMap::new(),
-        killed: HashSet::new(),
-    };
-    let mut best = None;
-    visit(body, &mut v, false, &private, &mut best);
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{CFunction, CNumKind, CType, LoopAttrs};
+    use crate::ast::{CFunction, LoopAttrs};
     use crate::index::KernelIndex;
     use proptest::prelude::*;
 
@@ -1540,118 +1304,5 @@ mod tests {
             unreachable!()
         };
         assert!(!replication_safe(&sites, inner, LoopId(0), 64));
-    }
-
-    #[test]
-    fn exact_distance_of_stream_recurrence() {
-        // a[i] = a[i-2] + 1 → distance 2; a[i] = a[i-1] → distance 1.
-        let body2 = vec![idx_write(
-            "a",
-            Expr::var("i"),
-            Expr::iadd(
-                Expr::index(
-                    "a",
-                    Expr::bin(CBinOp::Sub, CNumKind::I32, Expr::var("i"), Expr::ConstI(2)),
-                ),
-                Expr::ConstI(1),
-            ),
-        )];
-        assert_eq!(exact_distance(&body2, "i", "a"), Some(2));
-        let body1 = vec![idx_write(
-            "a",
-            Expr::var("i"),
-            Expr::index(
-                "a",
-                Expr::bin(CBinOp::Sub, CNumKind::I32, Expr::var("i"), Expr::ConstI(1)),
-            ),
-        )];
-        assert_eq!(exact_distance(&body1, "i", "a"), Some(1));
-        // Loop-invariant index: no affine distance.
-        let body0 = vec![idx_write(
-            "a",
-            Expr::ConstI(0),
-            Expr::index("a", Expr::ConstI(0)),
-        )];
-        assert_eq!(exact_distance(&body0, "i", "a"), None);
-    }
-
-    #[test]
-    fn cross_statement_scalar_recurrence_found() {
-        // t = s; s = t + a[i] — missed by the conservative scan, caught
-        // by the transitive pass.
-        let body = vec![
-            Stmt::Assign {
-                lhs: LValue::Var("t".into()),
-                rhs: Expr::var("s"),
-            },
-            Stmt::Assign {
-                lhs: LValue::Var("s".into()),
-                rhs: Expr::bin(
-                    CBinOp::Add,
-                    CNumKind::F32,
-                    Expr::var("t"),
-                    Expr::index("a", Expr::var("i")),
-                ),
-            },
-        ];
-        assert!(conservative_carried(&body, "i").is_none());
-        let dep = transitive_scalar_carried(&body).expect("carried");
-        assert_eq!(dep.via, "s");
-        assert!(!dep.reducible);
-        assert!(dep.chain.fadd >= 1);
-    }
-
-    #[test]
-    fn private_scalars_do_not_carry_transitively() {
-        // float t = 0; t2 = t; t = t2 + 1 with both declared in the body.
-        let body = vec![
-            Stmt::Decl {
-                name: "t".into(),
-                ty: CType::Float,
-                init: Some(Expr::ConstF(0.0)),
-            },
-            Stmt::Assign {
-                lhs: LValue::Var("t2".into()),
-                rhs: Expr::var("t"),
-            },
-            Stmt::Assign {
-                lhs: LValue::Var("t".into()),
-                rhs: Expr::iadd(Expr::var("t2"), Expr::ConstI(1)),
-            },
-        ];
-        // `t` is private (declared in body); `t2` never cycles.
-        assert!(transitive_scalar_carried(&body).is_none());
-    }
-
-    #[test]
-    fn killed_pre_value_does_not_cycle() {
-        // s = 1; t = s — s's pre-value never feeds anything.
-        let body = vec![
-            Stmt::Assign {
-                lhs: LValue::Var("s".into()),
-                rhs: Expr::ConstI(1),
-            },
-            Stmt::Assign {
-                lhs: LValue::Var("t".into()),
-                rhs: Expr::var("s"),
-            },
-        ];
-        assert!(transitive_scalar_carried(&body).is_none());
-    }
-
-    #[test]
-    fn conditional_self_update_cycles() {
-        // if (c) { s = s + 1 } — carried via s (matches the conservative
-        // scan's verdict on the same shape).
-        let body = vec![Stmt::If {
-            cond: Expr::var("c"),
-            then: vec![Stmt::Assign {
-                lhs: LValue::Var("s".into()),
-                rhs: Expr::iadd(Expr::var("s"), Expr::ConstI(1)),
-            }],
-            els: vec![],
-        }];
-        let dep = transitive_scalar_carried(&body).expect("carried");
-        assert_eq!(dep.via, "s");
     }
 }

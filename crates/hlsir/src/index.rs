@@ -6,7 +6,7 @@
 //! later passes. [`KernelIndex`] is that result here: the loop table, the
 //! local-array declarations and every array access site with its enclosing
 //! loops. [`crate::analysis::summarize`], [`crate::dataflow::Cfg::build`],
-//! [`crate::dataflow::kernel_dataflow`] and the lint's dataflow rules all
+//! [`crate::dataflow::attach`] and the lint's dataflow rules all
 //! read it instead of walking the AST themselves.
 //!
 //! Statements are numbered in source pre-order, compound statements before

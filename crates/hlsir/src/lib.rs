@@ -25,7 +25,7 @@
 //!   generated C is equivalent to the original bytecode (same numeric
 //!   semantics as the `s2fa-sjvm` interpreter);
 //! * [`dataflow`] — CFG lowering, a generic fixpoint solver, reaching
-//!   definitions / liveness / def-use chains, and the affine
+//!   definitions / liveness, and the affine
 //!   array-dependence engine behind the E3xx lint rules and the
 //!   dependence-aware DSE prescreen.
 
@@ -44,7 +44,7 @@ pub use ast::{
     CBinOp, CFunction, CIntrinsic, CNumKind, CType, Expr, LValue, LoopAttrs, LoopId, Param,
     ParamKind, PipelineMode, Stmt,
 };
-pub use dataflow::{KernelDataflow, LoopDataflow};
+pub use dataflow::KernelDataflow;
 pub use error::HlsirError;
 pub use exec::{CVal, Executor, Observed};
 pub use opcount::OpCounts;

@@ -202,20 +202,12 @@ impl KernelInvariants {
                     flatten_chain,
                     systolic,
                     flatten_iface_bram,
-                    // Effective dependence (conservative verdict, else the
-                    // attached dataflow verdict), with the chain latency
-                    // relaxed by the exact dependence distance: a
-                    // distance-d recurrence admits d iterations in flight,
-                    // so the II bound is chain/d. Distance is 1 (and the
-                    // effective dep is `li.carried`) when no facts are
-                    // attached, keeping the default path bit-identical.
-                    rec_chain_latency: summary
-                        .effective_carried(li.id)
-                        .map(|dep| {
-                            (costs.chain_latency(&dep.chain) as f64
-                                / summary.carried_distance(li.id) as f64)
-                                .max(1.0)
-                        })
+                    // The conservative scan's carried dependence bounds
+                    // the II by its chain latency.
+                    rec_chain_latency: li
+                        .carried
+                        .as_ref()
+                        .map(|dep| (costs.chain_latency(&dep.chain) as f64).max(1.0))
                         .unwrap_or(1.0),
                     mem_accesses,
                 },

@@ -157,11 +157,7 @@ impl<'a> ModelCtx<'a> {
                     self.deep_logic = self.deep_logic.max(deep);
                 }
 
-                let rec = rec_mii(
-                    self.summary.effective_carried(id),
-                    &d,
-                    linv.rec_chain_latency,
-                );
+                let rec = rec_mii(li.carried.as_ref(), &d, linv.rec_chain_latency);
                 // Merlin fully partitions local arrays and inserts on-chip
                 // caches for the interface data a flattened body touches,
                 // so memory ports do not bound the II here; the recurrence
@@ -185,11 +181,7 @@ impl<'a> ModelCtx<'a> {
             }
             PipelineMode::On | PipelineMode::Flatten if li.children.is_empty() => {
                 // Fine-grained pipeline of a leaf loop.
-                let rec = rec_mii(
-                    self.summary.effective_carried(id),
-                    &d,
-                    linv.rec_chain_latency,
-                );
+                let rec = rec_mii(li.carried.as_ref(), &d, linv.rec_chain_latency);
                 let mem = self.mem_mii_leaf(linv, u, locality);
                 let ii = rec.max(mem).max(1.0);
                 self.worst_ii = self.worst_ii.max(ii);
@@ -307,11 +299,9 @@ impl<'a> ModelCtx<'a> {
 }
 
 /// Recurrence-constrained MII of a loop, with the chain latency supplied
-/// from the precomputed invariants. `dep` is the loop's *effective*
-/// carried dependence ([`KernelSummary::effective_carried`]): the
-/// conservative verdict when present, else the dataflow engine's
-/// transitive verdict when dependence facts are attached — without facts
-/// the behavior is exactly the historical `li.carried` consultation.
+/// from the precomputed invariants. `dep` is the loop's carried
+/// dependence from the conservative scan
+/// ([`LoopInfo::carried`](s2fa_hlsir::LoopInfo::carried)).
 fn rec_mii(
     dep: Option<&s2fa_hlsir::CarriedDep>,
     d: &s2fa_merlin::LoopDirective,

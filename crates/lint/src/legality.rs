@@ -21,8 +21,8 @@ use s2fa_merlin::{check_factors, DesignConfig, TransformError};
 
 /// Why the pre-screen rejected a point. The first two variants mirror the
 /// estimator's only two infeasibility conditions, in check order; the
-/// third is a *correctness* verdict from the dependence facts and only
-/// exists when `KernelSummary::dataflow` is attached (the
+/// third is a *correctness* verdict from the attached write races and
+/// only exists when `KernelSummary::dataflow` is attached (the
 /// `--dataflow-prescreen` path).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PruneRule {
@@ -107,7 +107,7 @@ impl Legality {
     /// order matches the estimator's verdict order: utilization cap first,
     /// routing bound second.
     ///
-    /// When dependence facts are attached to the summary
+    /// When write races are attached to the summary
     /// (`KernelSummary::dataflow`, the `--dataflow-prescreen` path), a
     /// third rule runs first: a point that *replicates* a loop with a
     /// proven cross-iteration write-write race is pruned as
@@ -160,13 +160,13 @@ impl Legality {
     /// `Some((loop, why))` when the normalized `config` replicates a
     /// loop carrying a proven write-write race: a parallel factor above
     /// one on the racy loop itself, or `flatten` on a strict ancestor
-    /// (which fully unrolls it). Requires attached dependence facts;
+    /// (which fully unrolls it). Requires attached write races;
     /// returns `None` otherwise, keeping the default prescreen bit-
     /// identical to the estimator's verdict.
     fn replicated_race(&self, config: &DesignConfig) -> Option<(LoopId, String)> {
         let df = self.summary.dataflow.as_ref()?;
-        for (&id, facts) in &df.loops {
-            let Some(race) = &facts.write_race else {
+        for (&id, race) in &df.loops {
+            let Some(race) = race else {
                 continue;
             };
             let replicated = config.loop_directive(id).parallel_factor() > 1

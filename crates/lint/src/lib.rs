@@ -209,7 +209,7 @@ mod tests {
 
     #[test]
     fn racy_replication_is_pruned_only_with_facts() {
-        use s2fa_hlsir::dataflow::{KernelDataflow, LoopDataflow, RaceFinding};
+        use s2fa_hlsir::dataflow::{KernelDataflow, RaceFinding};
         let mut s = summary();
         let est = Estimator::new();
         let mut par = DesignConfig::area_seed(&s);
@@ -220,17 +220,12 @@ mod tests {
         let mut loops = std::collections::BTreeMap::new();
         loops.insert(
             LoopId(1),
-            LoopDataflow {
-                write_race: Some(RaceFinding {
-                    loop_id: LoopId(1),
-                    array: "acc".into(),
-                    stmt_a: 3,
-                    stmt_b: 3,
-                }),
-                replication_safe: false,
-                extra_carried: None,
-                carried_distance: None,
-            },
+            Some(RaceFinding {
+                loop_id: LoopId(1),
+                array: "acc".into(),
+                stmt_a: 3,
+                stmt_b: 3,
+            }),
         );
         s.dataflow = Some(KernelDataflow { loops });
         let oracle = Legality::new(&s, &est);

@@ -180,11 +180,6 @@ impl Lane {
         self.inner.is_some()
     }
 
-    /// The lane index (0 for disabled lanes).
-    pub fn lane_id(&self) -> u32 {
-        self.lane
-    }
-
     /// Nanoseconds since the session epoch (0 when disabled).
     pub fn now_ns(&self) -> u64 {
         match &self.inner {

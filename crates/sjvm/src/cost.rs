@@ -10,7 +10,7 @@
 //! transcendental math dominate — exactly the overheads that make the JVM
 //! baseline slow relative to a dataflow accelerator.
 
-use crate::bytecode::{MathFn, NumKind, Op};
+use crate::bytecode::{MathFn, Op};
 
 /// Cost model mapping bytecode operations to nanoseconds.
 ///
@@ -136,20 +136,12 @@ impl JvmCostModel {
     pub fn alloc_cost(&self, slots: usize) -> f64 {
         self.ns_alloc + self.ns_alloc_per_slot * slots as f64
     }
-
-    /// Convenience: cost of a floating op of kind `k`.
-    pub fn float_or_int(&self, k: NumKind) -> f64 {
-        if k.is_float() {
-            self.ns_float_alu
-        } else {
-            self.ns_int_alu
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bytecode::NumKind;
 
     #[test]
     fn allocation_dominates_alu() {

@@ -152,13 +152,6 @@ impl TuningRun {
         }
     }
 
-    /// Replaces the technique portfolio.
-    pub fn with_techniques(mut self, techniques: Vec<Box<dyn SearchTechnique + Send>>) -> Self {
-        assert!(!techniques.is_empty(), "at least one technique required");
-        self.techniques = techniques;
-        self
-    }
-
     /// Attaches a structured-event sink. Emission is observational only:
     /// the run's decisions and outcome are identical for any sink.
     pub fn with_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {

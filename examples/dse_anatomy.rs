@@ -11,7 +11,7 @@
 //! ```
 
 use s2fa::compile_kernel;
-use s2fa_dse::{run_dse, vanilla_options, DesignSpace, DseOptions, Partitioner};
+use s2fa_dse::{run_dse, vanilla_options, DecisionTree, DesignSpace, DseOptions};
 use s2fa_hlsir::analysis;
 use s2fa_hlssim::Estimator;
 use s2fa_merlin::DesignConfig;
@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("    -> {}\n", estimator.evaluate(&summary, &area));
 
     // --- static partitioning (§4.3.1) --------------------------------------
-    let tree = Partitioner::default().partition(&space, &summary, |cfgs| {
+    let tree = DecisionTree::build(&space, &summary, |cfgs| {
         cfgs.iter()
             .map(|cfg| estimator.evaluate(&summary, &space.decode(cfg)).objective())
             .collect()

@@ -10,11 +10,12 @@
 
 use s2fa::compile_kernel;
 use s2fa_dse::{
-    run_dse, run_dse_traced, DesignSpace, DseOptions, DseOutcome, EvalEngine, Partitioner,
+    run_dse, run_dse_traced, DecisionTree, DesignSpace, DseOptions, DseOutcome, EvalEngine,
 };
-use s2fa_hlsir::{analysis, KernelSummary};
+use s2fa_hlsir::{analysis, dataflow, KernelSummary, LoopId, PipelineMode};
 use s2fa_hlssim::Estimator;
 use s2fa_lint::Legality;
+use s2fa_merlin::DesignConfig;
 use s2fa_trace::RingSink;
 use s2fa_workloads::all_workloads;
 use std::sync::Arc;
@@ -137,7 +138,7 @@ fn dead_fraction_is_a_share_on_every_partition_leaf() {
     for (name, s) in summaries().into_iter().take(3) {
         let ds = DesignSpace::build(&s);
         let engine = EvalEngine::new(&s, &est);
-        let tree = Partitioner::default().partition(&ds, &s, |cfgs| {
+        let tree = DecisionTree::build(&ds, &s, |cfgs| {
             cfgs.iter()
                 .map(|cfg| engine.evaluate(&ds.decode(cfg)).objective())
                 .collect()
@@ -172,6 +173,64 @@ fn prune_events_stream_through_the_trace_sink() {
                 assert!(rule.starts_with("S2FA-E"), "{name}: odd rule {rule}")
             }
             other => panic!("{name}: non-prune event {other:?}"),
+        }
+    }
+}
+
+/// True when the normalized `cfg` replicates loop `id`: a parallel factor
+/// above one on it, or `flatten` on a strict ancestor.
+fn replicates(s: &KernelSummary, cfg: &DesignConfig, id: LoopId) -> bool {
+    let mut cfg = cfg.clone();
+    cfg.normalize(s);
+    let mut flattened = false;
+    let mut cur = s.loop_info(id).and_then(|l| l.parent);
+    while let Some(p) = cur {
+        flattened |= cfg.loop_directive(p).pipeline == PipelineMode::Flatten;
+        cur = s.loop_info(p).and_then(|l| l.parent);
+    }
+    flattened || cfg.loop_directive(id).parallel_factor() > 1
+}
+
+#[test]
+fn dataflow_prescreen_prunes_only_the_racy_kernels() {
+    // With dependence facts attached, only AES and S-W carry a write race
+    // (E303). On the other six the dependence screen has nothing to prune,
+    // so the run must equal the resource-screen-only run; on all eight the
+    // winner keeps every racy loop sequential.
+    let est = Estimator::new();
+    let mut opts = prescreen_options();
+    opts.dataflow_prescreen = true;
+    for w in all_workloads() {
+        let name = w.name;
+        let g = compile_kernel(&w.spec).expect(name);
+        let plain = analysis::summarize(&g.cfunc, 1024).expect(name);
+        let mut s = plain.clone();
+        dataflow::attach(&mut s, &g.cfunc);
+        let out = run_dse(&s, &est, &opts);
+        let e303 = out
+            .pruned_by_rule
+            .iter()
+            .find(|(code, _)| code == "S2FA-E303")
+            .map_or(0, |&(_, n)| n);
+        let racy: Vec<LoopId> = s
+            .dataflow
+            .as_ref()
+            .expect("attached")
+            .loops
+            .iter()
+            .filter_map(|(&id, race)| race.as_ref().map(|_| id))
+            .collect();
+        if name == "AES" || name == "S-W" {
+            assert!(e303 > 0, "{name}: expected E303 prunes");
+            assert!(!racy.is_empty(), "{name}: expected a racy loop");
+        } else {
+            assert_eq!(e303, 0, "{name}: unexpected E303 prunes");
+            let base = run_dse(&plain, &est, &prescreen_options());
+            assert_eq!(outcome_key(&out), outcome_key(&base), "{name}");
+        }
+        let (cfg, _) = out.best.as_ref().expect(name);
+        for id in racy {
+            assert!(!replicates(&s, cfg, id), "{name}: winner replicates {id:?}");
         }
     }
 }
