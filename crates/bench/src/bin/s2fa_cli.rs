@@ -6,7 +6,6 @@
 //! cargo run --release -p s2fa-bench --bin s2fa_cli -- --kernel S-W --budget 120 --emit-c
 //! cargo run --release -p s2fa-bench --bin s2fa_cli -- --kernel LR --manual --report
 //! cargo run --release -p s2fa-bench --bin s2fa_cli -- --kernel KMeans --trace kmeans.jsonl
-//! cargo run --release -p s2fa-bench --bin s2fa_cli -- --kernel KMeans --metrics metrics.json
 //! cargo run --release -p s2fa-bench --bin s2fa_cli -- --kernel KMeans --prescreen
 //! cargo run --release -p s2fa-bench --bin s2fa_cli -- --kernel S-W --eval-threads 4
 //! cargo run --release -p s2fa-bench --bin s2fa_cli -- lint
@@ -22,12 +21,6 @@
 //! of the DSE run (evaluations on the virtual timeline, partition
 //! lifecycles, technique pulls/rewards, batched cache-stats deltas,
 //! legality prunes) is appended to `<path>` as one JSON object per line.
-//!
-//! `--metrics <path>` attaches a metrics-only profiler (histograms and
-//! counters live, span lanes inert) and dumps the registry standalone to
-//! `<path>` after the run — per-eval latency, cache probe/lock-wait,
-//! bandit pull, batch fan-out/join distributions, and the worker pool's
-//! job/chunk counters (summarized in a printed utilization line).
 //!
 //! `--eval-threads <n>` sets the DSE's host executors: the calling thread
 //! plus a worker pool of `n - 1` threads that runs the partitions and
@@ -114,7 +107,6 @@ struct Args {
     report: bool,
     list: bool,
     trace: Option<String>,
-    metrics: Option<String>,
     eval_threads: Option<usize>,
     profile_path: Option<String>,
     prescreen: bool,
@@ -146,7 +138,6 @@ fn parse_args() -> Result<Args, String> {
         report: false,
         list: false,
         trace: None,
-        metrics: None,
         eval_threads: None,
         profile_path: None,
         prescreen: false,
@@ -198,9 +189,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--trace" => {
                 args.trace = Some(it.next().ok_or("--trace needs a path")?);
-            }
-            "--metrics" => {
-                args.metrics = Some(it.next().ok_or("--metrics needs a path")?);
             }
             "--profile" => {
                 args.profile_path = Some(it.next().ok_or("--profile needs a path")?);
@@ -268,7 +256,7 @@ fn parse_args() -> Result<Args, String> {
 
 const USAGE: &str = "usage: s2fa_cli --kernel <name> [--budget <minutes>] [--tasks <n>] \
 [--manual] [--emit-c] [--report] [--prescreen] [--dataflow-prescreen] [--eval-threads <n>] \
-[--trace <path>] [--metrics <path>] | --list\n       \
+[--trace <path>] | --list\n       \
 s2fa_cli lint [--kernel <name>] [--tasks <n>] [--format text|json] [--save]\n       \
 s2fa_cli profile --kernel <name> [--budget <minutes>] [--tasks <n>] [--eval-threads <n>]\n       \
 s2fa_cli report (--kernel <name> | --profile <path>)\n       \
@@ -333,10 +321,6 @@ fn main() {
     let mut framework = S2fa::new(options);
     if let Some(sink) = &sink {
         framework = framework.with_trace_sink(sink.clone() as Arc<dyn TraceSink>);
-    }
-    let metrics_profiler = args.metrics.as_ref().map(|_| Profiler::metrics_only());
-    if let Some(p) = &metrics_profiler {
-        framework = framework.with_profiler(p.clone());
     }
 
     let wall = std::time::Instant::now();
@@ -414,44 +398,6 @@ fn main() {
             sink.emitted(),
             sink.path().display()
         );
-    }
-    if let (Some(path), Some(p)) = (&args.metrics, &metrics_profiler) {
-        let snapshot = p.metrics().expect("metrics-only profiler").snapshot();
-        if let Some(workers) = snapshot.gauges.get("pool_workers") {
-            let jobs = snapshot.counters.get("pool_jobs").copied().unwrap_or(0);
-            let chunks = snapshot.counters.get("pool_chunks").copied().unwrap_or(0);
-            let worker_chunks = snapshot
-                .counters
-                .get("pool_worker_chunks")
-                .copied()
-                .unwrap_or(0);
-            // worker_chunks / chunks < 1 means some chunks ran inline on
-            // the submitter (pool undersubscribed); = 1 means every chunk
-            // was claimed by a pool worker.
-            let util = if chunks > 0 {
-                worker_chunks as f64 / chunks as f64
-            } else {
-                0.0
-            };
-            println!(
-                "pool: {workers} worker(s), {jobs} job(s), {chunks} chunk(s), \
-                 {worker_chunks} claimed by workers ({:.1}% utilization)",
-                100.0 * util
-            );
-        }
-        let doc = Profile {
-            kernel: w.name.to_string(),
-            mode: "metrics".to_string(),
-            metrics: snapshot,
-            ..Profile::default()
-        };
-        match std::fs::write(path, doc.to_json().render()) {
-            Ok(()) => println!("metrics: registry written to {path}"),
-            Err(e) => {
-                eprintln!("cannot write metrics file `{path}`: {e}");
-                std::process::exit(2);
-            }
-        }
     }
     if args.emit_c {
         println!("\n--- generated HLS C ---\n{}", compiled.optimized_source);
@@ -707,13 +653,10 @@ fn run_profile(args: &Args) -> i32 {
         eprintln!("internal error: recorded span forest is ill-formed: {e}");
         return 1;
     }
-    let metrics = profiler.metrics().expect("enabled profiler").snapshot();
 
     let profile = Profile {
         kernel: w.name.to_string(),
-        mode: "full".to_string(),
         tree: aggregate_spans(&spans),
-        metrics,
     };
 
     // 2. Validate against the checked-in schema before shipping anything.

@@ -227,14 +227,6 @@ impl<'r> ServingRuntime<'r> {
             self.execute_batches(&requests, &routes, &batches, &mut outcomes)
         })?;
 
-        if let Some(metrics) = profiler.metrics() {
-            metrics.counter("serving.submitted").add(stats.submitted);
-            metrics.counter("serving.rejected").add(stats.rejected);
-            metrics.counter("serving.batches").add(stats.batches);
-            metrics
-                .counter("serving.completed_fallback")
-                .add(stats.completed_fallback);
-        }
         lane.close(serve_span);
         lane.flush();
 

@@ -86,19 +86,12 @@ impl S2fa {
 
     /// Attaches a host-side profiler: [`compile`](Self::compile) then
     /// records wall-time spans over every stage (`compile{codegen, lint,
-    /// analyze, dse, package}` plus the DSE's own span forest) and feeds
-    /// the profiler's metrics registry from the hot paths. Like tracing,
-    /// profiling is purely observational — outcomes are bit-identical
-    /// with the default [`Profiler::disabled`].
+    /// analyze, dse, package}` plus the DSE's own span forest). Like
+    /// tracing, profiling is purely observational — outcomes are
+    /// bit-identical with the default [`Profiler::disabled`].
     pub fn with_profiler(mut self, profiler: Profiler) -> Self {
         self.profiler = profiler;
         self
-    }
-
-    /// The attached profiler (disabled unless
-    /// [`with_profiler`](Self::with_profiler) was called).
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
     }
 
     /// The HLS estimator in use.
@@ -176,10 +169,7 @@ impl S2fa {
     ) -> Result<CompiledAccelerator, S2faError> {
         let generated = compile_kernel(spec)?;
         let wellformed = ensure_well_formed(&generated.cfunc)?;
-        let mut summary = analysis::summarize(&generated.cfunc, self.options.tasks_hint)?;
-        if self.options.dse.dataflow_prescreen {
-            s2fa_hlsir::dataflow::attach(&mut summary, &generated.cfunc);
-        }
+        let summary = analysis::summarize(&generated.cfunc, self.options.tasks_hint)?;
         let space = DesignSpace::build(&summary);
         let estimate = self.estimator.evaluate(&summary, design);
         if !estimate.is_feasible() {

@@ -384,8 +384,7 @@ pub fn run_dse_traced(
 /// `space_identification` / `partition` / `seeds` / `explore` / `merge`
 /// stage children, a `tune` span per partition on its own lane, and the
 /// evaluator's `batch`/`pool_chunk` shape from
-/// [`ThreadedObjective`] — and feeds the metrics registry
-/// (`eval_ns`, `bandit_pull_ns`, cache probe/lock-wait, …).
+/// [`ThreadedObjective`].
 ///
 /// Profiling is strictly observational: with the disabled profiler every
 /// instrumentation point is one branch, and the returned [`DseOutcome`]
@@ -408,7 +407,6 @@ pub fn run_dse_profiled(
         e.set_caching(opts.caching);
         e.set_prescreen(opts.prescreen || opts.dataflow_prescreen);
         e.set_sink(Some(sink.clone()));
-        e.set_profiler(profiler);
         e
     };
     let measure = |cfg: &s2fa_tuner::Config| -> Measurement {
@@ -503,8 +501,7 @@ pub fn run_dse_profiled(
                     rng_seed: opts.rng_seed.wrapping_add(job.index as u64 * 7919),
                     max_evaluations: 1_000_000,
                 },
-            )
-            .with_profiler(profiler);
+            );
             let mut tune_lane = profiler.lane();
             let tune_span = tune_lane.open("tune");
             let outcome = run.run(&mut obj, stopper.as_mut());
@@ -521,19 +518,6 @@ pub fn run_dse_profiled(
         .map(|s| s.into_inner().expect("every partition explored"))
         .collect();
     lane.close(explore_span);
-
-    // Fold the pool's utilization counters into the metrics registry so
-    // the flight-recorder report (`s2fa_cli --metrics`) can show how the
-    // partition and batch work split between workers and this thread.
-    if let Some(metrics) = profiler.metrics() {
-        let stats = pool.stats();
-        metrics.counter("pool_jobs").add(stats.jobs);
-        metrics.counter("pool_chunks").add(stats.chunks);
-        metrics
-            .counter("pool_worker_chunks")
-            .add(stats.worker_chunks);
-        metrics.gauge("pool_workers").set(stats.workers as i64);
-    }
 
     let merge_span = lane.open("merge");
     // 4. Simulate the virtual FCFS schedule and merge. Partition i goes to
@@ -1102,8 +1086,8 @@ mod tests {
         }
     }
 
-    /// Profiling is observational: span recording and metrics feeding must
-    /// not perturb the search. Bit-identical outcomes, enabled vs disabled.
+    /// Profiling is observational: span recording must not perturb the
+    /// search. Bit-identical outcomes, enabled vs disabled.
     #[test]
     fn outcome_invariant_to_profiling() {
         let s = summary();
@@ -1132,11 +1116,6 @@ mod tests {
         ] {
             assert!(names.contains(&stage), "missing span {stage:?}");
         }
-        // metrics flowed from the hot paths
-        let snap = profiler.metrics().unwrap().snapshot();
-        assert!(snap.histograms["eval_ns"].count > 0);
-        assert!(snap.histograms["bandit_pull_ns"].count > 0);
-        assert!(snap.histograms["cache_probe_ns"].count > 0);
     }
 
     #[test]

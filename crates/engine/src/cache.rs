@@ -8,12 +8,9 @@
 
 use parking_lot::Mutex;
 use s2fa_hlssim::Estimate;
-use s2fa_obs::{Histogram, MetricsRegistry};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
 
 const SHARDS: usize = 16;
 
@@ -60,14 +57,6 @@ struct Shard {
     map: FpMap<Estimate>,
     hits: u64,
     misses: u64,
-}
-
-/// Resolved histogram handles for probe latency and shard-lock wait
-/// (see [`EstimateCache::instrument`]).
-#[derive(Debug)]
-struct CacheInstr {
-    probe_ns: Arc<Histogram>,
-    lock_wait_ns: Arc<Histogram>,
 }
 
 /// Monotonic counters of cache activity (see [`EstimateCache::stats`]).
@@ -121,7 +110,6 @@ pub struct EstimateCache {
     inserts: AtomicU64,
     overwrites: AtomicU64,
     pruned: AtomicU64,
-    instr: Option<CacheInstr>,
 }
 
 impl EstimateCache {
@@ -139,44 +127,16 @@ impl EstimateCache {
         &self.shards[Self::shard_idx(key)]
     }
 
-    /// Attaches latency instrumentation: every subsequent probe feeds
-    /// the `cache_probe_ns` (full lookup) and `cache_lock_wait_ns`
-    /// (shard-lock acquisition) histograms. Without it (the default)
-    /// the probe path reads no clock at all.
-    pub fn instrument(&mut self, metrics: &MetricsRegistry) {
-        self.instr = Some(CacheInstr {
-            probe_ns: metrics.histogram("cache_probe_ns"),
-            lock_wait_ns: metrics.histogram("cache_lock_wait_ns"),
-        });
-    }
-
     /// Looks up an estimate, counting the hit or miss (tallied inside
     /// the already-held shard lock — no extra atomic on the hot path).
     pub fn get(&self, key: u128) -> Option<Estimate> {
-        match &self.instr {
-            None => {
-                let mut guard = self.shard(key).lock();
-                let found = guard.map.get(&key).cloned();
-                match found {
-                    Some(_) => guard.hits += 1,
-                    None => guard.misses += 1,
-                }
-                found
-            }
-            Some(instr) => {
-                let t0 = Instant::now();
-                let mut guard = self.shard(key).lock();
-                instr.lock_wait_ns.record(t0.elapsed().as_nanos() as u64);
-                let found = guard.map.get(&key).cloned();
-                match found {
-                    Some(_) => guard.hits += 1,
-                    None => guard.misses += 1,
-                }
-                drop(guard);
-                instr.probe_ns.record(t0.elapsed().as_nanos() as u64);
-                found
-            }
+        let mut guard = self.shard(key).lock();
+        let found = guard.map.get(&key).cloned();
+        match found {
+            Some(_) => guard.hits += 1,
+            None => guard.misses += 1,
         }
+        found
     }
 
     /// Stores an estimate; returns `true` if the key was new. Racing
@@ -205,37 +165,17 @@ impl EstimateCache {
     }
 
     /// Probes the alias tier with a **raw** (pre-normalization)
-    /// fingerprint. A hit counts as a cache hit and feeds the probe
-    /// histograms exactly like a canonical hit; a miss counts nothing —
-    /// the canonical probe that follows it owns the miss, so hit/miss
-    /// totals still sum to one count per evaluation.
+    /// fingerprint. A hit counts as a cache hit exactly like a canonical
+    /// hit; a miss counts nothing — the canonical probe that follows it
+    /// owns the miss, so hit/miss totals still sum to one count per
+    /// evaluation.
     pub fn get_alias(&self, raw: u128) -> Option<Estimate> {
-        let shard = &self.alias[Self::shard_idx(raw)];
-        match &self.instr {
-            None => {
-                let mut guard = shard.lock();
-                let found = guard.map.get(&raw).cloned();
-                if found.is_some() {
-                    guard.hits += 1;
-                }
-                found
-            }
-            Some(instr) => {
-                let t0 = Instant::now();
-                let mut guard = shard.lock();
-                let lock_ns = t0.elapsed().as_nanos() as u64;
-                let found = guard.map.get(&raw).cloned();
-                if found.is_some() {
-                    guard.hits += 1;
-                }
-                drop(guard);
-                if found.is_some() {
-                    instr.lock_wait_ns.record(lock_ns);
-                    instr.probe_ns.record(t0.elapsed().as_nanos() as u64);
-                }
-                found
-            }
+        let mut guard = self.alias[Self::shard_idx(raw)].lock();
+        let found = guard.map.get(&raw).cloned();
+        if found.is_some() {
+            guard.hits += 1;
         }
+        found
     }
 
     /// Maps a raw fingerprint onto an already-priced estimate. Alias
@@ -364,21 +304,6 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.pruned_illegal, 2);
         assert_eq!((s.hits, s.misses, s.entries), (0, 0, 0));
-    }
-
-    #[test]
-    fn instrumented_probes_feed_histograms() {
-        let registry = MetricsRegistry::new();
-        let mut c = EstimateCache::new();
-        c.instrument(&registry);
-        c.insert(7, estimate(1));
-        c.get(7);
-        c.get(8);
-        let snap = registry.snapshot();
-        assert_eq!(snap.histograms["cache_probe_ns"].count, 2);
-        assert_eq!(snap.histograms["cache_lock_wait_ns"].count, 2);
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses), (1, 1), "counters unaffected");
     }
 
     #[test]

@@ -46,7 +46,6 @@ use s2fa_hlsir::KernelSummary;
 use s2fa_hlssim::{Estimate, Estimator, KernelInvariants};
 use s2fa_lint::{Legality, PruneRule};
 use s2fa_merlin::DesignConfig;
-use s2fa_obs::Profiler;
 use s2fa_trace::{Event, TraceSink};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -97,16 +96,6 @@ impl EvalEngine {
     /// never influence an estimate.
     pub fn set_sink(&mut self, sink: Option<Arc<dyn TraceSink>>) {
         self.sink = sink;
-    }
-
-    /// Attaches a profiler. With metrics enabled, memo-table probes
-    /// feed the `cache_probe_ns` and `cache_lock_wait_ns` histograms;
-    /// with the default disabled profiler this is a no-op and the probe
-    /// path reads no clock.
-    pub fn set_profiler(&mut self, profiler: &Profiler) {
-        if let Some(metrics) = profiler.metrics() {
-            self.cache.instrument(metrics);
-        }
     }
 
     /// Emits the cache activity since the previous flush as one
@@ -535,20 +524,6 @@ mod tests {
         let totals = engine.cache_stats();
         assert_eq!(hits, totals.hits);
         assert_eq!(misses, totals.misses);
-    }
-
-    #[test]
-    fn profiled_engine_times_cache_probes() {
-        let s = summary();
-        let mut engine = EvalEngine::new(&s, &Estimator::new());
-        let profiler = s2fa_obs::Profiler::metrics_only();
-        engine.set_profiler(&profiler);
-        let cfg = DesignConfig::perf_seed(&s);
-        engine.evaluate(&cfg);
-        engine.evaluate(&cfg);
-        let snap = profiler.metrics().unwrap().snapshot();
-        assert_eq!(snap.histograms["cache_probe_ns"].count, 2);
-        assert_eq!(snap.histograms["cache_lock_wait_ns"].count, 2);
     }
 
     #[test]

@@ -259,34 +259,6 @@ impl Expr {
     pub fn imul(a: Expr, b: Expr) -> Expr {
         Expr::bin(CBinOp::Mul, CNumKind::I32, a, b)
     }
-
-    /// Collects the names of all variables read by this expression.
-    pub fn free_vars(&self, out: &mut Vec<String>) {
-        match self {
-            Expr::ConstI(_) | Expr::ConstF(_) => {}
-            Expr::Var(n) => out.push(n.clone()),
-            Expr::Index(base, idx) => {
-                out.push(base.clone());
-                idx.free_vars(out);
-            }
-            Expr::Bin(_, _, a, b) => {
-                a.free_vars(out);
-                b.free_vars(out);
-            }
-            Expr::Neg(_, a) => a.free_vars(out),
-            Expr::Call(_, _, args) => {
-                for a in args {
-                    a.free_vars(out);
-                }
-            }
-            Expr::Cast(_, _, a) => a.free_vars(out),
-            Expr::Select(c, a, b) => {
-                c.free_vars(out);
-                a.free_vars(out);
-                b.free_vars(out);
-            }
-        }
-    }
 }
 
 /// An assignable location.
@@ -630,23 +602,6 @@ mod tests {
         let f = sample_fn();
         let names: Vec<_> = f.buffers().map(|p| p.name.as_str()).collect();
         assert_eq!(names, vec!["in_1", "out_1"]);
-    }
-
-    #[test]
-    fn free_vars_of_nested_expr() {
-        let e = Expr::bin(
-            CBinOp::Add,
-            CNumKind::F32,
-            Expr::index("a", Expr::var("i")),
-            Expr::Select(
-                Box::new(Expr::var("c")),
-                Box::new(Expr::var("x")),
-                Box::new(Expr::ConstF(0.0)),
-            ),
-        );
-        let mut vars = Vec::new();
-        e.free_vars(&mut vars);
-        assert_eq!(vars, vec!["a", "i", "c", "x"]);
     }
 
     #[test]

@@ -1,28 +1,25 @@
 #![warn(missing_docs)]
 
-//! # s2fa-obs — host-side profiling and metrics
+//! # s2fa-obs — host-side profiling
 //!
 //! The `s2fa-trace` layer answers "what did the search decide, and at
 //! which *virtual* minute" — it is deterministic by design and knows
 //! nothing about real time. This crate answers the complementary
 //! question: **where does the host wall-clock go?**
 //!
-//! Two instruments, two disciplines:
+//! Host time has one instrument: [`Profiler`] / [`Lane`] record
+//! hierarchical **spans** over the pipeline stages (codegen → lint →
+//! space identification → partitioning → tuning → merge) and over every
+//! evaluator worker thread. Monotonic clocks only; spans carry parent
+//! ids so nesting reconstructs a call tree ([`verify_spans`] checks
+//! well-formedness, the property tests enforce it). Lanes are per-thread
+//! with implicit parenting, so cross-thread parenting is impossible *by
+//! construction*, and completed spans buffer thread-locally — one lock
+//! per lane lifetime, not per span.
 //!
-//! * [`Profiler`] / [`Lane`] — hierarchical **spans** over the pipeline
-//!   stages (codegen → lint → space identification → partitioning →
-//!   tuning → merge) and over every evaluator worker thread. Monotonic
-//!   clocks only; spans carry parent ids so nesting reconstructs a call
-//!   tree ([`verify_spans`] checks well-formedness, the property tests
-//!   enforce it). Lanes are per-thread with implicit parenting, so
-//!   cross-thread parenting is impossible *by construction*, and
-//!   completed spans buffer thread-locally — one lock per lane
-//!   lifetime, not per span.
-//! * [`MetricsRegistry`] — named [`Counter`]s, [`Gauge`]s and
-//!   log-linear [`Histogram`]s (p50/p90/p99/max) for the hot paths:
-//!   per-eval latency, batch fan-out/join, cache probe and lock-wait,
-//!   bandit pulls. Recording is a single relaxed atomic op — the
-//!   threaded path gains no contention points.
+//! [`Histogram`] is a plain log-linear value type (p50/p90/p99/max) the
+//! serving reports summarize request latencies with; nothing records
+//! into it implicitly.
 //!
 //! ## Zero cost when disabled
 //!
@@ -43,7 +40,7 @@ pub mod report;
 pub mod schema;
 pub mod span;
 
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{Histogram, HistogramSnapshot};
 pub use report::{aggregate_spans, Profile, SpanNode};
 pub use s2fa_trace::Json;
 pub use schema::validate;

@@ -1,66 +1,13 @@
-//! Lock-free metrics: named counters, gauges, and log-linear histograms.
-//!
-//! All recording paths are single atomic operations (`Relaxed`); no
-//! mutex is ever taken while recording, so instrumenting the threaded
-//! evaluator adds no contention points. Registration (name → handle
-//! lookup) takes a lock, so hot paths should resolve their handles once
-//! and reuse them.
+//! Log-linear latency histograms.
 //!
 //! Histograms use a log-linear bucket layout (16 linear sub-buckets per
 //! power of two, exact below 16) — the same shape HdrHistogram and
 //! tokio's metrics use — giving ≤ ~6% relative quantile error over the
-//! full `u64` range with a fixed 976-bucket table.
+//! full `u64` range with a fixed 976-bucket table. Recording is
+//! lock-free (`Relaxed` atomics), so one histogram may be shared by
+//! reference across threads.
 
-use parking_lot::Mutex;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// A monotonically increasing counter.
-#[derive(Debug, Default)]
-pub struct Counter {
-    value: AtomicU64,
-}
-
-impl Counter {
-    /// Adds `n` to the counter.
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Increments the counter by one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A signed instantaneous value (last write wins).
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicI64,
-}
-
-impl Gauge {
-    /// Sets the gauge.
-    pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Adjusts the gauge by `delta`.
-    pub fn add(&self, delta: i64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Exact buckets for values below `LINEAR_MAX` (one per value).
 const LINEAR_MAX: u64 = 16;
@@ -94,12 +41,11 @@ fn bucket_value(idx: usize) -> u64 {
 
 /// A log-linear histogram of `u64` samples (typically nanoseconds).
 ///
-/// Recording is one atomic add plus an atomic max; snapshots are taken
+/// Recording is two atomic adds plus an atomic max; snapshots are taken
 /// without stopping writers (buckets are read `Relaxed`, so a snapshot
 /// concurrent with writes is approximate — fine for reporting).
 pub struct Histogram {
     buckets: Vec<AtomicU64>,
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -115,7 +61,6 @@ impl Histogram {
     pub fn new() -> Histogram {
         Histogram {
             buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
@@ -124,14 +69,8 @@ impl Histogram {
     /// Records one sample.
     pub fn record(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
     }
 
     /// A point-in-time summary of the distribution.
@@ -207,81 +146,6 @@ impl HistogramSnapshot {
             self.sum as f64 / self.count as f64
         }
     }
-}
-
-/// A registry of named metrics.
-///
-/// Handles are `Arc`s: resolve once (lock), record forever (lock-free).
-/// Names are reused — registering the same name twice returns the same
-/// instrument, so independent pipeline stages can share e.g. one
-/// `eval_ns` histogram without coordination.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// The counter named `name`, created on first use.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut m = self.counters.lock();
-        m.entry(name.to_string()).or_default().clone()
-    }
-
-    /// The gauge named `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut m = self.gauges.lock();
-        m.entry(name.to_string()).or_default().clone()
-    }
-
-    /// The histogram named `name`, created on first use.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut m = self.histograms.lock();
-        m.entry(name.to_string())
-            .or_insert_with(|| Arc::new(Histogram::new()))
-            .clone()
-    }
-
-    /// Snapshots every instrument, sorted by name.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self
-                .counters
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            gauges: self
-                .gauges
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            histograms: self
-                .histograms
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
-        }
-    }
-}
-
-/// A point-in-time dump of a whole registry (name-sorted).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Counter values by name.
-    pub counters: BTreeMap<String, u64>,
-    /// Gauge values by name.
-    pub gauges: BTreeMap<String, i64>,
-    /// Histogram summaries by name.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
 #[cfg(test)]
@@ -373,39 +237,20 @@ mod tests {
     }
 
     #[test]
-    fn registry_reuses_instruments_by_name() {
-        let r = MetricsRegistry::new();
-        let a = r.counter("evals");
-        let b = r.counter("evals");
-        a.inc();
-        b.add(2);
-        assert_eq!(r.counter("evals").get(), 3);
-        r.gauge("inflight").set(5);
-        r.histogram("lat").record(42);
-        let snap = r.snapshot();
-        assert_eq!(snap.counters["evals"], 3);
-        assert_eq!(snap.gauges["inflight"], 5);
-        assert_eq!(snap.histograms["lat"].count, 1);
-    }
-
-    #[test]
     fn concurrent_recording_loses_nothing() {
-        let r = Arc::new(MetricsRegistry::new());
-        let h = r.histogram("x");
-        let c = r.counter("n");
+        let h = Histogram::new();
         std::thread::scope(|s| {
             for _ in 0..8 {
-                let h = h.clone();
-                let c = c.clone();
+                let h = &h;
                 s.spawn(move || {
                     for i in 0..1_000u64 {
                         h.record(i);
-                        c.inc();
                     }
                 });
             }
         });
-        assert_eq!(c.get(), 8_000);
-        assert_eq!(h.snapshot().count, 8_000);
+        let snap = h.snapshot();
+        assert_eq!(snap.count, 8_000);
+        assert_eq!(snap.sum, 8 * (0..1_000u64).sum::<u64>());
     }
 }

@@ -5,12 +5,11 @@
 //!
 //! * an **aggregated span tree** ([`aggregate_spans`]) — spans merged by
 //!   name-path across lanes, with counts and total/self durations;
-//! * a [`Profile`] bundling the tree with a metrics snapshot, with a
+//! * a [`Profile`] naming the kernel the tree was recorded on, with a
 //!   JSON round-trip (`results/PROFILE_<kernel>.json`),
 //!   a text renderer, folded-stack (flamegraph) output, and a
 //!   timing-free *structure* view for golden diffs in CI.
 
-use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
 use crate::span::SpanRecord;
 use s2fa_trace::Json;
 use std::collections::BTreeMap;
@@ -83,47 +82,40 @@ fn merge_level(
 pub struct Profile {
     /// Kernel the profiled run compiled.
     pub kernel: String,
-    /// `"full"` (spans + metrics) or `"metrics"` (registry only).
-    pub mode: String,
     /// Aggregated span tree of the pipeline run.
     pub tree: Vec<SpanNode>,
-    /// Metrics registry snapshot.
-    pub metrics: MetricsSnapshot,
 }
 
 impl Profile {
     /// Serializes the profile (schema: `docs/profile.schema.json`).
     pub fn to_json(&self) -> Json {
-        // Keys in alphabetical order, here and in the helpers below:
-        // saved profiles are diffed against each other, so their layout
-        // stays sorted and stable.
+        // Keys in alphabetical order, here and in `node_to_json`: saved
+        // profiles are diffed against each other, so their layout stays
+        // sorted and stable.
         Json::obj([
             ("kernel", Json::str(&self.kernel)),
-            ("metrics", metrics_to_json(&self.metrics)),
-            ("mode", Json::str(&self.mode)),
             (
                 "span_tree",
                 Json::Arr(self.tree.iter().map(node_to_json).collect()),
             ),
-            ("version", Json::int(2)),
+            ("version", Json::int(3)),
         ])
     }
 
-    /// Deserializes a profile written by [`Profile::to_json`].
+    /// Deserializes a profile written by [`Profile::to_json`]. Only
+    /// `kernel` and `span_tree` are read, so a version-2 document (which
+    /// also carried `mode` and a `metrics` registry dump) still loads.
     ///
     /// # Errors
     ///
     /// Returns a message naming the first missing or ill-typed member.
     pub fn from_json(j: &Json) -> Result<Profile, String> {
-        let str_of = |j: &Json, key: &str| -> Result<String, String> {
-            j.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string `{key}`"))
-        };
         Ok(Profile {
-            kernel: str_of(j, "kernel")?,
-            mode: str_of(j, "mode")?,
+            kernel: j
+                .get("kernel")
+                .and_then(Json::as_str)
+                .ok_or("missing string `kernel`")?
+                .to_string(),
             tree: j
                 .get("span_tree")
                 .and_then(Json::as_arr)
@@ -131,40 +123,17 @@ impl Profile {
                 .iter()
                 .map(node_from_json)
                 .collect::<Result<_, _>>()?,
-            metrics: metrics_from_json(j.get("metrics").ok_or("missing object `metrics`")?)?,
         })
     }
 
     /// Renders the profile as a human-readable flight-recorder report.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "flight record: {} ({})", self.kernel, self.mode);
+        let _ = writeln!(out, "flight record: {}", self.kernel);
         if !self.tree.is_empty() {
             let _ = writeln!(out, "\nspan tree (host wall-time):");
             for node in &self.tree {
                 render_node(&mut out, node, 0);
-            }
-        }
-        if !self.metrics.histograms.is_empty() {
-            let _ = writeln!(out, "\nlatency histograms (ns):");
-            for (name, h) in &self.metrics.histograms {
-                let _ = writeln!(
-                    out,
-                    "  {:<24} n={:<8} p50={:<8} p90={:<8} p99={:<8} max={}",
-                    name, h.count, h.p50, h.p90, h.p99, h.max
-                );
-            }
-        }
-        if !self.metrics.counters.is_empty() {
-            let _ = writeln!(out, "\ncounters:");
-            for (name, v) in &self.metrics.counters {
-                let _ = writeln!(out, "  {name:<24} {v}");
-            }
-        }
-        if !self.metrics.gauges.is_empty() {
-            let _ = writeln!(out, "\ngauges:");
-            for (name, v) in &self.metrics.gauges {
-                let _ = writeln!(out, "  {name:<24} {v}");
             }
         }
         out
@@ -292,87 +261,6 @@ fn node_from_json(j: &Json) -> Result<SpanNode, String> {
     })
 }
 
-fn metrics_to_json(m: &MetricsSnapshot) -> Json {
-    Json::obj([
-        (
-            "counters",
-            Json::Obj(
-                m.counters
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::int(*v)))
-                    .collect(),
-            ),
-        ),
-        (
-            "gauges",
-            Json::Obj(
-                m.gauges
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::num(*v as f64)))
-                    .collect(),
-            ),
-        ),
-        (
-            "histograms",
-            Json::Obj(
-                m.histograms
-                    .iter()
-                    .map(|(k, h)| {
-                        (
-                            k.clone(),
-                            Json::obj([
-                                ("count", Json::int(h.count)),
-                                ("max", Json::int(h.max)),
-                                ("p50", Json::int(h.p50)),
-                                ("p90", Json::int(h.p90)),
-                                ("p99", Json::int(h.p99)),
-                                ("sum", Json::int(h.sum)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn metrics_from_json(j: &Json) -> Result<MetricsSnapshot, String> {
-    let mut snap = MetricsSnapshot::default();
-    if let Some(counters) = j.get("counters").and_then(Json::as_obj) {
-        for (k, v) in counters {
-            snap.counters
-                .insert(k.clone(), v.as_u64().ok_or("counter not a number")?);
-        }
-    }
-    if let Some(gauges) = j.get("gauges").and_then(Json::as_obj) {
-        for (k, v) in gauges {
-            snap.gauges
-                .insert(k.clone(), v.as_f64().ok_or("gauge not a number")? as i64);
-        }
-    }
-    if let Some(hists) = j.get("histograms").and_then(Json::as_obj) {
-        for (k, h) in hists {
-            let field = |name: &str| {
-                h.get(name)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("histogram `{k}` missing `{name}`"))
-            };
-            snap.histograms.insert(
-                k.clone(),
-                HistogramSnapshot {
-                    count: field("count")?,
-                    sum: field("sum")?,
-                    max: field("max")?,
-                    p50: field("p50")?,
-                    p90: field("p90")?,
-                    p99: field("p99")?,
-                },
-            );
-        }
-    }
-    Ok(snap)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,15 +317,7 @@ mod tests {
     fn profile_json_round_trips() {
         let profile = Profile {
             kernel: "S-W".into(),
-            mode: "full".into(),
             tree: aggregate_spans(&threaded_batch()),
-            metrics: {
-                let r = crate::metrics::MetricsRegistry::new();
-                r.counter("evals").add(512);
-                r.histogram("eval_ns").record(2_000);
-                r.gauge("inflight").set(-1);
-                r.snapshot()
-            },
         };
         let j = profile.to_json();
         assert_keys_sorted(&j);
@@ -475,9 +355,7 @@ mod tests {
     fn structure_is_paths_only() {
         let profile = Profile {
             kernel: "S-W".into(),
-            mode: "full".into(),
             tree: aggregate_spans(&threaded_batch()),
-            ..Profile::default()
         };
         let s = profile.structure();
         let paths: Vec<&str> = s
@@ -508,9 +386,7 @@ mod tests {
     fn folded_stacks_use_self_time() {
         let profile = Profile {
             kernel: "S-W".into(),
-            mode: "full".into(),
             tree: aggregate_spans(&threaded_batch()),
-            ..Profile::default()
         };
         let folded = profile.folded();
         assert!(folded.contains("batch;submit 10"));
@@ -524,18 +400,11 @@ mod tests {
     fn render_text_mentions_every_section() {
         let profile = Profile {
             kernel: "S-W".into(),
-            mode: "full".into(),
             tree: aggregate_spans(&threaded_batch()),
-            metrics: {
-                let r = crate::metrics::MetricsRegistry::new();
-                r.histogram("eval_ns").record(100);
-                r.counter("cache_hits").inc();
-                r.snapshot()
-            },
         };
         let text = profile.render_text();
+        assert!(text.starts_with("flight record: S-W\n"));
         assert!(text.contains("span tree"));
-        assert!(text.contains("latency histograms"));
-        assert!(text.contains("counters"));
+        assert!(text.contains("- batch"));
     }
 }

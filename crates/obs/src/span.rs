@@ -19,10 +19,9 @@
 //! A disabled profiler ([`Profiler::disabled`], also the `Default`) has
 //! no session store: every `Lane` operation is a branch on a `None` and
 //! returns immediately, no clock is read, and nothing allocates. Hot
-//! paths that want to skip even the timestamping arithmetic can branch
-//! once on [`Lane::enabled`] / [`Profiler::is_enabled`] per batch.
+//! paths that want to skip even opening a lane can branch once on
+//! [`Profiler::is_enabled`] per batch.
 
-use crate::metrics::MetricsRegistry;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -56,11 +55,9 @@ impl SpanRecord {
 #[derive(Debug)]
 struct ProfInner {
     epoch: Instant,
-    spans_enabled: bool,
     next_id: AtomicU64,
     next_lane: AtomicU32,
     spans: Mutex<Vec<SpanRecord>>,
-    metrics: Arc<MetricsRegistry>,
 }
 
 /// A cheap, cloneable handle to one profiling session.
@@ -73,16 +70,16 @@ pub struct Profiler {
 }
 
 impl Profiler {
-    /// A session recording both spans and metrics.
+    /// A session recording spans.
     pub fn enabled() -> Profiler {
-        Profiler::session(true)
-    }
-
-    /// A session recording metrics only: lanes are no-ops, but metric
-    /// handles resolve and record. This is the cheap always-on mode the
-    /// CLI's `--metrics` flag uses — atomic counters, no span buffers.
-    pub fn metrics_only() -> Profiler {
-        Profiler::session(false)
+        Profiler {
+            inner: Some(Arc::new(ProfInner {
+                epoch: Instant::now(),
+                next_id: AtomicU64::new(1),
+                next_lane: AtomicU32::new(0),
+                spans: Mutex::new(Vec::new()),
+            })),
+        }
     }
 
     /// The no-op profiler (also the `Default`).
@@ -90,49 +87,21 @@ impl Profiler {
         Profiler { inner: None }
     }
 
-    fn session(spans_enabled: bool) -> Profiler {
-        Profiler {
-            inner: Some(Arc::new(ProfInner {
-                epoch: Instant::now(),
-                spans_enabled,
-                next_id: AtomicU64::new(1),
-                next_lane: AtomicU32::new(0),
-                spans: Mutex::new(Vec::new()),
-                metrics: Arc::new(MetricsRegistry::new()),
-            })),
-        }
-    }
-
-    /// Whether any recording (spans or metrics) is active.
+    /// Whether spans are being recorded.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }
 
-    /// Whether span recording is active (false for metrics-only).
-    pub fn spans_enabled(&self) -> bool {
-        self.inner.as_ref().is_some_and(|i| i.spans_enabled)
-    }
-
-    /// The session's metrics registry (`None` when disabled).
-    pub fn metrics(&self) -> Option<&Arc<MetricsRegistry>> {
-        self.inner.as_ref().map(|i| &i.metrics)
-    }
-
     /// A fresh recording lane for the calling thread.
     pub fn lane(&self) -> Lane {
-        match &self.inner {
-            Some(i) if i.spans_enabled => Lane {
-                inner: Some(i.clone()),
-                lane: i.next_lane.fetch_add(1, Ordering::Relaxed),
-                open: Vec::new(),
-                done: Vec::new(),
-            },
-            _ => Lane {
-                inner: None,
-                lane: 0,
-                open: Vec::new(),
-                done: Vec::new(),
-            },
+        Lane {
+            lane: self
+                .inner
+                .as_ref()
+                .map_or(0, |i| i.next_lane.fetch_add(1, Ordering::Relaxed)),
+            inner: self.inner.clone(),
+            open: Vec::new(),
+            done: Vec::new(),
         }
     }
 
@@ -175,19 +144,6 @@ pub struct Lane {
 }
 
 impl Lane {
-    /// Whether this lane records anything.
-    pub fn enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Nanoseconds since the session epoch (0 when disabled).
-    pub fn now_ns(&self) -> u64 {
-        match &self.inner {
-            Some(i) => i.epoch.elapsed().as_nanos() as u64,
-            None => 0,
-        }
-    }
-
     /// Opens a span named `name` under the currently open span (if any)
     /// and returns its id (0 when disabled).
     pub fn open(&mut self, name: &'static str) -> u64 {
@@ -240,29 +196,6 @@ impl Lane {
         r
     }
 
-    /// Records an explicitly-timed interval as a child of the currently
-    /// open span. Used for intervals measured by accumulation (e.g. the
-    /// per-worker `dispatch`/`estimate` totals of one batch) — the
-    /// interval is duration-accurate; its placement is the caller's
-    /// claim. The interval is clamped into the enclosing span's start.
-    pub fn record(&mut self, name: &'static str, start_ns: u64, end_ns: u64) {
-        let Some(i) = &self.inner else {
-            return;
-        };
-        let id = i.next_id.fetch_add(1, Ordering::Relaxed);
-        let parent = self.open.last().map(|s| s.id);
-        let floor = self.open.last().map(|s| s.start_ns).unwrap_or(0);
-        let start_ns = start_ns.max(floor);
-        self.done.push(SpanRecord {
-            id,
-            parent,
-            name: name.to_string(),
-            lane: self.lane,
-            start_ns,
-            end_ns: end_ns.max(start_ns),
-        });
-    }
-
     /// Flushes the local buffer into the shared session store.
     pub fn flush(&mut self) {
         if let Some(i) = &self.inner {
@@ -287,7 +220,7 @@ impl std::fmt::Debug for Lane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Lane")
             .field("lane", &self.lane)
-            .field("enabled", &self.enabled())
+            .field("enabled", &self.inner.is_some())
             .field("open", &self.open.len())
             .field("buffered", &self.done.len())
             .finish()
@@ -354,14 +287,11 @@ mod tests {
         let p = Profiler::disabled();
         assert!(!p.is_enabled());
         let mut lane = p.lane();
-        assert!(!lane.enabled());
-        assert_eq!(lane.now_ns(), 0);
         let id = lane.open("x");
         assert_eq!(id, 0);
         lane.close(id);
         drop(lane);
         assert!(p.take_spans().is_empty());
-        assert!(p.metrics().is_none());
     }
 
     #[test]
@@ -433,23 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_records_nest_under_the_open_span() {
-        let p = Profiler::enabled();
-        let mut lane = p.lane();
-        let w = lane.open("worker");
-        let t0 = lane.now_ns();
-        lane.record("dispatch", t0, t0 + 10);
-        lane.record("estimate", t0 + 10, t0 + 50);
-        lane.close(w);
-        drop(lane);
-        let spans = p.take_spans();
-        verify_spans(&spans).unwrap();
-        let d = spans.iter().find(|s| s.name == "dispatch").unwrap();
-        assert_eq!(d.duration_ns(), 10);
-        assert!(d.parent.is_some());
-    }
-
-    #[test]
     fn verify_catches_cross_lane_parenting() {
         let bad = vec![
             SpanRecord {
@@ -493,18 +406,5 @@ mod tests {
             },
         ];
         assert!(verify_spans(&bad).unwrap_err().contains("escapes"));
-    }
-
-    #[test]
-    fn metrics_only_lanes_are_inert() {
-        let p = Profiler::metrics_only();
-        assert!(p.is_enabled());
-        assert!(!p.spans_enabled());
-        assert!(p.metrics().is_some());
-        let mut lane = p.lane();
-        assert!(!lane.enabled());
-        lane.open("x");
-        drop(lane);
-        assert!(p.take_spans().is_empty());
     }
 }

@@ -2,11 +2,10 @@
 //! operations — however unbalanced — must leave the recorded forest
 //! well-formed, because every consumer (`aggregate_spans` and the
 //! reports built on it) assumes [`verify_spans`] holds.
-//! The same random programs drive the histogram-bound and JSON
-//! round-trip checks.
+//! The histogram-bound and JSON round-trip checks ride along.
 
 use proptest::prelude::*;
-use s2fa_obs::{verify_spans, Json, MetricsRegistry, Profiler};
+use s2fa_obs::{verify_spans, Histogram, Json, Profiler};
 
 const NAMES: [&str; 6] = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"];
 
@@ -30,15 +29,16 @@ fn run_program(lane: &mut s2fa_obs::Lane, ops: &[Op]) {
                 }
             }
             2 => {
-                let end = lane.now_ns();
-                let start = end.saturating_sub(u64::from(b));
-                lane.record(NAMES[a as usize % NAMES.len()], start, end);
+                // a complete leaf under whatever is open
+                let id = lane.open(NAMES[a as usize % NAMES.len()]);
+                lane.close(id);
             }
             3 => lane.flush(),
             _ => {
                 lane.in_span(NAMES[a as usize % NAMES.len()], |inner| {
-                    let end = inner.now_ns();
-                    inner.record(NAMES[b as usize % NAMES.len()], end, end);
+                    let id = inner.open(NAMES[b as usize % NAMES.len()]);
+                    inner.flush(); // mid-span flush: `id` is still open
+                    inner.close(id);
                 });
             }
         }
@@ -53,7 +53,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     // Whatever a single thread does to its lane — unbalanced opens,
-    // out-of-order closes, synthetic records, mid-stream flushes — the
+    // out-of-order closes, nested scopes, mid-stream flushes — the
     // final forest passes every well-formedness check.
     #[test]
     fn random_programs_keep_the_forest_well_formed(ops in arb_ops()) {
@@ -93,16 +93,14 @@ proptest! {
         }
     }
 
-    // The metrics-only and disabled profilers record nothing, whatever
-    // the program does.
+    // The disabled profiler records nothing, whatever the program does.
     #[test]
     fn inert_lanes_record_nothing(ops in arb_ops()) {
-        for profiler in [Profiler::metrics_only(), Profiler::disabled()] {
-            let mut lane = profiler.lane();
-            run_program(&mut lane, &ops);
-            drop(lane);
-            prop_assert_eq!(profiler.take_spans().len(), 0);
-        }
+        let profiler = Profiler::disabled();
+        let mut lane = profiler.lane();
+        run_program(&mut lane, &ops);
+        drop(lane);
+        prop_assert_eq!(profiler.take_spans().len(), 0);
     }
 
     // Log-linear histogram bounds: count and sum are exact, max is
@@ -112,12 +110,11 @@ proptest! {
     fn histogram_quantiles_stay_in_bounds(
         values in prop::collection::vec(0u64..4_000_000_000, 1..200),
     ) {
-        let registry = MetricsRegistry::new();
-        let h = registry.histogram("prop");
+        let h = Histogram::new();
         for &v in &values {
             h.record(v);
         }
-        let snap = registry.snapshot().histograms["prop"];
+        let snap = h.snapshot();
         let min = *values.iter().min().unwrap();
         let max = *values.iter().max().unwrap();
         prop_assert_eq!(snap.count, values.len() as u64);

@@ -26,9 +26,7 @@
 use crate::history::Measurement;
 use crate::param::Config;
 use s2fa_engine::WorkerPool;
-use s2fa_obs::{Histogram, Lane, Profiler};
-use std::sync::Arc;
-use std::time::Instant;
+use s2fa_obs::{Lane, Profiler};
 
 /// A raw results pointer that may cross threads: every chunk writes a
 /// disjoint index range, so concurrent writers never alias.
@@ -84,9 +82,6 @@ pub struct ThreadedObjective<'a> {
     pool: &'a WorkerPool,
     profiler: Profiler,
     lane: Lane,
-    eval_ns: Option<Arc<Histogram>>,
-    fanout_ns: Option<Arc<Histogram>>,
-    join_ns: Option<Arc<Histogram>>,
 }
 
 impl<'a> ThreadedObjective<'a> {
@@ -99,29 +94,19 @@ impl<'a> ThreadedObjective<'a> {
             pool,
             profiler: Profiler::disabled(),
             lane: Profiler::disabled().lane(),
-            eval_ns: None,
-            fanout_ns: None,
-            join_ns: None,
         }
     }
 
     /// Attaches a profiler: `measure_batch` then records the batch-loop
     /// span shape the flight recorder attributes (`batch` with
     /// `submit`/`estimate`/`wait`/`merge` children on the calling lane,
-    /// plus a `pool_chunk` root span per worker-executed chunk) and
-    /// feeds the `eval_ns` / `batch_fanout_ns` / `batch_join_ns`
-    /// histograms. With the default disabled profiler every
-    /// instrumentation point is a single branch — the measured results
-    /// are identical either way (the determinism tests in `s2fa-dse`
-    /// pin this).
+    /// plus a `pool_chunk` root span per worker-executed chunk). With
+    /// the default disabled profiler every instrumentation point is a
+    /// single branch — the measured results are identical either way
+    /// (the determinism tests in `s2fa-dse` pin this).
     pub fn with_profiler(mut self, profiler: &Profiler) -> Self {
         self.profiler = profiler.clone();
         self.lane = profiler.lane();
-        if let Some(metrics) = profiler.metrics() {
-            self.eval_ns = Some(metrics.histogram("eval_ns"));
-            self.fanout_ns = Some(metrics.histogram("batch_fanout_ns"));
-            self.join_ns = Some(metrics.histogram("batch_join_ns"));
-        }
         self
     }
 
@@ -142,19 +127,7 @@ impl Objective for ThreadedObjective<'_> {
             // Serial path: the whole batch is one `estimate` phase.
             let batch_id = self.lane.open("batch");
             let est_id = self.lane.open("estimate");
-            let out = if let Some(hist) = &self.eval_ns {
-                configs
-                    .iter()
-                    .map(|c| {
-                        let t0 = Instant::now();
-                        let m = (self.eval)(c);
-                        hist.record(t0.elapsed().as_nanos() as u64);
-                        m
-                    })
-                    .collect()
-            } else {
-                configs.iter().map(self.eval).collect()
-            };
+            let out = configs.iter().map(self.eval).collect();
             self.lane.close(est_id);
             self.lane.close(batch_id);
             return out;
@@ -165,8 +138,7 @@ impl Objective for ThreadedObjective<'_> {
         let results_ptr = ResultsPtr(results.as_mut_ptr());
         let eval = self.eval;
         let profiler = &self.profiler;
-        let eval_ns = &self.eval_ns;
-        let spans_on = self.profiler.spans_enabled();
+        let spans_on = self.profiler.is_enabled();
         let task = move |start: usize, end: usize, is_worker: bool| {
             // Worker-side chunks get their own root span on a fresh
             // lane; caller-side chunks are covered by the caller's
@@ -175,14 +147,7 @@ impl Objective for ThreadedObjective<'_> {
             let mut wlane = (is_worker && spans_on).then(|| profiler.lane());
             let wid = wlane.as_mut().map(|l| l.open("pool_chunk"));
             for (i, config) in configs.iter().enumerate().take(end).skip(start) {
-                let m = if let Some(h) = eval_ns {
-                    let t0 = Instant::now();
-                    let m = eval(config);
-                    h.record(t0.elapsed().as_nanos() as u64);
-                    m
-                } else {
-                    eval(config)
-                };
+                let m = eval(config);
                 // SAFETY: chunks cover disjoint index ranges and every
                 // index is claimed exactly once, so no two writers alias
                 // and the buffer outlives the job (waited below).
@@ -193,29 +158,19 @@ impl Objective for ThreadedObjective<'_> {
             }
         };
 
-        let fanout_ns = &self.fanout_ns;
-        let join_ns = &self.join_ns;
         let lane = &mut self.lane;
         let batch_id = lane.open("batch");
         let submit_id = lane.open("submit");
-        let fanout_t0 = fanout_ns.as_ref().map(|_| Instant::now());
         let handle = self.pool.submit(configs.len(), chunk, &task);
         lane.close(submit_id);
-        if let (Some(h), Some(t0)) = (fanout_ns, fanout_t0) {
-            h.record(t0.elapsed().as_nanos() as u64);
-        }
         // The caller is the pool's extra executor: its chunks run inside
         // its own `estimate` span.
         let est_id = lane.open("estimate");
         handle.help();
         lane.close(est_id);
         let wait_id = lane.open("wait");
-        let join_t0 = join_ns.as_ref().map(|_| Instant::now());
         handle.wait();
         lane.close(wait_id);
-        if let (Some(h), Some(t0)) = (join_ns, join_t0) {
-            h.record(t0.elapsed().as_nanos() as u64);
-        }
         let merge_id = lane.open("merge");
         let out: Vec<Measurement> = results
             .into_iter()
@@ -297,10 +252,6 @@ mod tests {
         for legacy in ["spawn", "collect", "worker", "dispatch"] {
             assert_eq!(count(legacy), 0, "pre-pool stage {legacy} resurfaced");
         }
-        let metrics = profiler.metrics().unwrap().snapshot();
-        assert_eq!(metrics.histograms["eval_ns"].count, 64);
-        assert_eq!(metrics.histograms["batch_fanout_ns"].count, 1);
-        assert_eq!(metrics.histograms["batch_join_ns"].count, 1);
     }
 
     #[test]
@@ -318,10 +269,6 @@ mod tests {
         assert!(names.contains(&"estimate"));
         assert!(!names.contains(&"submit"), "no fan-out phases when serial");
         assert!(!names.contains(&"wait"));
-        assert_eq!(
-            profiler.metrics().unwrap().snapshot().histograms["eval_ns"].count,
-            3
-        );
     }
 
     #[test]
@@ -339,21 +286,5 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.jobs, 12, "every batch was one pool job");
         assert_eq!(stats.chunks, 12 * 3, "48 items / auto chunk 16 = 3 chunks");
-    }
-
-    #[test]
-    fn metrics_only_mode_feeds_histograms_without_spans() {
-        let eval = |c: &Config| Measurement::new(value_of(c), 1.0);
-        let profiler = Profiler::metrics_only();
-        let configs: Vec<Config> = (0..8u32).map(|i| vec![i]).collect();
-        let pool = WorkerPool::new(1);
-        let mut obj = ThreadedObjective::new(&eval, &pool).with_profiler(&profiler);
-        obj.measure_batch(&configs);
-        obj.flush_profile();
-        assert!(profiler.take_spans().is_empty());
-        assert_eq!(
-            profiler.metrics().unwrap().snapshot().histograms["eval_ns"].count,
-            8
-        );
     }
 }

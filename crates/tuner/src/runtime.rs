@@ -128,16 +128,6 @@ pub struct TuningRun {
     options: TuningOptions,
     techniques: Vec<Box<dyn SearchTechnique + Send>>,
     sink: Arc<dyn TraceSink>,
-    metrics: Option<RunMetrics>,
-}
-
-/// Resolved histogram handles for the run's own hot path (the search
-/// loop between evaluations). Resolved once at construction so the loop
-/// records lock-free.
-struct RunMetrics {
-    bandit_pull_ns: Arc<s2fa_obs::Histogram>,
-    propose_ns: Arc<s2fa_obs::Histogram>,
-    feedback_ns: Arc<s2fa_obs::Histogram>,
 }
 
 impl TuningRun {
@@ -148,7 +138,6 @@ impl TuningRun {
             options,
             techniques: default_portfolio(),
             sink: Arc::new(NullSink),
-            metrics: None,
         }
     }
 
@@ -156,21 +145,6 @@ impl TuningRun {
     /// the run's decisions and outcome are identical for any sink.
     pub fn with_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
         self.sink = sink;
-        self
-    }
-
-    /// Attaches a profiler's metrics registry. The run then feeds the
-    /// `bandit_pull_ns`, `propose_ns`, and `feedback_ns` latency
-    /// histograms — span recording stays with the objective (the run
-    /// may execute on any pool thread; only latencies are aggregated
-    /// here). Like the sink, purely observational: decisions and
-    /// outcome are bit-identical with or without it.
-    pub fn with_profiler(mut self, profiler: &s2fa_obs::Profiler) -> Self {
-        self.metrics = profiler.metrics().map(|m| RunMetrics {
-            bandit_pull_ns: m.histogram("bandit_pull_ns"),
-            propose_ns: m.histogram("propose_ns"),
-            feedback_ns: m.histogram("feedback_ns"),
-        });
         self
     }
 
@@ -251,19 +225,11 @@ impl TuningRun {
             // scalable in terms of the efficiency").
             let mut batch: Vec<(usize, Config, Vec<usize>)> = Vec::new();
             let mut batch_seen: Vec<Config> = Vec::new();
-            let propose_t0 = self.metrics.as_ref().map(|_| std::time::Instant::now());
             for _ in 0..self.options.parallel_evals.max(1) {
                 if evals + batch.len() as u64 >= self.options.max_evaluations {
                     break;
                 }
-                let arm = if let Some(m) = &self.metrics {
-                    let t0 = std::time::Instant::now();
-                    let arm = bandit.select();
-                    m.bandit_pull_ns.record(t0.elapsed().as_nanos() as u64);
-                    arm
-                } else {
-                    bandit.select()
-                };
+                let arm = bandit.select();
                 self.sink.emit(&Event::TechniquePull {
                     technique: self.techniques[arm].name().to_string(),
                     iteration,
@@ -292,9 +258,6 @@ impl TuningRun {
                 batch_seen.push(cfg.clone());
                 batch.push((arm, cfg, mutated));
             }
-            if let (Some(m), Some(t0)) = (&self.metrics, propose_t0) {
-                m.propose_ns.record(t0.elapsed().as_nanos() as u64);
-            }
             if batch.is_empty() {
                 reason = if evals >= self.options.max_evaluations {
                     StopReason::IterationLimit
@@ -310,7 +273,6 @@ impl TuningRun {
             let configs: Vec<Config> = batch.iter().map(|(_, c, _)| c.clone()).collect();
             let measurements = objective.measure_batch(&configs);
             let minute = clock.complete_batch(measurements.iter().map(|m| m.minutes));
-            let feedback_t0 = self.metrics.as_ref().map(|_| std::time::Instant::now());
             for ((arm, cfg, mutated), m) in batch.into_iter().zip(measurements) {
                 evals += 1;
                 self.techniques[arm].feedback(&cfg, &m);
@@ -331,9 +293,6 @@ impl TuningRun {
                     &history,
                     improved,
                 );
-            }
-            if let (Some(m), Some(t0)) = (&self.metrics, feedback_t0) {
-                m.feedback_ns.record(t0.elapsed().as_nanos() as u64);
             }
             iteration += 1;
         }
