@@ -6,6 +6,7 @@
 //! simultaneously" (§5.2). The JVM time comes from the cost-model
 //! interpreter over a sample of records, scaled to the full dataset.
 
+use s2fa_blaze::AccelTimeModel;
 use s2fa_sjvm::{HostValue, Interp, KernelSpec, Shape};
 
 /// Tasks in the evaluation dataset (per Spark partition).
@@ -64,7 +65,7 @@ pub fn jvm_ns_per_task(spec: &KernelSpec, sample: &[HostValue]) -> f64 {
 /// End-to-end accelerator time for `tasks` records given the final
 /// design's estimate (amortized batch scaling plus a fixed driver setup).
 pub fn fpga_time_ms(estimate: &s2fa_hlssim::Estimate, tasks: u64) -> f64 {
-    0.15 + estimate.time_ms_for_tasks(tasks)
+    AccelTimeModel::DRIVER_SETUP_MS + estimate.time_ms_for_tasks(tasks)
 }
 
 /// Speedup of an accelerator over the JVM baseline for `tasks` records.

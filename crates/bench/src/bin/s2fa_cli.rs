@@ -19,8 +19,8 @@
 //!
 //! `--trace <path>` attaches the flight recorder: every structured event
 //! of the DSE run (evaluations on the virtual timeline, partition
-//! lifecycles, technique pulls/rewards, batched cache-stats deltas,
-//! legality prunes) is appended to `<path>` as one JSON object per line.
+//! lifecycles, batched cache-stats deltas, legality prunes) is appended
+//! to `<path>` as one JSON object per line.
 //!
 //! `--eval-threads <n>` sets the DSE's host executors: the calling thread
 //! plus a worker pool of `n - 1` threads that runs the partitions and
@@ -86,7 +86,7 @@ use s2fa_dse::DesignSpace;
 use s2fa_hlsir::analysis;
 use s2fa_hlssim::{report, Estimator};
 use s2fa_merlin::{apply_structural, DesignConfig};
-use s2fa_obs::{aggregate_spans, validate, verify_spans, Histogram, Json, Profile, Profiler};
+use s2fa_obs::{aggregate_spans, validate, verify_spans, Json, Profile, Profiler};
 use s2fa_trace::{JsonlSink, NullSink, TraceSink};
 use s2fa_workloads::all_workloads;
 use std::sync::Arc;
@@ -821,11 +821,7 @@ fn run_serve(args: &Args) -> i32 {
     };
 
     let stats = &outcome.stats;
-    let hist = Histogram::new();
-    for l in outcome.latencies_ms() {
-        hist.record((l * 1000.0).round() as u64);
-    }
-    let snap = hist.snapshot();
+    let snap = outcome.latency_us();
     println!(
         "served {} tenants at {:.0}% of modelled capacity on {} nodes",
         tenants.len(),

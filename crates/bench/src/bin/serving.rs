@@ -41,7 +41,7 @@ use s2fa_bench::results::save;
 use s2fa_blaze::{AccelTimeModel, ServeOutcome};
 use s2fa_blaze::{AcceleratorRegistry, ServingConfig, ServingRuntime, TenantSpec};
 use s2fa_hlsir::analysis;
-use s2fa_obs::{validate, Histogram, Json, Profiler};
+use s2fa_obs::{validate, Json, Profiler};
 use s2fa_trace::NullSink;
 use s2fa_workloads::all_workloads;
 
@@ -139,11 +139,7 @@ fn run_regime(
     let stats = &outcome.stats;
 
     // Latency percentiles via the obs histogram, in µs for resolution.
-    let hist = Histogram::new();
-    for l in outcome.latencies_ms() {
-        hist.record((l * 1000.0).round() as u64);
-    }
-    let snap = hist.snapshot();
+    let snap = outcome.latency_us();
     let us = |v: u64| v as f64 / 1000.0;
 
     let offered_per_ms: f64 = tenants.iter().map(|t| t.rate_per_ms).sum();
@@ -295,11 +291,7 @@ fn main() {
             records_per_request,
         );
         let stats = &outcome.stats;
-        let hist = Histogram::new();
-        for l in outcome.latencies_ms() {
-            hist.record((l * 1000.0).round() as u64);
-        }
-        let snap = hist.snapshot();
+        let snap = outcome.latency_us();
         println!(
             "{:<9} {:>11.1} {:>11.1} {:>9.3} {:>9.3} {:>9.3} {:>6} {:>6} {:>7.2}",
             label,

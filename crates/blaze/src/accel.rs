@@ -18,6 +18,10 @@ pub struct AccelTimeModel {
 }
 
 impl AccelTimeModel {
+    /// The fixed driver-call and DMA setup, in ms, that every compiled
+    /// design's model carries and the Fig. 4 baseline adds.
+    pub const DRIVER_SETUP_MS: f64 = 0.15;
+
     /// Modelled wall-clock for a batch of `tasks`.
     pub fn batch_ms(&self, tasks: u64) -> f64 {
         self.setup_ms + self.per_task_ms * tasks as f64

@@ -44,5 +44,5 @@ pub use accel::{AccelStats, AccelTimeModel, Accelerator};
 pub use error::BlazeError;
 pub use rdd::{AccCall, BlazeContext, BlazeRdd, ExecutionPath, OffloadReport, Rdd};
 pub use serial::{BufferSlot, DataLayout};
-pub use service::{AcceleratorRegistry, RegisteredAccel};
+pub use service::AcceleratorRegistry;
 pub use serving::{ServeOutcome, ServingConfig, ServingRuntime, TenantSpec};

@@ -13,9 +13,10 @@
 //! // `acc_call.id` is registered, otherwise falls back to the JVM.
 //! ```
 
+use crate::accel::Accelerator;
 use crate::service::AcceleratorRegistry;
 use crate::BlazeError;
-use s2fa_sjvm::{HostValue, Interp, JvmCostModel, KernelSpec, RddOp};
+use s2fa_sjvm::{HostValue, Interp, KernelSpec, RddOp};
 
 /// A resilient distributed dataset (single-node, in-memory slice of one).
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -105,32 +106,16 @@ impl OffloadReport {
     }
 }
 
-/// The Blaze driver context: holds the accelerator registry and the
-/// offload policy.
+/// The Blaze driver context: holds the accelerator registry.
 #[derive(Debug, Clone, Copy)]
 pub struct BlazeContext<'r> {
     registry: &'r AcceleratorRegistry,
-    /// Minimum batch size worth offloading: below it the fixed driver/DMA
-    /// setup dominates and the JVM path wins, so Blaze keeps small batches
-    /// on the host.
-    min_offload_batch: usize,
 }
 
 impl<'r> BlazeContext<'r> {
-    /// Creates a context over a registry with offloading enabled for any
-    /// batch size.
+    /// Creates a context over a registry.
     pub fn new(registry: &'r AcceleratorRegistry) -> Self {
-        BlazeContext {
-            registry,
-            min_offload_batch: 0,
-        }
-    }
-
-    /// Sets the minimum batch size routed to the accelerator; smaller
-    /// batches fall back to the JVM even when a design is registered.
-    pub fn with_min_offload_batch(mut self, min: usize) -> Self {
-        self.min_offload_batch = min;
-        self
+        BlazeContext { registry }
     }
 
     /// Wraps an RDD for transparent offloading (Code 1, line 2).
@@ -138,7 +123,6 @@ impl<'r> BlazeContext<'r> {
         BlazeRdd {
             rdd,
             registry: self.registry,
-            min_offload_batch: self.min_offload_batch,
         }
     }
 }
@@ -149,7 +133,6 @@ impl<'r> BlazeContext<'r> {
 pub struct BlazeRdd<'r> {
     rdd: Rdd,
     registry: &'r AcceleratorRegistry,
-    min_offload_batch: usize,
 }
 
 impl BlazeRdd<'_> {
@@ -162,9 +145,10 @@ impl BlazeRdd<'_> {
     ///
     /// # Errors
     ///
-    /// Propagates layout/execution errors from either path.
+    /// Propagates operator, layout and execution errors from either path.
     pub fn map(&self, acc: &AccCall) -> Result<(Rdd, OffloadReport), BlazeError> {
-        self.transform(acc, RddOp::Map)
+        let (out, report) = dispatch(self.registry, acc, RddOp::Map, self.rdd.collect())?;
+        Ok((Rdd::from_values(out), report))
     }
 
     /// Offloadable `reduce`: combines all records pairwise with the lambda.
@@ -172,90 +156,114 @@ impl BlazeRdd<'_> {
     /// # Errors
     ///
     /// Returns [`BlazeError::EmptyDataset`] for empty inputs; otherwise
-    /// propagates layout/execution errors.
+    /// propagates operator, layout and execution errors.
     pub fn reduce(&self, acc: &AccCall) -> Result<(HostValue, OffloadReport), BlazeError> {
-        let (rdd, report) = self.transform(acc, RddOp::Reduce)?;
-        let v = rdd
-            .collect()
-            .first()
-            .cloned()
-            .ok_or(BlazeError::EmptyDataset)?;
+        let (out, report) = dispatch(self.registry, acc, RddOp::Reduce, self.rdd.collect())?;
+        let v = out.into_iter().next().ok_or(BlazeError::EmptyDataset)?;
         Ok((v, report))
     }
+}
 
-    fn transform(&self, acc: &AccCall, op: RddOp) -> Result<(Rdd, OffloadReport), BlazeError> {
-        if self.rdd.is_empty() {
-            return Err(BlazeError::EmptyDataset);
-        }
-        if self.rdd.count() >= self.min_offload_batch {
-            if let Some(accel) = self.registry.lookup(&acc.id) {
-                return self.offload(&accel, acc, op);
-            }
-        }
-        self.jvm_fallback(acc, op)
+/// The one operator rule: the stage's operator `op`, the lambda's and a
+/// registered design's (if any) must agree. Every Blaze caller checks
+/// its route with it, so a mismatch reads the same on every path.
+pub(crate) fn check_operator(
+    id: &str,
+    op: RddOp,
+    lambda: &KernelSpec,
+    design: Option<&Accelerator>,
+) -> Result<(), BlazeError> {
+    let mut operators = std::iter::once(lambda.operator).chain(design.map(|a| a.operator));
+    match operators.find(|&other| other != op) {
+        None => Ok(()),
+        Some(other) => Err(BlazeError::Accel(format!(
+            "accelerator `{id}` implements {}, not {}",
+            other.name(),
+            op.name()
+        ))),
     }
+}
 
-    fn offload(
-        &self,
-        accel: &crate::accel::Accelerator,
-        acc: &AccCall,
-        op: RddOp,
-    ) -> Result<(Rdd, OffloadReport), BlazeError> {
-        {
-            if accel.operator != op {
-                return Err(BlazeError::Accel(format!(
-                    "accelerator `{}` implements {}, not {}",
-                    acc.id,
-                    accel.operator.name(),
-                    op.name()
-                )));
-            }
-            let (out, stats) = accel.run_batch(self.rdd.collect())?;
+/// Blaze's routing rule (paper §2): a transformation tagged with
+/// `call.id` runs on the registered design when there is one, and
+/// otherwise falls back to the original lambda on the JVM
+/// ([`run_jvm`]). Either path yields the outputs and one
+/// [`OffloadReport`].
+///
+/// # Errors
+///
+/// [`BlazeError::Accel`] when the operators disagree
+/// ([`check_operator`]), [`BlazeError::EmptyDataset`] for no records,
+/// and the executed path's layout and execution errors.
+pub(crate) fn dispatch(
+    registry: &AcceleratorRegistry,
+    call: &AccCall,
+    op: RddOp,
+    records: &[HostValue],
+) -> Result<(Vec<HostValue>, OffloadReport), BlazeError> {
+    let accel = registry.lookup(&call.id);
+    check_operator(&call.id, op, &call.spec, accel.as_deref())?;
+    match accel {
+        Some(accel) => {
+            let (out, stats) = accel.run_batch(records)?;
             let report = OffloadReport {
                 path: ExecutionPath::Offloaded,
                 tasks: stats.tasks,
                 time_ms: stats.modelled_ms,
                 bytes: stats.bytes,
             };
-            Ok((Rdd::from_values(out), report))
+            Ok((out, report))
+        }
+        None => {
+            let (out, ms) = run_jvm(&call.spec, records)?;
+            let report = OffloadReport {
+                path: ExecutionPath::JvmFallback,
+                tasks: records.len() as u64,
+                time_ms: Some(ms),
+                bytes: 0,
+            };
+            Ok((out, report))
         }
     }
+}
 
-    /// Runs the original lambda on the interpreter (the Blaze fallback).
-    fn jvm_fallback(&self, acc: &AccCall, op: RddOp) -> Result<(Rdd, OffloadReport), BlazeError> {
-        let spec = &acc.spec;
-        let mut interp =
-            Interp::new(&spec.classes, &spec.methods).with_cost_model(JvmCostModel::default());
-        let mut total_ns = 0.0;
-        let out = match op {
-            RddOp::Map => {
-                let mut out = Vec::with_capacity(self.rdd.count());
-                for rec in self.rdd.collect() {
-                    let (v, stats) = interp.run(spec.entry, std::slice::from_ref(rec))?;
-                    total_ns += stats.ns;
-                    out.push(v);
-                }
-                out
+/// Runs the original lambda on the interpreter (the Blaze fallback) and
+/// returns the outputs plus the cost model's modelled ms. A map applies
+/// the lambda to each record; a reduce folds the records pairwise from
+/// the first.
+///
+/// # Errors
+///
+/// [`BlazeError::EmptyDataset`] for no records; interpreter faults as
+/// [`BlazeError::Jvm`].
+pub(crate) fn run_jvm(
+    spec: &KernelSpec,
+    records: &[HostValue],
+) -> Result<(Vec<HostValue>, f64), BlazeError> {
+    let (first, rest) = records.split_first().ok_or(BlazeError::EmptyDataset)?;
+    let mut interp = Interp::new(&spec.classes, &spec.methods);
+    let mut total_ns = 0.0;
+    let out = match spec.operator {
+        RddOp::Map => {
+            let mut out = Vec::with_capacity(records.len());
+            for rec in records {
+                let (v, stats) = interp.run(spec.entry, std::slice::from_ref(rec))?;
+                total_ns += stats.ns;
+                out.push(v);
             }
-            RddOp::Reduce => {
-                let records = self.rdd.collect();
-                let mut acc_val = records[0].clone();
-                for rec in &records[1..] {
-                    let (v, stats) = interp.run(spec.entry, &[acc_val.clone(), rec.clone()])?;
-                    total_ns += stats.ns;
-                    acc_val = v;
-                }
-                vec![acc_val]
+            out
+        }
+        RddOp::Reduce => {
+            let mut acc = first.clone();
+            for rec in rest {
+                let (v, stats) = interp.run(spec.entry, &[acc, rec.clone()])?;
+                total_ns += stats.ns;
+                acc = v;
             }
-        };
-        let report = OffloadReport {
-            path: ExecutionPath::JvmFallback,
-            tasks: self.rdd.count() as u64,
-            time_ms: Some(total_ns / 1e6),
-            bytes: 0,
-        };
-        Ok((Rdd::from_values(out), report))
-    }
+            vec![acc]
+        }
+    };
+    Ok((out, total_ns / 1e6))
 }
 
 #[cfg(test)]
@@ -305,6 +313,42 @@ mod tests {
             input_shape: Shape::Scalar(JType::Int),
             output_shape: Shape::Scalar(JType::Int),
         }
+    }
+
+    /// The shared JVM runner reproduces, bit for bit, the outputs and
+    /// modelled ms the RDD wrapper's own fallback loop reported before
+    /// the RDD, stream and serving loops became one.
+    #[test]
+    fn jvm_runner_matches_the_rdd_fallback_it_replaced() {
+        let ints = |n: i64| (1..=n).map(HostValue::I).collect::<Vec<_>>();
+        let (out, ms) = run_jvm(&triple_spec(), &ints(7)).unwrap();
+        assert_eq!(
+            out,
+            (1..=7).map(|i| HostValue::I(3 * i)).collect::<Vec<_>>()
+        );
+        assert_eq!(ms, 1.9600000000000002e-5);
+        let (out, ms) = run_jvm(&sum_spec(), &ints(10)).unwrap();
+        assert_eq!(out, vec![HostValue::I(55)]);
+        assert_eq!(ms, 1.8900000000000002e-5);
+        // and the wrapper reports them unchanged
+        let registry = AcceleratorRegistry::new();
+        let call = AccCall {
+            id: "sum".into(),
+            spec: sum_spec(),
+        };
+        let (_, report) = BlazeContext::new(&registry)
+            .wrap(Rdd::from_values(ints(10)))
+            .reduce(&call)
+            .unwrap();
+        assert_eq!(
+            report,
+            OffloadReport {
+                path: ExecutionPath::JvmFallback,
+                tasks: 10,
+                time_ms: Some(1.8900000000000002e-5),
+                bytes: 0,
+            }
+        );
     }
 
     #[test]
@@ -363,7 +407,6 @@ mod tests {
 #[cfg(test)]
 mod policy_tests {
     use super::*;
-    use crate::accel::Accelerator;
     use crate::serial::DataLayout;
     use s2fa_hlsir::{ast, CBinOp, CNumKind};
     use s2fa_sjvm::builder::{Expr as JE, FnBuilder};
@@ -438,27 +481,6 @@ mod policy_tests {
             input_shape: Shape::Scalar(JType::Int),
             output_shape: Shape::Scalar(JType::Int),
         }
-    }
-
-    #[test]
-    fn small_batches_stay_on_the_jvm() {
-        let registry = AcceleratorRegistry::new();
-        registry.register(identity_accel("dbl"));
-        let blaze = BlazeContext::new(&registry).with_min_offload_batch(10);
-        let call = AccCall {
-            id: "dbl".into(),
-            spec: double_spec(),
-        };
-        // 3 records < threshold → JVM, same results
-        let small = Rdd::from_values((0..3).map(HostValue::I).collect());
-        let (out, report) = blaze.wrap(small).map(&call).unwrap();
-        assert_eq!(report.path, ExecutionPath::JvmFallback);
-        assert_eq!(out.collect()[2], HostValue::I(4));
-        // 10 records ≥ threshold → accelerator
-        let big = Rdd::from_values((0..10).map(HostValue::I).collect());
-        let (out, report) = blaze.wrap(big).map(&call).unwrap();
-        assert_eq!(report.path, ExecutionPath::Offloaded);
-        assert_eq!(out.collect()[9], HostValue::I(18));
     }
 
     #[test]

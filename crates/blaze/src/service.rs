@@ -5,38 +5,20 @@
 //! provided APIs" (§2). The registry is shared and thread-safe: in a real
 //! deployment every worker node holds one.
 //!
-//! Registrations carry a **generation**: a registry-wide monotonically
-//! increasing counter bumped by every (re-)registration. A serving worker
-//! that resolved a design at admission time can compare generations at
-//! execution time and detect that an operator replaced the design
-//! mid-flight (a redeploy) instead of silently executing a different
-//! kernel than the one the request was admitted against.
+//! Registering a design under a live id replaces it for later lookups.
+//! A lookup hands out the `Arc` of the design it found, so a serving run,
+//! which resolves its routes once up front, keeps executing the designs
+//! it resolved even if one is replaced mid-run.
 
 use crate::accel::Accelerator;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// One resolved registry entry: the design plus the generation it was
-/// registered under.
-#[derive(Debug, Clone)]
-pub struct RegisteredAccel {
-    /// The deployed design.
-    pub accel: Arc<Accelerator>,
-    /// Generation of this registration (bumped on every replace).
-    pub generation: u64,
-}
-
 /// Thread-safe registry mapping accelerator ids to deployed designs.
 #[derive(Debug, Default)]
 pub struct AcceleratorRegistry {
-    map: RwLock<RegistryInner>,
-}
-
-#[derive(Debug, Default)]
-struct RegistryInner {
-    entries: HashMap<String, RegisteredAccel>,
-    next_generation: u64,
+    map: RwLock<HashMap<String, Arc<Accelerator>>>,
 }
 
 impl AcceleratorRegistry {
@@ -45,61 +27,31 @@ impl AcceleratorRegistry {
         Self::default()
     }
 
-    /// Registers (or replaces) an accelerator under its id; returns the
-    /// generation of the new registration. Generations increase
-    /// monotonically across the whole registry, so replacing a live
-    /// design always yields a strictly larger generation than any
-    /// earlier lookup of that id returned.
-    pub fn register(&self, accel: Accelerator) -> u64 {
-        let mut inner = self.map.write();
-        inner.next_generation += 1;
-        let generation = inner.next_generation;
-        inner.entries.insert(
-            accel.id.clone(),
-            RegisteredAccel {
-                accel: Arc::new(accel),
-                generation,
-            },
-        );
-        generation
+    /// Registers (or replaces) an accelerator under its id.
+    pub fn register(&self, accel: Accelerator) {
+        self.map.write().insert(accel.id.clone(), Arc::new(accel));
     }
 
     /// Looks an accelerator up by id.
     pub fn lookup(&self, id: &str) -> Option<Arc<Accelerator>> {
-        self.map.read().entries.get(id).map(|e| e.accel.clone())
-    }
-
-    /// Looks an accelerator up by id, with the generation it was
-    /// registered under.
-    pub fn lookup_entry(&self, id: &str) -> Option<RegisteredAccel> {
-        self.map.read().entries.get(id).cloned()
-    }
-
-    /// The current generation of an id's registration, if registered.
-    pub fn generation(&self, id: &str) -> Option<u64> {
-        self.map.read().entries.get(id).map(|e| e.generation)
-    }
-
-    /// Removes an accelerator; returns it if it was registered.
-    pub fn unregister(&self, id: &str) -> Option<Arc<Accelerator>> {
-        self.map.write().entries.remove(id).map(|e| e.accel)
+        self.map.read().get(id).cloned()
     }
 
     /// Registered accelerator ids, sorted.
     pub fn ids(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.map.read().entries.keys().cloned().collect();
+        let mut v: Vec<String> = self.map.read().keys().cloned().collect();
         v.sort();
         v
     }
 
     /// Number of registered accelerators.
     pub fn len(&self) -> usize {
-        self.map.read().entries.len()
+        self.map.read().len()
     }
 
     /// True if nothing is registered.
     pub fn is_empty(&self) -> bool {
-        self.map.read().entries.is_empty()
+        self.map.read().is_empty()
     }
 }
 
@@ -109,7 +61,7 @@ mod tests {
     use crate::serial::DataLayout;
     use s2fa_sjvm::{JType, RddOp, Shape};
 
-    fn dummy(id: &str) -> Accelerator {
+    fn dummy(id: &str, operator: RddOp) -> Accelerator {
         let shape = Shape::Scalar(JType::Int);
         Accelerator {
             id: id.into(),
@@ -118,7 +70,7 @@ mod tests {
                 params: vec![],
                 body: vec![],
             },
-            operator: RddOp::Map,
+            operator,
             input_layout: DataLayout::from_shape(&shape, "in"),
             output_layout: DataLayout::from_shape(&shape, "out"),
             time_model: None,
@@ -126,38 +78,28 @@ mod tests {
     }
 
     #[test]
-    fn register_lookup_unregister() {
+    fn register_and_lookup() {
         let r = AcceleratorRegistry::new();
         assert!(r.is_empty());
-        let g_a = r.register(dummy("a"));
-        let g_b = r.register(dummy("b"));
-        assert!(g_b > g_a);
+        r.register(dummy("b", RddOp::Map));
+        r.register(dummy("a", RddOp::Map));
         assert_eq!(r.ids(), vec!["a", "b"]);
+        assert_eq!(r.len(), 2);
         assert!(r.lookup("a").is_some());
         assert!(r.lookup("z").is_none());
-        assert_eq!(r.generation("a"), Some(g_a));
-        // replace registers under a fresh generation
-        let g_a2 = r.register(dummy("a"));
-        assert!(g_a2 > g_b);
-        assert_eq!(r.len(), 2);
-        assert!(r.unregister("a").is_some());
-        assert!(r.lookup("a").is_none());
-        assert_eq!(r.generation("a"), None);
     }
 
     #[test]
-    fn replace_bumps_the_generation_seen_by_lookups() {
+    fn replace_is_seen_by_later_lookups_only() {
         let r = AcceleratorRegistry::new();
-        let g1 = r.register(dummy("x"));
-        let before = r.lookup_entry("x").unwrap();
-        assert_eq!(before.generation, g1);
-        // a worker holding `before` can detect the mid-flight replace:
-        let g2 = r.register(dummy("x"));
-        let after = r.lookup_entry("x").unwrap();
-        assert!(g2 > g1);
-        assert_eq!(after.generation, g2);
-        assert!(after.generation > before.generation);
-        assert_eq!(r.generation("x"), Some(g2));
+        r.register(dummy("x", RddOp::Map));
+        let before = r.lookup("x").unwrap();
+        // replacing keeps one entry per id; later lookups see the new
+        // design, an earlier lookup keeps the one it resolved
+        r.register(dummy("x", RddOp::Reduce));
+        assert_eq!(r.len(), 1);
+        assert_eq!(r.lookup("x").unwrap().operator, RddOp::Reduce);
+        assert_eq!(before.operator, RddOp::Map);
     }
 
     #[test]

@@ -44,11 +44,11 @@ use super::request::{
 };
 use super::stats::{ServeOutcome, ServingStats};
 use crate::accel::Accelerator;
-use crate::rdd::ExecutionPath;
+use crate::rdd::{check_operator, run_jvm, ExecutionPath};
 use crate::service::AcceleratorRegistry;
 use crate::BlazeError;
 use s2fa_obs::{Lane, Profiler};
-use s2fa_sjvm::{HostValue, Interp, JvmCostModel, KernelSpec, RddOp};
+use s2fa_sjvm::{HostValue, RddOp};
 use s2fa_trace::{Event, TraceSink};
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -255,17 +255,12 @@ impl<'r> ServingRuntime<'r> {
                 )));
             }
             let accel = self.registry.lookup(&t.accel_id);
-            if let Some(a) = &accel {
-                if a.operator != t.fallback.operator {
-                    return Err(BlazeError::Accel(format!(
-                        "serving: accelerator `{}` implements {}, tenant `{}` expects {}",
-                        t.accel_id,
-                        a.operator.name(),
-                        t.name,
-                        t.fallback.operator.name()
-                    )));
-                }
-            }
+            check_operator(
+                &t.accel_id,
+                t.fallback.operator,
+                &t.fallback,
+                accel.as_deref(),
+            )?;
             routes.push(Route {
                 accel_id: t.accel_id.clone(),
                 accel,
@@ -293,7 +288,7 @@ impl<'r> ServingRuntime<'r> {
         let in_order: Vec<usize> = (0..idxs.len()).collect();
         let computed = parallel_map(self.config.exec_threads, &in_order, |k| {
             let req = &requests[idxs[k]];
-            run_fallback(&tenants[req.tenant].fallback, &req.records)
+            run_jvm(&tenants[req.tenant].fallback, &req.records)
         })?;
         let mut table = vec![None; requests.len()];
         for (k, result) in computed.into_iter().enumerate() {
@@ -742,41 +737,6 @@ fn batch_service_ms(accel: &Accelerator, requests: &[Request], members: &[u64]) 
             .map(|&rid| model.batch_ms(requests[rid as usize].records.len() as u64))
             .sum(),
     }
-}
-
-/// Runs one request's payload through the interpreter (the JVM fallback
-/// path) and returns the outputs plus the cost model's modelled ms.
-fn run_fallback(
-    spec: &KernelSpec,
-    records: &[HostValue],
-) -> Result<(Vec<HostValue>, f64), BlazeError> {
-    let mut interp =
-        Interp::new(&spec.classes, &spec.methods).with_cost_model(JvmCostModel::default());
-    let mut total_ns = 0.0;
-    let out = match spec.operator {
-        RddOp::Map => {
-            let mut out = Vec::with_capacity(records.len());
-            for rec in records {
-                let (v, stats) = interp.run(spec.entry, std::slice::from_ref(rec))?;
-                total_ns += stats.ns;
-                out.push(v);
-            }
-            out
-        }
-        RddOp::Reduce => {
-            if records.is_empty() {
-                return Err(BlazeError::EmptyDataset);
-            }
-            let mut acc = records[0].clone();
-            for rec in &records[1..] {
-                let (v, stats) = interp.run(spec.entry, &[acc.clone(), rec.clone()])?;
-                total_ns += stats.ns;
-                acc = v;
-            }
-            vec![acc]
-        }
-    };
-    Ok((out, total_ns / 1e6))
 }
 
 /// Batch indices in descending order of `costs`, ties by index: the

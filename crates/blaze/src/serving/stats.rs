@@ -2,6 +2,7 @@
 
 use super::request::RequestOutcome;
 use crate::rdd::ExecutionPath;
+use s2fa_obs::{Histogram, HistogramSnapshot};
 use std::collections::BTreeMap;
 
 /// Counters accumulated by the event loop.
@@ -76,6 +77,18 @@ impl ServeOutcome {
             .iter()
             .filter_map(RequestOutcome::latency_ms)
             .collect()
+    }
+
+    /// Completed latencies rounded to whole µs, summarized by a
+    /// log-linear [`Histogram`] (the percentiles the serving reports
+    /// print and `BENCH_serving.json` records).
+    pub fn latency_us(&self) -> HistogramSnapshot {
+        self.outcomes
+            .iter()
+            .filter_map(RequestOutcome::latency_ms)
+            .map(|l| (l * 1000.0).round() as u64)
+            .collect::<Histogram>()
+            .snapshot()
     }
 
     /// Completed outcomes that ran on `path`.

@@ -24,10 +24,10 @@
 //! # Ok::<(), s2fa_blaze::BlazeError>(())
 //! ```
 
-use crate::rdd::AccCall;
+use crate::rdd::{dispatch, AccCall};
 use crate::service::AcceleratorRegistry;
-use crate::{BlazeError, ExecutionPath, OffloadReport};
-use s2fa_sjvm::{HostValue, Interp, RddOp};
+use crate::{BlazeError, OffloadReport};
+use s2fa_sjvm::{HostValue, RddOp};
 
 /// A pipeline stage.
 enum Stage {
@@ -75,8 +75,9 @@ impl<'r> Stream<'r> {
     }
 
     /// Adds an *accelerated* map stage: executed on the registered design
-    /// when available, on the JVM interpreter otherwise — exactly Blaze's
-    /// routing, reused by a different runtime system.
+    /// when available, on the JVM interpreter otherwise — Blaze's own
+    /// dispatch, operator check included, reused by a different runtime
+    /// system.
     #[must_use]
     pub fn map(mut self, call: AccCall) -> Self {
         self.stages.push(Stage::MapAccel(call));
@@ -126,38 +127,9 @@ impl<'r> Stream<'r> {
                 if data.is_empty() {
                     return Ok(data);
                 }
-                if call.spec.operator != RddOp::Map {
-                    return Err(BlazeError::Accel(
-                        "stream map stages require a map kernel".into(),
-                    ));
-                }
-                if let Some(accel) = self.registry.lookup(&call.id) {
-                    let (out, stats) = accel.run_batch(&data)?;
-                    self.reports.push(OffloadReport {
-                        path: ExecutionPath::Offloaded,
-                        tasks: stats.tasks,
-                        time_ms: stats.modelled_ms,
-                        bytes: stats.bytes,
-                    });
-                    Ok(out)
-                } else {
-                    let spec = &call.spec;
-                    let mut interp = Interp::new(&spec.classes, &spec.methods);
-                    let mut out = Vec::with_capacity(data.len());
-                    let mut total_ns = 0.0;
-                    for rec in &data {
-                        let (v, stats) = interp.run(spec.entry, std::slice::from_ref(rec))?;
-                        total_ns += stats.ns;
-                        out.push(v);
-                    }
-                    self.reports.push(OffloadReport {
-                        path: ExecutionPath::JvmFallback,
-                        tasks: data.len() as u64,
-                        time_ms: Some(total_ns / 1e6),
-                        bytes: 0,
-                    });
-                    Ok(out)
-                }
+                let (out, report) = dispatch(self.registry, call, RddOp::Map, &data)?;
+                self.reports.push(report);
+                Ok(out)
             }
         }
     }
@@ -166,6 +138,7 @@ impl<'r> Stream<'r> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExecutionPath;
     use s2fa_sjvm::builder::{Expr, FnBuilder};
     use s2fa_sjvm::{ClassTable, JType, KernelSpec, MethodTable, Shape};
 

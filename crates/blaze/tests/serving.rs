@@ -2,11 +2,14 @@
 //! correctness on both paths, admission/queue bounds, batch forming,
 //! and the determinism contract (outcomes bit-identical across OS
 //! execution-thread counts; simulated `nodes` is a modeling knob).
+//! Also the one operator rule serving shares with the RDD wrapper and
+//! the streams API.
 
 use s2fa_blaze::serving::{Disposition, RejectReason};
+use s2fa_blaze::streams::Stream;
 use s2fa_blaze::{
-    AccelTimeModel, Accelerator, AcceleratorRegistry, DataLayout, ExecutionPath, ServeOutcome,
-    ServingConfig, ServingRuntime, TenantSpec,
+    AccCall, AccelTimeModel, Accelerator, AcceleratorRegistry, BlazeContext, BlazeError,
+    DataLayout, ExecutionPath, Rdd, ServeOutcome, ServingConfig, ServingRuntime, TenantSpec,
 };
 use s2fa_hlsir::{ast, CBinOp, CNumKind};
 use s2fa_obs::Profiler;
@@ -531,6 +534,54 @@ fn operator_mismatch_is_rejected_up_front() {
         )
         .unwrap_err();
     assert!(err.to_string().contains("implements"), "{err}");
+}
+
+#[test]
+fn stream_map_over_a_reduce_design_is_an_operator_error() {
+    let registry = AcceleratorRegistry::new();
+    registry.register(summer("dbl"));
+    let call = AccCall {
+        id: "dbl".into(),
+        spec: double_spec(),
+    };
+    let records = (1..=5).map(|i| HostValue::F(i as f64)).collect();
+    let err = Stream::of(records, &registry)
+        .map(call)
+        .collect()
+        .unwrap_err();
+    assert!(matches!(err, BlazeError::Accel(_)), "{err}");
+}
+
+#[test]
+fn rdd_stream_and_serving_reject_an_operator_mismatch_alike() {
+    // A map lambda tagged with the id of a reduce design.
+    let registry = AcceleratorRegistry::new();
+    registry.register(summer("acc"));
+    let call = AccCall {
+        id: "acc".into(),
+        spec: double_spec(),
+    };
+    let records: Vec<HostValue> = (1..=5).map(|i| HostValue::F(i as f64)).collect();
+    let rdd = BlazeContext::new(&registry)
+        .wrap(Rdd::from_values(records.clone()))
+        .map(&call)
+        .unwrap_err();
+    let stream = Stream::of(records, &registry)
+        .map(call)
+        .collect()
+        .unwrap_err();
+    let serving = ServingRuntime::new(&registry, ServingConfig::default())
+        .unwrap()
+        .serve(
+            &[tenant("t0", "acc", double_spec(), 1.0, 5)],
+            &NullSink,
+            &Profiler::disabled(),
+        )
+        .unwrap_err();
+    let want = BlazeError::Accel("accelerator `acc` implements reduce, not map".into());
+    assert_eq!(rdd, want);
+    assert_eq!(stream, want);
+    assert_eq!(serving, want);
 }
 
 #[test]

@@ -77,7 +77,7 @@ impl S2fa {
 
     /// Attaches a structured-event sink: [`compile`](Self::compile) then
     /// streams the DSE's virtual schedule (evaluations, partitions,
-    /// technique pulls, cache activity) through it. Emission is purely
+    /// cache activity, legality prunes) through it. Emission is purely
     /// observational — outcomes are identical with or without a sink.
     pub fn with_trace_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
         self.trace_sink = Some(sink);
@@ -212,7 +212,7 @@ impl S2fa {
         let source = printer::to_c(&optimized);
         let time_model = AccelTimeModel {
             per_task_ms: estimate.time_ms / estimate.batch_tasks.max(1) as f64,
-            setup_ms: 0.15,
+            setup_ms: AccelTimeModel::DRIVER_SETUP_MS,
         };
         let accelerator = Accelerator {
             id: spec.name.clone(),

@@ -563,7 +563,7 @@ pub fn run_dse_profiled(
         for e in &t.events {
             sink.emit(&Event::Eval {
                 minute: start + e.minute,
-                partition: Some(job.index as u64),
+                partition: job.index as u64,
                 iteration: e.iteration,
                 technique: e.technique.clone(),
                 value: e.value,
@@ -1073,7 +1073,7 @@ mod tests {
                 .filter_map(|e| match e {
                     Event::Eval {
                         minute,
-                        partition: Some(pi),
+                        partition: pi,
                         ..
                     } if *pi == p.index as u64 => Some(*minute),
                     _ => None,

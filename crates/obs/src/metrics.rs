@@ -3,11 +3,7 @@
 //! Histograms use a log-linear bucket layout (16 linear sub-buckets per
 //! power of two, exact below 16) — the same shape HdrHistogram and
 //! tokio's metrics use — giving ≤ ~6% relative quantile error over the
-//! full `u64` range with a fixed 976-bucket table. Recording is
-//! lock-free (`Relaxed` atomics), so one histogram may be shared by
-//! reference across threads.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! full `u64` range with a fixed 976-bucket table.
 
 /// Exact buckets for values below `LINEAR_MAX` (one per value).
 const LINEAR_MAX: u64 = 16;
@@ -40,14 +36,11 @@ fn bucket_value(idx: usize) -> u64 {
 }
 
 /// A log-linear histogram of `u64` samples (typically nanoseconds).
-///
-/// Recording is two atomic adds plus an atomic max; snapshots are taken
-/// without stopping writers (buckets are read `Relaxed`, so a snapshot
-/// concurrent with writes is approximate — fine for reporting).
+#[derive(Debug)]
 pub struct Histogram {
-    buckets: Vec<AtomicU64>,
-    sum: AtomicU64,
-    max: AtomicU64,
+    buckets: Vec<u64>,
+    sum: u64,
+    max: u64,
 }
 
 impl Default for Histogram {
@@ -56,40 +49,44 @@ impl Default for Histogram {
     }
 }
 
+impl FromIterator<u64> for Histogram {
+    fn from_iter<I: IntoIterator<Item = u64>>(samples: I) -> Self {
+        let mut h = Histogram::new();
+        for v in samples {
+            h.record(v);
+        }
+        h
+    }
+}
+
 impl Histogram {
     /// An empty histogram.
     pub fn new() -> Histogram {
         Histogram {
-            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
+            buckets: vec![0; BUCKETS],
+            sum: 0,
+            max: 0,
         }
     }
 
     /// Records one sample.
-    pub fn record(&self, v: u64) {
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+    pub fn record(&mut self, v: u64) {
+        self.buckets[bucket_index(v)] += 1;
+        self.sum = self.sum.wrapping_add(v);
+        self.max = self.max.max(v);
     }
 
-    /// A point-in-time summary of the distribution.
+    /// A summary of the distribution.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let count: u64 = counts.iter().sum();
-        let sum = self.sum.load(Ordering::Relaxed);
-        let max = self.max.load(Ordering::Relaxed);
+        let count: u64 = self.buckets.iter().sum();
+        let max = self.max;
         let quantile = |q: f64| -> u64 {
             if count == 0 {
                 return 0;
             }
             let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
             let mut seen = 0u64;
-            for (idx, &c) in counts.iter().enumerate() {
+            for (idx, &c) in self.buckets.iter().enumerate() {
                 seen += c;
                 if seen >= rank {
                     return bucket_value(idx).min(max);
@@ -99,24 +96,12 @@ impl Histogram {
         };
         HistogramSnapshot {
             count,
-            sum,
+            sum: self.sum,
             max,
             p50: quantile(0.50),
             p90: quantile(0.90),
             p99: quantile(0.99),
         }
-    }
-}
-
-impl std::fmt::Debug for Histogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.snapshot();
-        f.debug_struct("Histogram")
-            .field("count", &s.count)
-            .field("p50", &s.p50)
-            .field("p99", &s.p99)
-            .field("max", &s.max)
-            .finish()
     }
 }
 
@@ -188,11 +173,7 @@ mod tests {
 
     #[test]
     fn small_values_are_exact() {
-        let h = Histogram::new();
-        for v in [3u64, 3, 3, 7] {
-            h.record(v);
-        }
-        let s = h.snapshot();
+        let s = Histogram::from_iter([3u64, 3, 3, 7]).snapshot();
         assert_eq!(s.count, 4);
         assert_eq!(s.sum, 16);
         assert_eq!(s.max, 7);
@@ -202,11 +183,7 @@ mod tests {
 
     #[test]
     fn quantiles_are_within_bucket_error() {
-        let h = Histogram::new();
-        for v in 1..=10_000u64 {
-            h.record(v);
-        }
-        let s = h.snapshot();
+        let s = Histogram::from_iter(1..=10_000u64).snapshot();
         assert_eq!(s.count, 10_000);
         assert_eq!(s.max, 10_000);
         // Log-linear buckets: ≤ 1/16 relative width, so ~7% tolerance.
@@ -234,23 +211,5 @@ mod tests {
             }
         );
         assert_eq!(s.mean(), 0.0);
-    }
-
-    #[test]
-    fn concurrent_recording_loses_nothing() {
-        let h = Histogram::new();
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let h = &h;
-                s.spawn(move || {
-                    for i in 0..1_000u64 {
-                        h.record(i);
-                    }
-                });
-            }
-        });
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 8_000);
-        assert_eq!(snap.sum, 8 * (0..1_000u64).sum::<u64>());
     }
 }

@@ -110,11 +110,7 @@ proptest! {
     fn histogram_quantiles_stay_in_bounds(
         values in prop::collection::vec(0u64..4_000_000_000, 1..200),
     ) {
-        let h = Histogram::new();
-        for &v in &values {
-            h.record(v);
-        }
-        let snap = h.snapshot();
+        let snap = values.iter().copied().collect::<Histogram>().snapshot();
         let min = *values.iter().min().unwrap();
         let max = *values.iter().max().unwrap();
         prop_assert_eq!(snap.count, values.len() as u64);

@@ -21,8 +21,8 @@ pub enum Event {
     Eval {
         /// Batch-completion minute (all evaluations of one batch share it).
         minute: f64,
-        /// Partition index, if the run was partitioned.
-        partition: Option<u64>,
+        /// Partition index.
+        partition: u64,
         /// Iteration (batch) index within the run.
         iteration: u64,
         /// Technique that proposed the point (`"seed"` for seeds).
@@ -57,20 +57,6 @@ pub enum Event {
     Prune {
         /// The lint rule that fired (e.g. `S2FA-E201`).
         rule: String,
-    },
-    /// The bandit selected a technique to propose the next candidate.
-    TechniquePull {
-        /// Technique name.
-        technique: String,
-        /// Iteration the pull happened in.
-        iteration: u64,
-    },
-    /// A technique's proposal was measured and credited to the bandit.
-    TechniqueReward {
-        /// Technique name.
-        technique: String,
-        /// Whether the proposal improved the incumbent.
-        improved: bool,
     },
     /// A partition started exploring on a virtual worker.
     PartitionStart {
@@ -206,8 +192,6 @@ impl Event {
             Event::Eval { .. } => "eval",
             Event::CacheStats { .. } => "cache_stats",
             Event::Prune { .. } => "prune",
-            Event::TechniquePull { .. } => "technique_pull",
-            Event::TechniqueReward { .. } => "technique_reward",
             Event::PartitionStart { .. } => "partition_start",
             Event::PartitionStop { .. } => "partition_stop",
             Event::RunStop { .. } => "run_stop",
@@ -245,11 +229,9 @@ impl Event {
                 best_value,
                 improved,
             } => {
-                fields.push(("minute", Json::num(*minute)));
-                if let Some(p) = partition {
-                    fields.push(("partition", Json::int(*p)));
-                }
                 fields.extend([
+                    ("minute", Json::num(*minute)),
+                    ("partition", Json::int(*partition)),
                     ("iteration", Json::int(*iteration)),
                     ("technique", Json::str(technique)),
                     ("value", Json::num(*value)),
@@ -270,24 +252,6 @@ impl Event {
             }
             Event::Prune { rule } => {
                 fields.push(("rule", Json::str(rule)));
-            }
-            Event::TechniquePull {
-                technique,
-                iteration,
-            } => {
-                fields.extend([
-                    ("technique", Json::str(technique)),
-                    ("iteration", Json::int(*iteration)),
-                ]);
-            }
-            Event::TechniqueReward {
-                technique,
-                improved,
-            } => {
-                fields.extend([
-                    ("technique", Json::str(technique)),
-                    ("improved", Json::Bool(*improved)),
-                ]);
             }
             Event::PartitionStart {
                 partition,
@@ -438,7 +402,7 @@ mod tests {
     fn eval_serializes_all_fields() {
         let e = Event::Eval {
             minute: 12.5,
-            partition: Some(3),
+            partition: 3,
             iteration: 7,
             technique: "greedy".into(),
             value: 4.25,
@@ -453,24 +417,10 @@ mod tests {
     }
 
     #[test]
-    fn eval_without_partition_omits_the_field() {
-        let e = Event::Eval {
-            minute: 1.0,
-            partition: None,
-            iteration: 0,
-            technique: "seed".into(),
-            value: 1.0,
-            best_value: 1.0,
-            improved: true,
-        };
-        assert!(!e.to_json().contains("partition"));
-    }
-
-    #[test]
     fn infinite_values_become_null() {
         let e = Event::Eval {
             minute: 1.0,
-            partition: None,
+            partition: 0,
             iteration: 0,
             technique: "seed".into(),
             value: f64::INFINITY,

@@ -16,9 +16,9 @@
 //!   events inside one batch with inconsistent, proposal-order-dependent
 //!   minutes.
 //! * [`Event`] — typed pipeline events: evaluations, batched cache
-//!   statistics, technique pulls/rewards, partition start/stop, and run
-//!   stop reasons. Events serialize to single-line JSON for flight
-//!   recording.
+//!   statistics, legality prunes, partition start/stop, run stop reasons
+//!   and the serving request path. Events serialize to single-line JSON
+//!   for flight recording.
 //! * [`TraceSink`] — the pluggable emission channel: [`NullSink`] (drop
 //!   everything), [`RingSink`] (bounded in-memory ring, for tests and
 //!   post-hoc inspection), and [`JsonlSink`] (a JSONL flight recorder,

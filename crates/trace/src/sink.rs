@@ -153,21 +153,14 @@ mod tests {
     fn ring_keeps_the_tail_and_counts_everything() {
         let ring = RingSink::new(3);
         for i in 0..5u64 {
-            ring.emit(&Event::TechniquePull {
-                technique: format!("t{i}"),
-                iteration: i,
+            ring.emit(&Event::Prune {
+                rule: format!("t{i}"),
             });
         }
         assert_eq!(ring.emitted(), 5);
         let evs = ring.events();
         assert_eq!(evs.len(), 3);
-        assert_eq!(
-            evs[0],
-            Event::TechniquePull {
-                technique: "t2".into(),
-                iteration: 2
-            }
-        );
+        assert_eq!(evs[0], Event::Prune { rule: "t2".into() });
     }
 
     fn cache_stats(hits: u64) -> Event {

@@ -12,10 +12,9 @@
 //! completes as one unit, so every [`TraceEvent`] of a batch carries the
 //! same batch-completion minute. (Events used to be stamped with a running
 //! prefix-max of the batch's minutes, which handed out inconsistent,
-//! proposal-order-dependent timestamps inside one batch.) Structured
-//! events — evaluations, technique pulls/rewards, the stop reason — are
-//! additionally emitted through the run's [`TraceSink`]
-//! ([`TuningRun::with_sink`]; the default [`NullSink`] drops them).
+//! proposal-order-dependent timestamps inside one batch.) The run keeps
+//! its evaluations in [`TuningOutcome::trace`]; the DSE driver turns them
+//! into `s2fa_trace` events when it merges partitions.
 
 use crate::bandit::AucBandit;
 use crate::history::{History, Measurement};
@@ -25,8 +24,7 @@ use crate::stopping::{StopReason, StoppingCriterion};
 use crate::technique::{default_portfolio, SearchTechnique};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use s2fa_trace::{BatchClock, Event, NullSink, TechniqueStats, TechniqueTable, TraceSink};
-use std::sync::Arc;
+use s2fa_trace::{BatchClock, TechniqueStats, TechniqueTable};
 
 /// Options controlling one tuning run.
 #[derive(Debug, Clone)]
@@ -127,7 +125,6 @@ pub struct TuningRun {
     space: SearchSpace,
     options: TuningOptions,
     techniques: Vec<Box<dyn SearchTechnique + Send>>,
-    sink: Arc<dyn TraceSink>,
 }
 
 impl TuningRun {
@@ -137,15 +134,7 @@ impl TuningRun {
             space,
             options,
             techniques: default_portfolio(),
-            sink: Arc::new(NullSink),
         }
-    }
-
-    /// Attaches a structured-event sink. Emission is observational only:
-    /// the run's decisions and outcome are identical for any sink.
-    pub fn with_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.sink = sink;
-        self
     }
 
     /// Runs to completion.
@@ -200,7 +189,6 @@ impl TuningRun {
                 evals += 1;
                 let improved = history.record(seed, m, vec![]);
                 record_eval(
-                    self.sink.as_ref(),
                     &mut trace,
                     &mut techniques_seen,
                     minute,
@@ -230,10 +218,6 @@ impl TuningRun {
                     break;
                 }
                 let arm = bandit.select();
-                self.sink.emit(&Event::TechniquePull {
-                    technique: self.techniques[arm].name().to_string(),
-                    iteration,
-                });
                 let mut cfg = self.techniques[arm].propose(&self.space, &history, &mut rng);
                 // Dedupe against history and the in-flight batch: don't
                 // waste an HLS run on a repeat.
@@ -278,12 +262,7 @@ impl TuningRun {
                 self.techniques[arm].feedback(&cfg, &m);
                 let improved = history.record(cfg, m, mutated);
                 bandit.reward(arm, improved);
-                self.sink.emit(&Event::TechniqueReward {
-                    technique: self.techniques[arm].name().to_string(),
-                    improved,
-                });
                 record_eval(
-                    self.sink.as_ref(),
                     &mut trace,
                     &mut techniques_seen,
                     minute,
@@ -310,12 +289,6 @@ impl TuningRun {
                 e.minute = elapsed;
             }
         }
-
-        self.sink.emit(&Event::RunStop {
-            minute: elapsed,
-            evaluations: evals,
-            reason: format!("{reason:?}"),
-        });
 
         TuningOutcome {
             best: history.best().map(|(c, v)| (c.clone(), v)),
@@ -346,11 +319,10 @@ fn mutated_params(history: &History, cfg: &Config) -> Vec<usize> {
     }
 }
 
-/// Books one evaluation everywhere it is observable: the convergence
-/// trace, the per-technique counters, and the structured-event sink.
+/// Books one evaluation in the convergence trace and the per-technique
+/// counters.
 #[allow(clippy::too_many_arguments)]
 fn record_eval(
-    sink: &dyn TraceSink,
     trace: &mut Vec<TraceEvent>,
     techniques: &mut TechniqueTable,
     minute: f64,
@@ -362,15 +334,6 @@ fn record_eval(
 ) {
     let best_value = history.best().map(|(_, v)| v).unwrap_or(f64::INFINITY);
     techniques.record(technique, m.value, improved);
-    sink.emit(&Event::Eval {
-        minute,
-        partition: None,
-        iteration,
-        technique: technique.to_string(),
-        value: m.value,
-        best_value,
-        improved,
-    });
     trace.push(TraceEvent {
         minute,
         iteration,
@@ -386,7 +349,6 @@ mod tests {
     use super::*;
     use crate::param::{ParamDef, ParamKind};
     use crate::stopping::{NoImprovement, TimeLimitOnly};
-    use s2fa_trace::RingSink;
 
     fn space() -> SearchSpace {
         SearchSpace::new(vec![
@@ -641,34 +603,6 @@ mod tests {
         );
         assert_eq!(exact.killed_evals, 0);
         assert_eq!(exact.evaluations, 2);
-    }
-
-    #[test]
-    fn sink_sees_evals_pulls_rewards_and_stop() {
-        let ring = Arc::new(RingSink::new(4096));
-        let run = TuningRun::new(
-            space(),
-            TuningOptions {
-                budget_minutes: 60.0,
-                seeds: vec![vec![20, 3]],
-                ..TuningOptions::default()
-            },
-        )
-        .with_sink(ring.clone());
-        let out = run.run(&mut objective, &mut TimeLimitOnly);
-        let evs = ring.events();
-        let evals = evs.iter().filter(|e| e.kind() == "eval").count() as u64;
-        assert_eq!(evals, out.evaluations);
-        let pulls = evs.iter().filter(|e| e.kind() == "technique_pull").count() as u64;
-        let rewards = evs
-            .iter()
-            .filter(|e| e.kind() == "technique_reward")
-            .count() as u64;
-        // one pull per proposal slot, one reward per measured proposal;
-        // seeds are neither pulled nor rewarded
-        assert!(pulls >= rewards);
-        assert_eq!(rewards, out.evaluations - 1);
-        assert!(matches!(evs.last(), Some(Event::RunStop { .. })));
     }
 
     #[test]
