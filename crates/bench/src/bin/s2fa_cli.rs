@@ -19,8 +19,8 @@
 //!
 //! `--trace <path>` attaches the flight recorder: every structured event
 //! of the DSE run (evaluations on the virtual timeline, partition
-//! lifecycles, batched cache-stats deltas, legality prunes) is appended
-//! to `<path>` as one JSON object per line.
+//! lifecycles, the run's stop, and legality prunes under a pre-screen)
+//! is appended to `<path>` as one JSON object per line.
 //!
 //! `--eval-threads <n>` sets the DSE's host executors: the calling thread
 //! plus a worker pool of `n - 1` threads that runs the partitions and
@@ -358,14 +358,10 @@ fn main() {
                 dse.killed_evals
             );
         }
-        let lookups = dse.cache.hits + dse.cache.misses;
         println!(
-            "dse: {:.0} evals/sec wall-clock, cache hit rate {:.1}% ({} of {} lookups, {} racing overwrites)",
+            "dse: {:.0} evals/sec wall-clock, {} estimator calls",
             dse.total_evaluations as f64 / wall.as_secs_f64().max(1e-9),
-            100.0 * dse.cache.hit_rate(),
-            dse.cache.hits,
-            lookups,
-            dse.cache.overwrites
+            dse.cache.misses
         );
         if args.prescreen || args.dataflow_prescreen {
             println!(

@@ -9,6 +9,9 @@ pub enum BlazeError {
     Layout(String),
     /// The accelerator's functional execution failed.
     Accel(String),
+    /// A call was refused before anything ran: a bad `ServingConfig` or
+    /// tenant, or operators that disagree.
+    Config(String),
     /// The JVM fallback path failed.
     Jvm(String),
     /// Operation on an empty dataset that requires data.
@@ -20,6 +23,7 @@ impl fmt::Display for BlazeError {
         match self {
             BlazeError::Layout(m) => write!(f, "layout mismatch: {m}"),
             BlazeError::Accel(m) => write!(f, "accelerator execution failed: {m}"),
+            BlazeError::Config(m) => write!(f, "invalid configuration: {m}"),
             BlazeError::Jvm(m) => write!(f, "jvm execution failed: {m}"),
             BlazeError::EmptyDataset => write!(f, "operation requires a non-empty dataset"),
         }
@@ -49,5 +53,10 @@ mod tests {
         let e: BlazeError = s2fa_sjvm::SjvmError::OutOfFuel.into();
         assert!(matches!(e, BlazeError::Jvm(_)));
         assert!(BlazeError::EmptyDataset.to_string().contains("non-empty"));
+        let e = BlazeError::Config("serving: nodes must be >= 1".into());
+        assert_eq!(
+            e.to_string(),
+            "invalid configuration: serving: nodes must be >= 1"
+        );
     }
 }

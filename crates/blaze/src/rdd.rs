@@ -176,7 +176,7 @@ pub(crate) fn check_operator(
     let mut operators = std::iter::once(lambda.operator).chain(design.map(|a| a.operator));
     match operators.find(|&other| other != op) {
         None => Ok(()),
-        Some(other) => Err(BlazeError::Accel(format!(
+        Some(other) => Err(BlazeError::Config(format!(
             "accelerator `{id}` implements {}, not {}",
             other.name(),
             op.name()
@@ -192,7 +192,7 @@ pub(crate) fn check_operator(
 ///
 /// # Errors
 ///
-/// [`BlazeError::Accel`] when the operators disagree
+/// [`BlazeError::Config`] when the operators disagree
 /// ([`check_operator`]), [`BlazeError::EmptyDataset`] for no records,
 /// and the executed path's layout and execution errors.
 pub(crate) fn dispatch(
@@ -515,6 +515,6 @@ mod policy_tests {
         };
         let rdd = Rdd::from_values((0..4).map(HostValue::I).collect());
         let err = blaze.wrap(rdd).reduce(&call).unwrap_err();
-        assert!(matches!(err, BlazeError::Accel(_)), "{err}");
+        assert!(matches!(err, BlazeError::Config(_)), "{err}");
     }
 }

@@ -160,30 +160,30 @@ impl<'r> ServingRuntime<'r> {
     ///
     /// # Errors
     ///
-    /// Returns [`BlazeError::Accel`] for non-executable configurations
+    /// Returns [`BlazeError::Config`] for non-executable configurations
     /// (zero nodes/threads/batch, non-positive wait budget).
     pub fn new(
         registry: &'r AcceleratorRegistry,
         config: ServingConfig,
     ) -> Result<ServingRuntime<'r>, BlazeError> {
         if config.nodes == 0 {
-            return Err(BlazeError::Accel("serving: nodes must be >= 1".into()));
+            return Err(BlazeError::Config("serving: nodes must be >= 1".into()));
         }
         if config.exec_threads == 0 {
-            return Err(BlazeError::Accel(
+            return Err(BlazeError::Config(
                 "serving: exec_threads must be >= 1".into(),
             ));
         }
         if config.max_batch == 0 {
-            return Err(BlazeError::Accel("serving: max_batch must be >= 1".into()));
+            return Err(BlazeError::Config("serving: max_batch must be >= 1".into()));
         }
         if !(config.max_wait_ms > 0.0 && config.max_wait_ms.is_finite()) {
-            return Err(BlazeError::Accel(
+            return Err(BlazeError::Config(
                 "serving: max_wait_ms must be positive and finite".into(),
             ));
         }
         if config.max_inflight == 0 || config.queue_capacity == 0 {
-            return Err(BlazeError::Accel(
+            return Err(BlazeError::Config(
                 "serving: max_inflight and queue_capacity must be >= 1".into(),
             ));
         }
@@ -203,9 +203,10 @@ impl<'r> ServingRuntime<'r> {
     ///
     /// # Errors
     ///
-    /// Returns an error for invalid tenant parameters, an operator
-    /// mismatch between a registered design and the tenant's lambda, or
-    /// a functional execution fault on either path.
+    /// Returns [`BlazeError::Config`] for invalid tenant parameters or an
+    /// operator mismatch between a registered design and the tenant's
+    /// lambda, and the execution error of a functional fault on either
+    /// path.
     pub fn serve(
         &self,
         tenants: &[TenantSpec],
@@ -243,13 +244,13 @@ impl<'r> ServingRuntime<'r> {
         let mut routes = Vec::with_capacity(tenants.len());
         for t in tenants {
             if !(t.rate_per_ms > 0.0 && t.rate_per_ms.is_finite()) {
-                return Err(BlazeError::Accel(format!(
+                return Err(BlazeError::Config(format!(
                     "serving: tenant `{}` needs a positive finite rate",
                     t.name
                 )));
             }
             if t.records_per_request == 0 {
-                return Err(BlazeError::Accel(format!(
+                return Err(BlazeError::Config(format!(
                     "serving: tenant `{}` needs at least one record per request",
                     t.name
                 )));
@@ -894,7 +895,8 @@ mod tests {
                 ..Default::default()
             },
         ] {
-            assert!(ServingRuntime::new(&registry, cfg).is_err(), "{cfg:?}");
+            let err = ServingRuntime::new(&registry, cfg).err();
+            assert!(matches!(err, Some(BlazeError::Config(_))), "{cfg:?}");
         }
         assert!(ServingRuntime::new(&registry, ServingConfig::default()).is_ok());
     }

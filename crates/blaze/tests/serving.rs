@@ -549,7 +549,7 @@ fn stream_map_over_a_reduce_design_is_an_operator_error() {
         .map(call)
         .collect()
         .unwrap_err();
-    assert!(matches!(err, BlazeError::Accel(_)), "{err}");
+    assert!(matches!(err, BlazeError::Config(_)), "{err}");
 }
 
 #[test]
@@ -578,7 +578,7 @@ fn rdd_stream_and_serving_reject_an_operator_mismatch_alike() {
             &Profiler::disabled(),
         )
         .unwrap_err();
-    let want = BlazeError::Accel("accelerator `acc` implements reduce, not map".into());
+    let want = BlazeError::Config("accelerator `acc` implements reduce, not map".into());
     assert_eq!(rdd, want);
     assert_eq!(stream, want);
     assert_eq!(serving, want);

@@ -76,8 +76,8 @@ impl S2fa {
     }
 
     /// Attaches a structured-event sink: [`compile`](Self::compile) then
-    /// streams the DSE's virtual schedule (evaluations, partitions,
-    /// cache activity, legality prunes) through it. Emission is purely
+    /// streams the DSE's virtual schedule (evaluations, partitions, run
+    /// stop) and any legality prunes through it. Emission is purely
     /// observational — outcomes are identical with or without a sink.
     pub fn with_trace_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
         self.trace_sink = Some(sink);

@@ -12,9 +12,9 @@
 //!
 //! All estimator calls go through one shared [`EvalEngine`]: the
 //! partitioner's probe pass, every partition's seeds, and the tuning loops
-//! hit the same memo table, so overlapping design points are synthesized
-//! once. The probe sample is priced as one batch on the run's single
-//! [`WorkerPool`] (`eval_threads - 1` workers plus the calling thread);
+//! share its per-kernel invariants and its counters. The probe sample is
+//! priced as one batch on the run's single [`WorkerPool`]
+//! (`eval_threads - 1` workers plus the calling thread);
 //! then partitions run with *full* budget as one job on the same pool
 //! (each tuning batch fans out as a nested job on it), and the
 //! virtual FCFS schedule of Fig. 2 over `workers` virtual cores is then
@@ -24,14 +24,14 @@
 //! A tuning run's trajectory does not depend on its budget except as a
 //! stopping point, so the truncated prefix is byte-identical to what a
 //! live run under that budget would have produced — which is what makes
-//! the outcome independent of OS scheduling, thread counts, and caching.
+//! the outcome independent of OS scheduling and thread counts.
 //! The replay leans on the `s2fa-trace` clock-accounting invariant that
 //! every event of a batch carries the batch-completion minute, and the
 //! `truncation_equals_live_run_at_shorter_budget` property test asserts
 //! the prefix equivalence event for event.
 //!
 //! [`run_dse_traced`] additionally streams the virtual schedule (run,
-//! partition, and evaluation events) plus host-side cache activity
+//! partition, and evaluation events) plus host-side pre-screen prunes
 //! through a [`TraceSink`] — the `s2fa_cli --trace out.jsonl` flight
 //! recorder.
 
@@ -40,7 +40,7 @@ use crate::partition::DecisionTree;
 use crate::space::DesignSpace;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use s2fa_engine::{CacheStats, EvalEngine, WorkerPool};
+use s2fa_engine::{EvalEngine, WorkerPool};
 use s2fa_hlsir::KernelSummary;
 use s2fa_hlssim::{Estimate, Estimator};
 use s2fa_merlin::DesignConfig;
@@ -100,10 +100,6 @@ pub struct DseOptions {
     /// governed by `parallel_evals` and `workers`). Defaults to the
     /// host's available parallelism.
     pub eval_threads: usize,
-    /// Enable the shared memoized estimate cache. Also purely a
-    /// wall-clock knob: hits re-charge the stored virtual HLS minutes, so
-    /// outcomes are identical with caching on or off.
-    pub caching: bool,
     /// Enable the `s2fa-lint` legality pre-screen ahead of the estimator:
     /// statically infeasible points keep their `+inf` objective but charge
     /// zero virtual HLS minutes and never invoke the estimator. Off by
@@ -140,7 +136,6 @@ impl DseOptions {
             budget_minutes: 240.0,
             rng_seed: 2018,
             eval_threads: host_parallelism(),
-            caching: true,
             prescreen: false,
             dataflow_prescreen: false,
         }
@@ -164,7 +159,6 @@ pub fn vanilla_options() -> DseOptions {
         budget_minutes: 240.0,
         rng_seed: 2018,
         eval_threads: host_parallelism(),
-        caching: true,
         prescreen: false,
         dataflow_prescreen: false,
     }
@@ -195,6 +189,28 @@ pub struct PartitionRun {
     pub reason: StopReason,
 }
 
+/// Estimator activity of one DSE run, in the shape the benchmark reads.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Always 0: no estimate is reused. Kept because the benchmark still
+    /// reads it (`engine.cache_lookups`, `engine.cache_hit_rate`).
+    pub hits: u64,
+    /// Estimator calls: one per evaluation the pre-screen did not reject.
+    pub misses: u64,
+}
+
+impl CacheStats {
+    /// `hits / (hits + misses)`, 0 when nothing was evaluated.
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
+
 /// Result of a full DSE run.
 #[derive(Debug, Clone)]
 pub struct DseOutcome {
@@ -218,14 +234,12 @@ pub struct DseOutcome {
     /// Total evaluations that were in flight at a partition deadline
     /// (sum of `PartitionRun::killed_evals`).
     pub killed_evals: u64,
-    /// Estimate-cache counters for the whole run (all zeros when
-    /// `DseOptions::caching` is off). Hits measure how many virtual HLS
-    /// runs the memo table absorbed across the probe pass, seeds, and
+    /// Estimator calls of the whole search: the probe pass, seeds, and
     /// every partition.
     pub cache: CacheStats,
     /// Design points the legality pre-screen rejected before the
-    /// estimator ran (0 when `DseOptions::prescreen` is off). Equals
-    /// `cache.pruned_illegal`, surfaced here for reporting.
+    /// estimator ran (0 when `DseOptions::prescreen` is off): the sum of
+    /// `pruned_by_rule`.
     pub pruned_illegal: u64,
     /// Per-rule pre-screen hit counts as `(lint code, hits)`, in stable
     /// rule order.
@@ -350,9 +364,9 @@ fn truncate_to_budget(out: &TuningOutcome, budget: f64, full_budget: f64) -> Tru
 
 /// Runs a DSE for one kernel and returns the merged outcome.
 ///
-/// Deterministic given `opts.rng_seed` — independent of `eval_threads`,
-/// of `caching`, and of OS scheduling: host threads only decide *when*
-/// each partition's deterministic trajectory is computed, never what it
+/// Deterministic given `opts.rng_seed` — independent of `eval_threads`
+/// and of OS scheduling: host threads only decide *when* each
+/// partition's deterministic trajectory is computed, never what it
 /// contains, and the FCFS schedule over the `workers` virtual cores is
 /// simulated at merge time from per-partition virtual durations.
 pub fn run_dse(summary: &KernelSummary, estimator: &Estimator, opts: &DseOptions) -> DseOutcome {
@@ -364,10 +378,10 @@ pub fn run_dse(summary: &KernelSummary, estimator: &Estimator, opts: &DseOptions
 /// The sink observes two time domains: evaluation/partition/run events
 /// are re-emitted at merge time from the *virtual* FCFS schedule, in
 /// partition index order with globalized minutes — deterministic given
-/// `opts.rng_seed` — while batched cache-stats events stream host-side
-/// from the shared engine at iteration boundaries (their flush split is
-/// OS-dependent; the totals are not). Emission never influences the
-/// outcome: `run_dse` is this function with a [`NullSink`].
+/// `opts.rng_seed` — while `prune` events (only with a pre-screen on)
+/// stream host-side from the shared engine as points are rejected.
+/// Emission never influences the outcome: `run_dse` is this function
+/// with a [`NullSink`].
 pub fn run_dse_traced(
     summary: &KernelSummary,
     estimator: &Estimator,
@@ -404,7 +418,6 @@ pub fn run_dse_profiled(
     lane.close(si_span);
     let engine = {
         let mut e = EvalEngine::new(summary, estimator);
-        e.set_caching(opts.caching);
         e.set_prescreen(opts.prescreen || opts.dataflow_prescreen);
         e.set_sink(Some(sink.clone()));
         e
@@ -422,7 +435,7 @@ pub fn run_dse_profiled(
     let pool = WorkerPool::new(opts.eval_threads.max(1) - 1);
 
     // 1. Partition (or not). The probe sample is one batch on the pool,
-    // priced like a tuning batch; it warms the shared cache.
+    // priced like a tuning batch.
     let part_span = lane.open("partition");
     let (subspaces, rule_descriptions) = if opts.partition {
         let tree = DecisionTree::build(&ds, summary, |cfgs| {
@@ -437,7 +450,6 @@ pub fn run_dse_profiled(
     } else {
         (vec![ds.space().clone()], vec!["(entire space)".to_string()])
     };
-    engine.flush_cache_stats();
     lane.close(part_span);
 
     // 2. Seeds per partition.
@@ -485,8 +497,8 @@ pub fn run_dse_profiled(
     // only host executor: pool workers and this thread claim partitions
     // first-come-first-served, and each tuning batch of more than one
     // point fans out as a nested job on the same pool. Each partition's
-    // trajectory depends only on its own RNG stream and the shared
-    // (order-insensitive) cache, so claim order is irrelevant.
+    // trajectory depends only on its own RNG stream, so claim order is
+    // irrelevant.
     let slots: Vec<OnceLock<TuningOutcome>> = jobs.iter().map(|_| OnceLock::new()).collect();
     let explore = |start: usize, end: usize, _is_worker: bool| {
         for (job, slot) in jobs[start..end].iter().zip(&slots[start..end]) {
@@ -506,7 +518,6 @@ pub fn run_dse_profiled(
             let tune_span = tune_lane.open("tune");
             let outcome = run.run(&mut obj, stopper.as_mut());
             tune_lane.close(tune_span);
-            engine.flush_cache_stats();
             assert!(slot.set(outcome).is_ok(), "partition explored twice");
         }
     };
@@ -618,7 +629,6 @@ pub fn run_dse_profiled(
         }
     }
 
-    engine.flush_cache_stats();
     sink.emit(&Event::RunStop {
         minute: makespan,
         evaluations: total_evals,
@@ -627,7 +637,10 @@ pub fn run_dse_profiled(
 
     // Snapshot the counters before re-deriving the winning estimate so the
     // stats describe the search itself.
-    let cache = engine.cache_stats();
+    let cache = CacheStats {
+        hits: 0,
+        misses: engine.estimator_calls(),
+    };
     let pruned_by_rule = engine.prune_counts();
     let best = best_key.map(|(_, j, k)| {
         let cfg = &full[j].history.evaluations()[k].config;
@@ -648,7 +661,7 @@ pub fn run_dse_profiled(
         per_partition,
         techniques: techniques.into_rows(),
         killed_evals,
-        pruned_illegal: cache.pruned_illegal,
+        pruned_illegal: pruned_by_rule.iter().map(|(_, n)| n).sum(),
         cache,
         pruned_by_rule,
     }
@@ -817,7 +830,7 @@ mod tests {
         assert_eq!(a.convergence, b.convergence);
     }
 
-    /// Everything about an outcome except the cache counters, in a
+    /// Everything about an outcome except the estimator counters, in a
     /// comparable shape.
     #[allow(clippy::type_complexity)]
     fn outcome_key(
@@ -859,11 +872,11 @@ mod tests {
     }
 
     #[test]
-    fn outcome_invariant_to_eval_threads_and_caching() {
-        // `eval_threads` and `caching` are pure wall-clock knobs: the
-        // virtual schedule, RNG streams, and hence the whole outcome must
-        // be bit-identical across every combination — including on the
-        // pool, whose real execution order varies run to run. The
+    fn outcome_invariant_to_eval_threads() {
+        // `eval_threads` is a pure wall-clock knob: the virtual schedule,
+        // RNG streams, and hence the whole outcome — estimator calls
+        // included — must be bit-identical at every thread count, even on
+        // the pool, whose real execution order varies run to run. The
         // `parallel_evals = 4` row runs batch jobs nested inside the
         // partition job.
         let s = summary();
@@ -874,35 +887,31 @@ mod tests {
             base.parallel_evals = parallel_evals;
             let reference = run_dse(&s, &est, &base);
             let key = outcome_key(&reference);
-            // cache-on runs genuinely exercise the memo table (probe +
-            // seeds collide across partitions)
-            assert!(reference.cache.hits > 0, "expected cache hits");
-            for (threads, caching) in [(1, true), (8, false), (1, false), (3, true)] {
+            assert_eq!(reference.cache.hits, 0);
+            assert!(reference.cache.misses > 0, "expected estimator calls");
+            for threads in [1, 8, 3] {
                 let mut opts = base.clone();
                 opts.eval_threads = threads;
-                opts.caching = caching;
                 let out = run_dse(&s, &est, &opts);
                 assert_eq!(
                     outcome_key(&out),
                     key,
-                    "outcome changed at eval_threads={threads} caching={caching} \
+                    "outcome changed at eval_threads={threads} \
                      parallel_evals={parallel_evals}"
                 );
-                if !caching {
-                    assert_eq!(out.cache, CacheStats::default());
-                }
+                assert_eq!(out.cache, reference.cache, "eval_threads={threads}");
             }
         }
     }
 
-    /// A sink that records the name of the thread each `cache_stats`
-    /// event was emitted on.
+    /// A sink that records the name of the thread each `prune` event was
+    /// emitted on.
     #[derive(Debug, Default)]
     struct ThreadNames(std::sync::Mutex<Vec<Option<String>>>);
 
     impl TraceSink for ThreadNames {
         fn emit(&self, event: &Event) {
-            if let Event::CacheStats { .. } = event {
+            if let Event::Prune { .. } = event {
                 let name = std::thread::current().name().map(str::to_string);
                 self.0.lock().unwrap().push(name);
             }
@@ -915,9 +924,9 @@ mod tests {
 
     #[test]
     fn partitions_run_only_on_the_caller_and_the_pool() {
-        // The engine flushes cache stats on the thread that ran each
-        // partition, so the names of those threads are the run's host
-        // thread budget: the caller plus `eval_threads - 1` pool workers,
+        // The engine emits each prune on the thread that evaluated the
+        // point, so the names of those threads are the run's host thread
+        // budget: the caller plus `eval_threads - 1` pool workers,
         // whatever `workers` says about the virtual schedule.
         let s = summary();
         let est = Estimator::new();
@@ -927,11 +936,12 @@ mod tests {
             opts.budget_minutes = 60.0;
             opts.eval_threads = eval_threads;
             opts.workers = workers;
+            opts.prescreen = true;
             let sink = Arc::new(ThreadNames::default());
             let out = run_dse_traced(&s, &est, &opts, sink.clone());
             assert!(out.partitions >= 2, "needs several partitions to claim");
             let names = sink.0.lock().unwrap();
-            assert!(!names.is_empty(), "partitions flushed cache stats");
+            assert!(!names.is_empty(), "the pre-screen pruned points");
             for name in names.iter() {
                 let ok = *name == caller
                     || (eval_threads > 1
@@ -1054,17 +1064,6 @@ mod tests {
         assert_eq!(count("partition_start"), out.per_partition.len() as u64);
         assert_eq!(count("partition_stop"), out.per_partition.len() as u64);
         assert_eq!(count("eval"), out.total_evaluations);
-        // cache activity arrives as batched deltas whose totals match the
-        // engine's own counters, not as per-lookup events
-        let (hits, misses) = evs.iter().fold((0u64, 0u64), |acc, e| match e {
-            Event::CacheStats { hits, misses, .. } => (acc.0 + hits, acc.1 + misses),
-            _ => acc,
-        });
-        assert!(count("cache_stats") > 0, "deltas should have been flushed");
-        assert!(hits > 0, "shared cache should see hits");
-        assert!(misses > 0);
-        assert_eq!(hits, out.cache.hits, "flushed deltas must sum to totals");
-        assert_eq!(misses, out.cache.misses);
         // each partition's eval minutes are monotone non-decreasing on
         // the virtual timeline
         for p in &out.per_partition {
@@ -1084,6 +1083,34 @@ mod tests {
                 assert!(w[1] >= w[0], "partition {} went backwards", p.index);
             }
         }
+    }
+
+    /// With default options every event is re-emitted at merge time from
+    /// the virtual schedule, so the JSONL flight record is the same bytes
+    /// at any host thread count.
+    #[test]
+    fn default_jsonl_trace_is_identical_across_eval_threads() {
+        let s = summary();
+        let est = Estimator::new();
+        let record = |eval_threads: usize| {
+            let path = std::env::temp_dir().join(format!(
+                "s2fa_dse_trace_{}_{eval_threads}.jsonl",
+                std::process::id()
+            ));
+            let sink = Arc::new(s2fa_trace::JsonlSink::create(&path).expect("create trace file"));
+            let opts = DseOptions {
+                eval_threads,
+                ..DseOptions::default()
+            };
+            run_dse_traced(&s, &est, &opts, sink.clone());
+            sink.flush();
+            let bytes = std::fs::read(&path).expect("read trace back");
+            let _ = std::fs::remove_file(&path);
+            bytes
+        };
+        let one = record(1);
+        assert!(!one.is_empty());
+        assert!(one == record(3), "trace bytes depend on eval_threads");
     }
 
     /// Profiling is observational: span recording must not perturb the

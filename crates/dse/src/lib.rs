@@ -31,10 +31,10 @@ pub mod partition;
 pub mod space;
 
 pub use driver::{
-    run_dse, run_dse_profiled, run_dse_traced, vanilla_options, DseOptions, DseOutcome,
+    run_dse, run_dse_profiled, run_dse_traced, vanilla_options, CacheStats, DseOptions, DseOutcome,
     PartitionRun, StoppingKind,
 };
 pub use entropy::EntropyStop;
 pub use partition::DecisionTree;
-pub use s2fa_engine::{CacheStats, EvalEngine};
+pub use s2fa_engine::EvalEngine;
 pub use space::DesignSpace;

@@ -74,8 +74,7 @@ fn summary() -> KernelSummary {
     }
 }
 
-/// Everything about an outcome except the cache counters (whose
-/// hit/miss split depends on which executor claims what), in one
+/// Everything about an outcome except its estimator counters, in one
 /// comparable string.
 fn key(out: &DseOutcome) -> String {
     format!(
@@ -100,7 +99,6 @@ proptest! {
         eval_threads in 1usize..4,
         partition in any::<bool>(),
         seeds in any::<bool>(),
-        caching in any::<bool>(),
         prescreen in any::<bool>(),
         budget in 20.0f64..90.0,
         rng_seed in any::<u64>(),
@@ -112,7 +110,6 @@ proptest! {
         opts.eval_threads = eval_threads;
         opts.partition = partition;
         opts.seeds = seeds;
-        opts.caching = caching;
         opts.prescreen = prescreen;
         opts.budget_minutes = budget;
         opts.rng_seed = rng_seed;
@@ -140,7 +137,7 @@ proptest! {
 /// streams buffer `b{i}` (width `bits[i]`); the innermost loop optionally
 /// carries a reducible accumulation so the tree-reduction directive is in
 /// play. Exercises variable nest depth, buffer widths, and recurrences in
-/// the subtree-cost cache.
+/// the estimator's per-kernel invariants.
 fn random_summary(trips: &[u32], bits: &[u32], carried: bool) -> KernelSummary {
     let n = trips.len();
     let mut loops = Vec::new();
@@ -214,16 +211,16 @@ fn bits(ms: &[Measurement]) -> Vec<(u64, u64)> {
         .collect()
 }
 
-// Determinism property: the pooled batch path with both cache tiers
-// enabled is bit-identical to the serial whole-kernel walk with caching
-// off — across random kernels, batch sizes, thread counts (chunks are
-// auto-sized from the batch), and chains of single-factor neighbor mutations. A second (warm) pass
-// over the same batch pins the alias fast path to the same bits.
+// Determinism property: the engine on the pooled batch path is
+// bit-identical to `Estimator::evaluate` on each raw point, called
+// serially — across random kernels, batch sizes, thread counts (chunks
+// are auto-sized from the batch), and chains of single-factor neighbor
+// mutations.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn pooled_cached_eval_is_bit_identical_to_serial(
+    fn pooled_eval_is_bit_identical_to_the_raw_estimator(
         trips in prop::collection::vec(2u32..48, 1..4),
         bits_pool in prop::collection::vec(prop::sample::select(vec![8u32, 16, 32, 64]), 1..4),
         carried in any::<bool>(),
@@ -250,29 +247,24 @@ proptest! {
             configs.push(ds.space().random(&mut rng));
         }
 
-        // Reference: serial whole-kernel estimation, no caches.
-        let mut serial_engine = EvalEngine::new(&s, &est);
-        serial_engine.set_caching(false);
-        let eval_serial = |cfg: &s2fa_tuner::Config| -> Measurement {
-            let e = serial_engine.evaluate(&ds.decode(cfg));
-            Measurement { value: e.objective(), minutes: e.hls_minutes }
-        };
-        let serial_pool = WorkerPool::new(0);
-        let mut serial_obj = ThreadedObjective::new(&eval_serial, &serial_pool);
-        let want = serial_obj.measure_batch(&configs);
+        // Reference: the raw estimator, one point at a time.
+        let want: Vec<Measurement> = configs
+            .iter()
+            .map(|cfg| {
+                let e = est.evaluate(&s, &ds.decode(cfg));
+                Measurement { value: e.objective(), minutes: e.hls_minutes }
+            })
+            .collect();
 
-        // Candidate: persistent pool + both estimate-cache tiers.
-        let pooled_engine = EvalEngine::new(&s, &est);
-        let eval_pooled = |cfg: &s2fa_tuner::Config| -> Measurement {
-            let e = pooled_engine.evaluate(&ds.decode(cfg));
+        // Candidate: the engine on a persistent pool.
+        let engine = EvalEngine::new(&s, &est);
+        let eval = |cfg: &s2fa_tuner::Config| -> Measurement {
+            let e = engine.evaluate(&ds.decode(cfg));
             Measurement { value: e.objective(), minutes: e.hls_minutes }
         };
         let pool = WorkerPool::new(threads - 1);
-        let mut pooled_obj = ThreadedObjective::new(&eval_pooled, &pool);
-        let cold = pooled_obj.measure_batch(&configs);
-        let warm = pooled_obj.measure_batch(&configs);
+        let got = ThreadedObjective::new(&eval, &pool).measure_batch(&configs);
 
-        prop_assert_eq!(bits(&want), bits(&cold), "cold pooled pass diverged");
-        prop_assert_eq!(bits(&want), bits(&warm), "warm (cached) pass diverged");
+        prop_assert_eq!(bits(&want), bits(&got), "pooled pass diverged");
     }
 }

@@ -6,42 +6,26 @@
 //! search component in the stack — the decision-tree partitioner's probe
 //! pass, the per-partition seed evaluation, and the OpenTuner-substitute
 //! loops themselves — asks the same question ("what does this design point
-//! cost?") about overlapping sets of design points: partitions share
-//! boundary regions, seeds repeat across partitions, and normalization
-//! collapses many raw configurations onto one canonical point.
+//! cost?") through one shared [`EvalEngine`]:
 //!
-//! [`EvalEngine`] answers that question once per *canonical* design point:
-//!
-//! * configurations are normalized first, so two raw points that the
-//!   Merlin rewrite maps to the same legal design share one cache entry;
-//! * a 128-bit FNV fingerprint of the normalized configuration keys a
-//!   sharded, lock-striped memo table ([`EstimateCache`]) that is safe to
-//!   share across worker threads;
+//! * configurations are normalized first, so the estimator always prices
+//!   the legal design the Merlin rewrite would produce;
 //! * per-kernel invariants ([`s2fa_hlssim::KernelInvariants`]) are built
-//!   once, so cache *misses* also skip the estimator's repeated subtree
-//!   walks.
+//!   once, so each call skips the estimator's repeated subtree walks;
+//! * the engine is `Sync`, so the [`WorkerPool`] prices a tuning batch on
+//!   every host thread at once.
 //!
-//! Caching changes wall-clock time only. The virtual HLS cost
-//! (`Estimate::hls_minutes`) is stored with the estimate and re-charged on
-//! every hit, so DSE outcomes are identical with the cache on or off — a
-//! property the test suites of this crate and `s2fa-dse` pin down.
-//!
-//! Ahead of the cache sits an optional `s2fa-lint` legality pre-screen
+//! Ahead of the estimator sits an optional `s2fa-lint` legality pre-screen
 //! ([`EvalEngine::set_prescreen`]): points the static screen proves
 //! infeasible return the same `+inf` objective a full evaluation would,
 //! but charge zero virtual minutes and never reach the estimator. Because
 //! the screen is exact, enabling it changes the virtual *clock*, not the
 //! search values.
 
-pub mod cache;
-pub mod fingerprint;
 pub mod pool;
 
-pub use cache::{CacheStats, EstimateCache};
-pub use fingerprint::fingerprint;
 pub use pool::{JobHandle, PoolStats, WorkerPool};
 
-use parking_lot::Mutex;
 use s2fa_hlsir::KernelSummary;
 use s2fa_hlssim::{Estimate, Estimator, KernelInvariants};
 use s2fa_lint::{Legality, PruneRule};
@@ -50,8 +34,8 @@ use s2fa_trace::{Event, TraceSink};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A memoizing, invariant-hoisting front-end to the HLS estimator for one
-/// kernel.
+/// A normalizing, invariant-hoisting front-end to the HLS estimator for
+/// one kernel.
 ///
 /// Shareable across threads by reference (`&EvalEngine` is `Send + Sync`);
 /// all methods take `&self`.
@@ -60,93 +44,43 @@ pub struct EvalEngine {
     summary: KernelSummary,
     estimator: Estimator,
     invariants: KernelInvariants,
-    cache: EstimateCache,
-    caching: bool,
     prescreen: Option<Legality>,
+    estimator_calls: AtomicU64,
     pruned_by_rule: [AtomicU64; PruneRule::ALL.len()],
     sink: Option<Arc<dyn TraceSink>>,
-    /// Cache counters as of the last [`flush_cache_stats`]
-    /// (`hits, misses, overwrites`), so each flush emits a delta.
-    ///
-    /// [`flush_cache_stats`]: EvalEngine::flush_cache_stats
-    flushed: Mutex<(u64, u64, u64)>,
 }
 
 impl EvalEngine {
-    /// An engine for `summary` under `estimator`, with caching enabled.
+    /// An engine for `summary` under `estimator`.
     pub fn new(summary: &KernelSummary, estimator: &Estimator) -> Self {
         EvalEngine {
             invariants: estimator.invariants(summary),
             summary: summary.clone(),
             estimator: estimator.clone(),
-            cache: EstimateCache::default(),
-            caching: true,
             prescreen: None,
+            estimator_calls: AtomicU64::new(0),
             pruned_by_rule: Default::default(),
             sink: None,
-            flushed: Mutex::new((0, 0, 0)),
         }
     }
 
-    /// Attaches a structured-event sink; the engine reports memo-table
-    /// activity through it as *batched* [`Event::CacheStats`] deltas
-    /// (emitted by [`flush_cache_stats`](Self::flush_cache_stats), not
-    /// per lookup — the eval hot path only bumps atomic counters).
-    /// Cache events are host-side — they carry no virtual minute and
-    /// never influence an estimate.
+    /// Attaches a structured-event sink; the engine reports each
+    /// pre-screen rejection through it as an [`Event::Prune`]. Prune
+    /// events are host-side — they carry no virtual minute and never
+    /// influence an estimate.
     pub fn set_sink(&mut self, sink: Option<Arc<dyn TraceSink>>) {
         self.sink = sink;
-    }
-
-    /// Emits the cache activity since the previous flush as one
-    /// [`Event::CacheStats`] delta (nothing when no sink is attached or
-    /// no activity happened). The DSE driver calls this at iteration
-    /// boundaries — after the partition probe, after each partition's
-    /// tuning run, and before `RunStop` — replacing the old per-lookup
-    /// `cache_hit`/`cache_miss` unit events that dominated JSONL sink
-    /// overhead on large batches.
-    pub fn flush_cache_stats(&self) {
-        let Some(sink) = &self.sink else { return };
-        // Counters are read under the watermark lock: a snapshot taken
-        // outside it could race a concurrent flusher that already advanced
-        // the watermark past it, underflowing the delta.
-        let mut last = self.flushed.lock();
-        let s = self.cache.stats();
-        let (hits, misses, overwrites) =
-            (s.hits - last.0, s.misses - last.1, s.overwrites - last.2);
-        if hits + misses + overwrites == 0 {
-            return;
-        }
-        *last = (s.hits, s.misses, s.overwrites);
-        drop(last);
-        sink.emit(&Event::CacheStats {
-            hits,
-            misses,
-            overwrites,
-        });
-    }
-
-    /// Enables or disables memoization (estimates are identical either
-    /// way; only wall-clock time changes).
-    pub fn set_caching(&mut self, enabled: bool) {
-        self.caching = enabled;
-    }
-
-    /// Whether memoization is enabled.
-    pub fn caching(&self) -> bool {
-        self.caching
     }
 
     /// Enables or disables the `s2fa-lint` legality pre-screen.
     ///
     /// When on, points the static screen proves infeasible skip the
-    /// estimator and the memo table entirely: the engine returns a
-    /// synthetic infeasible estimate whose objective (`+inf`) equals what
-    /// the estimator would have reported, but with **zero** virtual HLS
-    /// minutes charged. The screen is exact (it rejects iff the estimator
-    /// reports infeasible — property-tested), so search *values* are
-    /// unchanged; only the virtual clock and the estimator invocation
-    /// counts shrink. Off by default.
+    /// estimator: the engine returns a synthetic infeasible estimate whose
+    /// objective (`+inf`) equals what the estimator would have reported,
+    /// but with **zero** virtual HLS minutes charged. The screen is exact
+    /// (it rejects iff the estimator reports infeasible — property-tested),
+    /// so search *values* are unchanged; only the virtual clock and the
+    /// estimator invocation counts shrink. Off by default.
     pub fn set_prescreen(&mut self, enabled: bool) {
         self.prescreen = enabled.then(|| Legality::new(&self.summary, &self.estimator));
     }
@@ -170,6 +104,12 @@ impl EvalEngine {
             .collect()
     }
 
+    /// Estimator invocations so far: one per [`evaluate`](Self::evaluate)
+    /// call the pre-screen did not reject.
+    pub fn estimator_calls(&self) -> u64 {
+        self.estimator_calls.load(Ordering::Relaxed)
+    }
+
     /// The kernel this engine evaluates.
     pub fn summary(&self) -> &KernelSummary {
         &self.summary
@@ -180,34 +120,18 @@ impl EvalEngine {
         &self.estimator
     }
 
-    /// Evaluates one design point, memoized on its canonical form.
+    /// Evaluates one design point on its canonical form.
     ///
     /// Equal to `self.estimator().evaluate(self.summary(), config)` in all
-    /// cases — cache hits return the stored estimate including its virtual
-    /// `hls_minutes` charge, and normalization is idempotent, so the
-    /// canonical point evaluates to the same estimate as the raw one.
+    /// cases: normalization is idempotent, so the canonical point
+    /// evaluates to the same estimate as the raw one.
     pub fn evaluate(&self, config: &DesignConfig) -> Estimate {
-        // Alias fast-path: a raw point seen before returns its stored
-        // estimate without paying the clone + normalize + prescreen
-        // prologue (the warm-cache path the tuner's repeat proposals
-        // hammer). Pruned points never enter the alias tier, so the
-        // prescreen stays authoritative for everything it ever rejected.
-        let raw = if self.caching {
-            let raw = fingerprint(config);
-            if let Some(hit) = self.cache.get_alias(raw) {
-                return hit;
-            }
-            Some(raw)
-        } else {
-            None
-        };
-        // The miss path's only clone and normalize: the prescreen, the
-        // fingerprint and the estimator all read this canonical point.
+        // The only clone and normalize: the prescreen and the estimator
+        // both read this canonical point.
         let mut cfg = config.clone();
         cfg.normalize(&self.summary);
         if let Some(oracle) = &self.prescreen {
             if let Some(hit) = oracle.prescreen_normalized(&cfg) {
-                self.cache.count_pruned();
                 self.pruned_by_rule[hit.rule.index()].fetch_add(1, Ordering::Relaxed);
                 if let Some(sink) = &self.sink {
                     sink.emit(&Event::Prune {
@@ -217,31 +141,9 @@ impl EvalEngine {
                 return oracle.pruned_estimate(&hit);
             }
         }
-        if !self.caching {
-            return self
-                .estimator
-                .evaluate_with(&self.summary, &self.invariants, &cfg);
-        }
-        let key = fingerprint(&cfg);
-        let est = match self.cache.get(key) {
-            Some(hit) => hit,
-            None => {
-                let est = self
-                    .estimator
-                    .evaluate_with(&self.summary, &self.invariants, &cfg);
-                self.cache.insert(key, est.clone());
-                est
-            }
-        };
-        if let Some(raw) = raw {
-            self.cache.insert_alias(raw, est.clone());
-        }
-        est
-    }
-
-    /// Snapshot of the cache counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.estimator_calls.fetch_add(1, Ordering::Relaxed);
+        self.estimator
+            .evaluate_with(&self.summary, &self.invariants, &cfg)
     }
 }
 
@@ -345,23 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn repeat_evaluations_hit_the_cache() {
-        let s = summary();
-        let engine = EvalEngine::new(&s, &Estimator::new());
-        let cfg = DesignConfig::perf_seed(&s);
-        let a = engine.evaluate(&cfg);
-        let b = engine.evaluate(&cfg);
-        assert_eq!(a, b);
-        let stats = engine.cache_stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.inserts, 1);
-        assert_eq!(stats.entries, 1);
-        // hls_minutes is re-charged on hits (virtual cost unchanged)
-        assert_eq!(a.hls_minutes, b.hls_minutes);
-    }
-
-    #[test]
     fn normalization_collapses_equivalent_points() {
         let s = summary();
         let engine = EvalEngine::new(&s, &Estimator::new());
@@ -371,23 +256,8 @@ mod tests {
         a.loop_directive_mut(LoopId(1)).parallel = 9999;
         let mut b = DesignConfig::area_seed(&s);
         b.loop_directive_mut(LoopId(1)).parallel = 64;
-        engine.evaluate(&a);
-        engine.evaluate(&b);
-        let stats = engine.cache_stats();
-        assert_eq!(stats.hits, 1, "clamped config should share the entry");
-        assert_eq!(stats.entries, 1);
-    }
-
-    #[test]
-    fn disabled_cache_still_matches() {
-        let s = summary();
-        let est = Estimator::new();
-        let mut engine = EvalEngine::new(&s, &est);
-        engine.set_caching(false);
-        let cfg = DesignConfig::perf_seed(&s);
-        assert_eq!(engine.evaluate(&cfg), est.evaluate(&s, &cfg));
-        assert_eq!(engine.cache_stats().entries, 0);
-        assert_eq!(engine.cache_stats().misses, 0);
+        assert_eq!(engine.evaluate(&a), engine.evaluate(&b));
+        assert_eq!(engine.estimator_calls(), 2);
     }
 
     #[test]
@@ -407,12 +277,10 @@ mod tests {
         assert!(!pruned.is_feasible());
         assert_eq!(pruned.objective(), direct.objective());
         assert_eq!(pruned.hls_minutes, 0.0, "static pruning is free");
-        let stats = engine.cache_stats();
-        assert_eq!(stats.pruned_illegal, 1);
         assert_eq!(
-            (stats.hits, stats.misses, stats.entries),
-            (0, 0, 0),
-            "pruned points must never touch the memo table"
+            engine.estimator_calls(),
+            0,
+            "pruned points must never reach the estimator"
         );
         let by_rule: u64 = engine.prune_counts().iter().map(|(_, n)| n).sum();
         assert_eq!(by_rule, 1);
@@ -420,20 +288,7 @@ mod tests {
         // feasible points pass through to the estimator untouched
         let ok = DesignConfig::area_seed(&s);
         assert_eq!(engine.evaluate(&ok), est.evaluate(&s, &ok));
-        assert_eq!(engine.cache_stats().misses, 1);
-    }
-
-    #[test]
-    fn prescreen_counts_even_with_caching_off() {
-        let s = summary();
-        let mut engine = EvalEngine::new(&s, &Estimator::new());
-        engine.set_caching(false);
-        engine.set_prescreen(true);
-        let mut dead = DesignConfig::perf_seed(&s);
-        dead.loop_directive_mut(LoopId(0)).parallel = 512;
-        dead.loop_directive_mut(LoopId(1)).parallel = 64;
-        engine.evaluate(&dead);
-        assert_eq!(engine.cache_stats().pruned_illegal, 1);
+        assert_eq!(engine.estimator_calls(), 1);
     }
 
     #[test]
@@ -450,94 +305,6 @@ mod tests {
         engine.evaluate(&dead);
         let events = ring.events();
         assert!(matches!(events.as_slice(), [Event::Prune { rule }] if rule.starts_with("S2FA-E")));
-    }
-
-    #[test]
-    fn cache_activity_flushes_as_deltas_not_per_lookup() {
-        use s2fa_trace::RingSink;
-        let s = summary();
-        let mut engine = EvalEngine::new(&s, &Estimator::new());
-        let ring = Arc::new(RingSink::new(16));
-        engine.set_sink(Some(ring.clone()));
-        let cfg = DesignConfig::perf_seed(&s);
-        engine.evaluate(&cfg); // miss
-        engine.evaluate(&cfg); // hit
-        assert_eq!(ring.emitted(), 0, "lookups emit nothing on the hot path");
-        engine.flush_cache_stats();
-        engine.flush_cache_stats(); // no new activity → no event
-        engine.evaluate(&cfg); // hit
-        engine.flush_cache_stats();
-        let events = ring.events();
-        assert_eq!(
-            events,
-            vec![
-                Event::CacheStats {
-                    hits: 1,
-                    misses: 1,
-                    overwrites: 0
-                },
-                Event::CacheStats {
-                    hits: 1,
-                    misses: 0,
-                    overwrites: 0
-                },
-            ],
-            "each flush is the delta since the previous one"
-        );
-    }
-
-    /// Regression: a flusher that snapshots the counters outside the
-    /// watermark lock can race a concurrent flusher that already advanced
-    /// the watermark past its snapshot, underflowing the delta. Hammer the
-    /// engine from many threads, each interleaving lookups and flushes.
-    #[test]
-    fn concurrent_flushes_never_underflow_and_sum_to_totals() {
-        use s2fa_trace::RingSink;
-        let s = summary();
-        let mut engine = EvalEngine::new(&s, &Estimator::new());
-        let ring = Arc::new(RingSink::new(1 << 16));
-        engine.set_sink(Some(ring.clone()));
-        let cfg = DesignConfig::perf_seed(&s);
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                let engine = &engine;
-                let cfg = &cfg;
-                scope.spawn(move || {
-                    for _ in 0..50 {
-                        engine.evaluate(cfg);
-                        engine.flush_cache_stats();
-                    }
-                });
-            }
-        });
-        engine.flush_cache_stats();
-        let (mut hits, mut misses) = (0u64, 0u64);
-        for e in ring.events() {
-            if let Event::CacheStats {
-                hits: h, misses: m, ..
-            } = e
-            {
-                hits += h;
-                misses += m;
-            }
-        }
-        let totals = engine.cache_stats();
-        assert_eq!(hits, totals.hits);
-        assert_eq!(misses, totals.misses);
-    }
-
-    #[test]
-    fn alias_fast_path_serves_raw_repeats() {
-        let s = summary();
-        let engine = EvalEngine::new(&s, &Estimator::new());
-        let mut raw = DesignConfig::area_seed(&s);
-        // Denormalized: clamps onto a canonical point under normalize.
-        raw.loop_directive_mut(LoopId(1)).parallel = 9999;
-        let a = engine.evaluate(&raw);
-        let b = engine.evaluate(&raw); // alias hit: skips normalize entirely
-        assert_eq!(a, b);
-        let stats = engine.cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
     }
 
     #[test]
@@ -569,6 +336,6 @@ mod tests {
                 assert_eq!(r[i], expect);
             }
         }
-        assert_eq!(engine.cache_stats().entries, 4);
+        assert_eq!(engine.estimator_calls(), 16, "one call per evaluate");
     }
 }

@@ -1,7 +1,6 @@
-//! Property tests for the evaluation engine: memoization and invariant
+//! Property tests for the evaluation engine: normalization and invariant
 //! hoisting must be invisible — for *arbitrary* raw design points, the
-//! cached, uncached, and direct-estimator paths all return the identical
-//! `Estimate`.
+//! engine and the direct estimator return the identical `Estimate`.
 
 use proptest::prelude::*;
 use s2fa_engine::EvalEngine;
@@ -130,38 +129,19 @@ fn arb_config() -> impl Strategy<Value = DesignConfig> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    // Cached, uncached, and direct estimator paths agree on arbitrary
-    // raw design points — including the virtual `hls_minutes` charge.
+    // The engine and the direct estimator agree on arbitrary raw design
+    // points — including the virtual `hls_minutes` charge — and so does
+    // the engine on the point's normalized twin.
     #[test]
-    fn cached_equals_uncached(cfg in arb_config()) {
+    fn engine_equals_the_raw_estimator(cfg in arb_config()) {
         let s = summary();
         let est = Estimator::new();
         let direct = est.evaluate(&s, &cfg);
-
-        let mut engine = EvalEngine::new(&s, &est);
-        engine.set_caching(false);
-        prop_assert_eq!(&engine.evaluate(&cfg), &direct, "uncached path diverged");
-
-        engine.set_caching(true);
-        // miss path
-        prop_assert_eq!(&engine.evaluate(&cfg), &direct, "miss path diverged");
-        // hit path must replay the stored estimate byte-for-byte
-        prop_assert_eq!(&engine.evaluate(&cfg), &direct, "hit path diverged");
-        let stats = engine.cache_stats();
-        prop_assert_eq!(stats.hits, 1);
-        prop_assert_eq!(stats.misses, 1);
-    }
-
-    // Normalization makes the cache key canonical: the normalized twin
-    // of a raw point lands on the same entry and the same estimate.
-    #[test]
-    fn normalized_twin_shares_the_entry(cfg in arb_config()) {
-        let s = summary();
-        let engine = EvalEngine::new(&s, &Estimator::new());
-        let first = engine.evaluate(&cfg);
+        let engine = EvalEngine::new(&s, &est);
+        prop_assert_eq!(&engine.evaluate(&cfg), &direct, "engine diverged");
         let mut canon = cfg.clone();
         canon.normalize(&s);
-        prop_assert_eq!(engine.evaluate(&canon), first);
-        prop_assert_eq!(engine.cache_stats().hits, 1);
+        prop_assert_eq!(&engine.evaluate(&canon), &direct, "normalized twin diverged");
+        prop_assert_eq!(engine.estimator_calls(), 2);
     }
 }

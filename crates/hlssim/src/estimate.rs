@@ -11,9 +11,8 @@ use std::fmt;
 
 /// Whether a design point synthesizes and routes.
 ///
-/// The infeasible reason is reference-counted: estimates are cloned on
-/// every memo-table hit, and most randomly drawn points are infeasible,
-/// so a `String` here would put one allocation on the cache hot path.
+/// The infeasible reason is reference-counted, so cloning an estimate
+/// never copies it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Feasibility {
     /// The design fits and routes.

@@ -122,7 +122,7 @@ impl Legality {
 
     /// [`prescreen`](Self::prescreen) of an already normalized `config`
     /// (the evaluation engine's path, which normalizes every point once
-    /// before the screen, the fingerprint and the estimator).
+    /// before the screen and the estimator).
     pub fn prescreen_normalized(&self, config: &DesignConfig) -> Option<PruneHit> {
         let screen = self
             .estimator

@@ -33,8 +33,8 @@
 //! `merlin::apply_structural` rewrite that combines the two: the rewrite
 //! must introduce neither `E1xx` nor `E3xx` errors.
 //!
-//! The evaluation engine consults the oracle ahead of its memo cache
-//! (`pruned_illegal` on `CacheStats`, `Event::Prune` in the trace stream),
+//! The evaluation engine consults the oracle ahead of the estimator
+//! (`pruned_illegal` on `DseOutcome`, `Event::Prune` in the trace stream),
 //! the DSE reports each partition's statically-dead fraction, and
 //! `s2fa_cli lint` prints the per-kernel reports. The severity split is
 //! load-bearing: only verdicts that provably match the dynamic pipeline

@@ -5,7 +5,7 @@ use crate::json::Json;
 /// One structured observability event.
 ///
 /// Events with a `minute` are stamped on the *virtual* clock (see the
-/// crate docs); cache events are host-side and carry no minute.
+/// crate docs); `Prune` is host-side and carries no minute.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// A DSE/tuning run began.
@@ -34,26 +34,9 @@ pub enum Event {
         /// Whether this evaluation improved the incumbent.
         improved: bool,
     },
-    /// Aggregated estimate-cache activity since the previous flush.
-    ///
-    /// Lookups only bump atomic counters on the hot path; the engine
-    /// emits one *delta* event per flush point (per partition run and
-    /// at run end) instead of one unit event per probe, so the JSONL
-    /// sink is off the eval fast path entirely. Host-side, like
-    /// `Prune`: no virtual minute, and the split between flushes is
-    /// scheduling-dependent even though the totals are deterministic.
-    CacheStats {
-        /// Lookups served from the memo table since the last flush.
-        hits: u64,
-        /// Lookups that fell through to the estimator since the last flush.
-        misses: u64,
-        /// Inserts that replaced an existing entry (two threads raced
-        /// to fill the same fingerprint) since the last flush.
-        overwrites: u64,
-    },
     /// The legality pre-screen rejected a design point before the
-    /// estimator or the memo table was consulted. Host-side, like the
-    /// cache events: no virtual minute (static analysis is free).
+    /// estimator was consulted. Host-side: no virtual minute (static
+    /// analysis is free).
     Prune {
         /// The lint rule that fired (e.g. `S2FA-E201`).
         rule: String,
@@ -190,7 +173,6 @@ impl Event {
         match self {
             Event::RunStart { .. } => "run_start",
             Event::Eval { .. } => "eval",
-            Event::CacheStats { .. } => "cache_stats",
             Event::Prune { .. } => "prune",
             Event::PartitionStart { .. } => "partition_start",
             Event::PartitionStop { .. } => "partition_stop",
@@ -237,17 +219,6 @@ impl Event {
                     ("value", Json::num(*value)),
                     ("best_value", Json::num(*best_value)),
                     ("improved", Json::Bool(*improved)),
-                ]);
-            }
-            Event::CacheStats {
-                hits,
-                misses,
-                overwrites,
-            } => {
-                fields.extend([
-                    ("hits", Json::int(*hits)),
-                    ("misses", Json::int(*misses)),
-                    ("overwrites", Json::int(*overwrites)),
                 ]);
             }
             Event::Prune { rule } => {
@@ -440,20 +411,6 @@ mod tests {
             reason: "a\"b\\c\nd".into(),
         };
         assert!(e.to_json().contains(r#""reason":"a\"b\\c\nd""#));
-    }
-
-    #[test]
-    fn cache_stats_carry_their_counters() {
-        let e = Event::CacheStats {
-            hits: 40,
-            misses: 2,
-            overwrites: 1,
-        };
-        assert_eq!(e.kind(), "cache_stats");
-        assert_eq!(
-            e.to_json(),
-            "{\"type\":\"cache_stats\",\"hits\":40,\"misses\":2,\"overwrites\":1}"
-        );
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //!   per-event running prefix-max in `TuningRun::run`, which stamped
 //!   events inside one batch with inconsistent, proposal-order-dependent
 //!   minutes.
-//! * [`Event`] — typed pipeline events: evaluations, batched cache
-//!   statistics, legality prunes, partition start/stop, run stop reasons
-//!   and the serving request path. Events serialize to single-line JSON
+//! * [`Event`] — typed pipeline events: evaluations, legality prunes,
+//!   partition start/stop, run stop reasons and the serving request
+//!   path. Events serialize to single-line JSON
 //!   for flight recording.
 //! * [`TraceSink`] — the pluggable emission channel: [`NullSink`] (drop
 //!   everything), [`RingSink`] (bounded in-memory ring, for tests and
@@ -31,11 +31,12 @@
 //!
 //! Events carrying a `minute` live on the *virtual* clock — the simulated
 //! HLS wall-clock of the paper's experiments, fully deterministic given
-//! the RNG seed. Cache-stats and prune events have no minute: they are
-//! *host-side* events recording real memo-table and pre-screen activity,
-//! and their flush interleaving under a multi-threaded run is
-//! OS-dependent even though the totals are deterministic (each event is
-//! self-describing, so the flight record stays analyzable). Host
+//! the RNG seed. `prune` events have no minute: they are *host-side*
+//! events recording real pre-screen activity, emitted by whichever host
+//! thread evaluated the point, so their position among each other under
+//! a multi-threaded run is OS-dependent even though their count is
+//! deterministic. They appear only with a pre-screen on, so a default
+//! run's flight record is the same bytes at any thread count. Host
 //! *wall-time* is a third concern and deliberately lives outside this
 //! crate, in `s2fa-obs` — events never carry host timestamps.
 

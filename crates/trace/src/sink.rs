@@ -163,24 +163,22 @@ mod tests {
         assert_eq!(evs[0], Event::Prune { rule: "t2".into() });
     }
 
-    fn cache_stats(hits: u64) -> Event {
-        Event::CacheStats {
-            hits,
-            misses: 1,
-            overwrites: 0,
-        }
+    fn prune(rule: &str) -> Event {
+        Event::Prune { rule: rule.into() }
     }
 
     #[test]
     fn ring_filters() {
         let ring = RingSink::new(8);
-        ring.emit(&cache_stats(1));
-        ring.emit(&Event::Prune {
-            rule: "S2FA-E201".into(),
+        ring.emit(&prune("S2FA-E201"));
+        ring.emit(&Event::RunStop {
+            minute: 1.0,
+            evaluations: 1,
+            reason: "merged".into(),
         });
-        ring.emit(&cache_stats(2));
+        ring.emit(&prune("S2FA-E202"));
         assert_eq!(
-            ring.events_where(|e| matches!(e, Event::CacheStats { .. }))
+            ring.events_where(|e| matches!(e, Event::Prune { .. }))
                 .len(),
             2
         );
@@ -189,7 +187,7 @@ mod tests {
     #[test]
     fn null_sink_drops() {
         let s = NullSink;
-        s.emit(&cache_stats(1));
+        s.emit(&prune("S2FA-E201"));
         assert_eq!(s.emitted(), 0);
     }
 
@@ -197,7 +195,7 @@ mod tests {
     fn jsonl_writes_one_line_per_event() {
         let path = std::env::temp_dir().join("s2fa_trace_sink_test.jsonl");
         let sink = JsonlSink::create(&path).expect("create temp flight record");
-        sink.emit(&cache_stats(3));
+        sink.emit(&prune("S2FA-E201"));
         sink.emit(&Event::RunStop {
             minute: 3.0,
             evaluations: 2,
@@ -208,10 +206,7 @@ mod tests {
         let content = std::fs::read_to_string(&path).expect("read back");
         let lines: Vec<&str> = content.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert_eq!(
-            lines[0],
-            "{\"type\":\"cache_stats\",\"hits\":3,\"misses\":1,\"overwrites\":0}"
-        );
+        assert_eq!(lines[0], "{\"type\":\"prune\",\"rule\":\"S2FA-E201\"}");
         assert!(lines[1].starts_with("{\"type\":\"run_stop\""));
         let _ = std::fs::remove_file(&path);
     }

@@ -1,6 +1,6 @@
-//! Evaluation-engine gates: the estimate-cache miss path must price a
-//! point exactly as the raw estimator does, and the worker pool must
-//! scale on hosts that have the cores.
+//! Evaluation-engine gates: the engine must price a point exactly as the
+//! raw estimator does, and the worker pool must scale on hosts that have
+//! the cores.
 //!
 //! ```text
 //! cargo test -p s2fa --test engine_gates                       # chain gate
@@ -9,8 +9,8 @@
 //!
 //! The chain gate is deterministic and reads no clock. It earns its
 //! release run: `Estimator::evaluate_with` only `debug_assert!`s that
-//! its point is normalized, so an engine that skipped `normalize` on a
-//! miss would panic in a debug build but quietly misprice in release.
+//! its point is normalized, so an engine that skipped `normalize` would
+//! panic in a debug build but quietly misprice in release.
 //! Only this comparison catches that there. The scaling gate reads the
 //! wall clock, so it is `#[ignore]`d in the default run and
 //! `--test-threads 1` keeps the chain gate off its cores.
@@ -41,49 +41,39 @@ fn design_space(spec: &s2fa_sjvm::KernelSpec) -> (s2fa_hlsir::KernelSummary, Des
     (s, ds)
 }
 
-/// A caching engine, an uncaching engine and `Estimator::evaluate` on the
-/// raw point agree bit for bit along a seeded chain of single-factor
-/// mutations, on every workload's design space. Decoded points are
+/// The engine and `Estimator::evaluate` on the raw point agree bit for
+/// bit along a seeded chain of single-factor mutations, on every
+/// workload's design space. Decoded points are
 /// rarely normalized (no tree reduction, live directives under a
 /// flatten), so an engine that skips `normalize` prices them
 /// differently. `Debug` prints every float in round-trip form, so equal
 /// strings mean equal bits.
 #[test]
-fn mutation_chain_estimates_are_bit_identical_cached_uncached_and_raw() {
+fn mutation_chain_estimates_are_bit_identical_engine_and_raw() {
     let est = Estimator::new();
     for (i, w) in all_workloads().into_iter().enumerate() {
         let (s, ds) = design_space(&w.spec);
-        let cached = EvalEngine::new(&s, &est);
-        let mut uncached = EvalEngine::new(&s, &est);
-        uncached.set_caching(false);
+        let engine = EvalEngine::new(&s, &est);
         let mut rng = SmallRng::seed_from_u64(42 + i as u64);
         let mut cur = ds.space().random(&mut rng);
-        let (mut diverged, mut off_model) = (0usize, 0usize);
+        let mut off_model = 0usize;
         for _ in 0..CHAIN {
             ds.space().mutate_one(&mut cur, &mut rng);
             let dc = ds.decode(&cur);
-            let [c, u, raw] = [
-                cached.evaluate(&dc),
-                uncached.evaluate(&dc),
-                est.evaluate(&s, &dc),
-            ]
-            .map(|e| format!("{e:?}"));
-            diverged += usize::from(c != u);
-            off_model += usize::from(c != raw || u != raw);
+            let [e, raw] = [engine.evaluate(&dc), est.evaluate(&s, &dc)].map(|e| format!("{e:?}"));
+            off_model += usize::from(e != raw);
         }
         assert_eq!(
-            (diverged, off_model),
-            (0, 0),
-            "{}: of {CHAIN} chain points, (cached != uncached, engine != \
-             Estimator::evaluate on the raw point)",
+            off_model, 0,
+            "{}: {off_model} of {CHAIN} chain points priced differently by the engine \
+             and by Estimator::evaluate on the raw point",
             w.name
         );
     }
 }
 
 /// On a host with ≥ 4 cores, the pooled batch path at 4 threads beats
-/// 1 thread by `SCALING_FLOOR` on 512-point batches of an uncached S-W
-/// engine (one warm-up batch, then `ROUNDS` timed ones). Smaller hosts
+/// 1 thread by `SCALING_FLOOR` on 512-point batches of an S-W engine (one warm-up batch, then `ROUNDS` timed ones). Smaller hosts
 /// skip: thread counts above the core count only time-slice.
 #[test]
 #[ignore = "wall-time gate, run by CI in release"]
@@ -93,8 +83,7 @@ fn four_threads_beat_one_on_the_pooled_batch_path() {
     let est = Estimator::new();
     let mut rng = SmallRng::seed_from_u64(42);
     let configs: Vec<Config> = (0..BATCH).map(|_| ds.space().random(&mut rng)).collect();
-    let mut engine = EvalEngine::new(&s, &est);
-    engine.set_caching(false);
+    let engine = EvalEngine::new(&s, &est);
     let eval = |cfg: &Config| -> Measurement {
         let e = engine.evaluate(&ds.decode(cfg));
         Measurement {

@@ -55,7 +55,7 @@ fn outcome_key(o: &DseOutcome) -> (Option<String>, Vec<(u64, u64)>, u64, u64) {
 fn prescreen_keeps_qor_and_cuts_estimator_invocations() {
     // The tentpole acceptance property: on every workload the pre-screened
     // run reaches an equal-or-better QoR while invoking the estimator
-    // (cache misses) strictly fewer times; KMeans and S-W must actually
+    // (`cache.misses`) strictly fewer times; KMeans and S-W must actually
     // prune (their spaces are rich in statically infeasible points).
     let est = Estimator::new();
     for (name, s) in summaries() {
@@ -81,9 +81,7 @@ fn prescreen_keeps_qor_and_cuts_estimator_invocations() {
         if name == "KMeans" || name == "S-W" {
             assert!(pre.pruned_illegal > 0, "{name}: expected pruned points");
         }
-        // Bookkeeping invariants: the outcome mirror of the cache counter,
-        // and the per-rule split summing back to the total.
-        assert_eq!(pre.pruned_illegal, pre.cache.pruned_illegal, "{name}");
+        // Bookkeeping invariant: the per-rule split sums back to the total.
         let by_rule: u64 = pre.pruned_by_rule.iter().map(|(_, n)| n).sum();
         assert_eq!(by_rule, pre.pruned_illegal, "{name}: rule split drifted");
         assert_eq!(base.pruned_illegal, 0, "{name}: base run must not prune");
