@@ -65,7 +65,8 @@ pub struct ServingRuntime<'r> {
 /// or `None` for the JVM fallback path.
 #[derive(Debug)]
 struct Route {
-    accel_id: String,
+    /// Shared with every event that names the accelerator.
+    accel_id: Arc<str>,
     accel: Option<Arc<Accelerator>>,
 }
 
@@ -263,7 +264,7 @@ impl<'r> ServingRuntime<'r> {
                 accel.as_deref(),
             )?;
             routes.push(Route {
-                accel_id: t.accel_id.clone(),
+                accel_id: t.accel_id.as_str().into(),
                 accel,
             });
         }
@@ -469,7 +470,7 @@ impl<'r> ServingRuntime<'r> {
                             request: rid,
                             tenant: req.tenant as u64,
                             latency_ms,
-                            path: "accel".into(),
+                            path: "accel",
                         });
                         stats.completed_accel += 1;
                         stats.total_tasks += req.records.len() as u64;
@@ -496,7 +497,7 @@ impl<'r> ServingRuntime<'r> {
                         request,
                         tenant: req.tenant as u64,
                         latency_ms,
-                        path: "fallback".into(),
+                        path: "fallback",
                     });
                     stats.completed_fallback += 1;
                     stats.total_tasks += req.records.len() as u64;
@@ -633,7 +634,7 @@ fn close_batch(
     routes: &[Route],
     now: f64,
     route_idx: usize,
-    cause: &str,
+    cause: &'static str,
     queues: &mut [QueueState],
     node_free: &mut [f64],
     batches: &mut Vec<BatchRec>,
@@ -659,7 +660,7 @@ fn close_batch(
             accel: routes[route_idx].accel_id.clone(),
             size: members.len() as u64,
             tasks,
-            cause: cause.into(),
+            cause,
         });
         let node = node_free
             .iter()
@@ -704,7 +705,7 @@ fn reject(
         ms: now,
         request: req.id,
         tenant: req.tenant as u64,
-        reason: reason.as_str().into(),
+        reason: reason.as_str(),
     });
     outcomes[req.id as usize] = Some(RequestOutcome {
         request: req.id,

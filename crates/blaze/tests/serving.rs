@@ -405,10 +405,10 @@ fn batches_respect_max_batch_and_close_causes() {
     assert_eq!(formed.len() as u64, out.stats.batches);
     let mut saw_full = false;
     for e in &formed {
-        let Event::BatchFormed { size, cause, .. } = e else {
+        let &Event::BatchFormed { size, cause, .. } = e else {
             unreachable!()
         };
-        assert!(*size >= 1 && *size <= 4, "batch size {size}");
+        assert!((1..=4).contains(&size), "batch size {size}");
         assert!(cause == "full" || cause == "deadline", "cause {cause}");
         saw_full |= cause == "full";
     }

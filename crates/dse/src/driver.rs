@@ -25,10 +25,15 @@
 //! stopping point, so the truncated prefix is byte-identical to what a
 //! live run under that budget would have produced — which is what makes
 //! the outcome independent of OS scheduling and thread counts.
-//! The replay leans on the `s2fa-trace` clock-accounting invariant that
-//! every event of a batch carries the batch-completion minute, and the
+//! The replay reads each partition's [`History`](s2fa_tuner::History),
+//! the run's only per-evaluation record. It leans on the `s2fa-trace`
+//! clock-accounting invariant that every evaluation of a batch carries the
+//! raw batch-completion minute, and the
 //! `truncation_equals_live_run_at_shorter_budget` property test asserts
-//! the prefix equivalence event for event.
+//! the prefix equivalence evaluation for evaluation. The merge then walks
+//! each prefix once: that pass emits the evaluation events, collects the
+//! convergence curve's candidates, credits the per-technique counters and
+//! tracks the winner.
 //!
 //! [`run_dse_traced`] additionally streams the virtual schedule (run,
 //! partition, and evaluation events) plus host-side pre-screen prunes
@@ -48,7 +53,7 @@ use s2fa_obs::Profiler;
 use s2fa_trace::{Event, NullSink, TechniqueStats, TechniqueTable, TraceSink};
 use s2fa_tuner::{
     Measurement, NoImprovement, Objective, StopReason, StoppingCriterion, ThreadedObjective,
-    TimeLimitOnly, TraceEvent, TuningOptions, TuningOutcome, TuningRun,
+    TimeLimitOnly, TuningOptions, TuningOutcome, TuningRun,
 };
 use std::sync::{Arc, OnceLock};
 
@@ -283,81 +288,48 @@ fn make_stopper(kind: StoppingKind, n_params: usize) -> Box<dyn StoppingCriterio
 /// of a shorter-budget run — iteration for iteration, with exactly the
 /// tuner's deadline-kill semantics at the cut (the
 /// `truncation_equals_live_run_at_shorter_budget` property test pins the
-/// equivalence down event for event).
+/// equivalence down evaluation for evaluation).
 struct Truncated {
+    /// Length of the history prefix the shorter run evaluated.
+    evaluations: usize,
+    /// The shorter run's clock, clamped to its budget.
     elapsed_minutes: f64,
-    evaluations: u64,
     /// Evaluations of the final included batch whose completion overran
-    /// the budget — harvested but clamped, as in the live run.
+    /// the budget — harvested but past the deadline, as in the live run.
     killed_evals: u64,
-    /// Every trace event of the prefix, minutes clamped to the budget.
-    events: Vec<TraceEvent>,
-    /// Per-technique counters over the prefix.
-    techniques: Vec<TechniqueStats>,
-    best_value: f64,
     reason: StopReason,
 }
 
-/// `full_budget` is the budget `out` was produced under; it disambiguates
-/// the one case the clamped trace cannot answer alone (truncating at the
-/// full budget itself, where the overrunning batch's raw minutes were
-/// already clamped by the live run).
-fn truncate_to_budget(out: &TuningOutcome, budget: f64, full_budget: f64) -> Truncated {
-    let trace = &out.trace;
+fn truncate_to_budget(out: &TuningOutcome, budget: f64) -> Truncated {
+    let evals = out.history.evaluations();
     let mut clock = 0.0f64;
     let mut included = 0usize;
     // Replay whole iterations while the clock is under budget — the live
-    // run's loop condition. Every event of an iteration carries the same
-    // batch-completion minute (the BatchClock stamp), so any member — we
-    // read the last — gives the clock after the batch.
-    while included < trace.len() && clock < budget {
-        let iter = trace[included].iteration;
+    // run's loop condition. Every evaluation of an iteration carries the
+    // same raw batch-completion minute (the BatchClock stamp), so any
+    // member — we read the last — gives the clock after the batch.
+    while included < evals.len() && clock < budget {
+        let iter = evals[included].iteration;
         let mut end = included;
-        while end < trace.len() && trace[end].iteration == iter {
+        while end < evals.len() && evals[end].iteration == iter {
             end += 1;
         }
-        clock = trace[end - 1].minute;
+        clock = evals[end - 1].minute;
         included = end;
     }
-    let killed_evals = if included == trace.len() && budget >= full_budget {
-        // Identity truncation: the live run's own kill count applies
-        // (its overrunning minutes were clamped to `full_budget`, so
-        // counting `> budget` here would miss them).
-        out.killed_evals
-    } else {
-        trace[..included]
-            .iter()
-            .filter(|e| e.minute > budget)
-            .count() as u64
-    };
-    let mut techniques = TechniqueTable::new();
-    let events: Vec<TraceEvent> = trace[..included]
+    let killed_evals = evals[..included]
         .iter()
-        .map(|e| {
-            techniques.record(&e.technique, e.value, e.improved);
-            TraceEvent {
-                minute: e.minute.min(budget),
-                ..e.clone()
-            }
-        })
-        .collect();
-    let best_value = events
-        .iter()
-        .map(|e| e.value)
-        .filter(|v| v.is_finite())
-        .fold(f64::INFINITY, f64::min);
-    let reason = if included < trace.len() || clock >= budget {
+        .filter(|e| e.minute > budget)
+        .count() as u64;
+    let reason = if included < evals.len() || clock >= budget {
         StopReason::TimeLimit
     } else {
         out.reason
     };
     Truncated {
+        evaluations: included,
         elapsed_minutes: clock.min(budget),
-        evaluations: included as u64,
         killed_evals,
-        events,
-        techniques: techniques.into_rows(),
-        best_value,
         reason,
     }
 }
@@ -538,7 +510,7 @@ pub fn run_dse_profiled(
     let n_workers = opts.workers.max(1);
     let mut worker_clock = vec![0.0f64; n_workers];
     let mut per_partition = Vec::new();
-    let mut all_events: Vec<(f64, f64)> = Vec::new();
+    let mut improvements: Vec<(f64, f64)> = Vec::new();
     let mut techniques = TechniqueTable::new();
     let mut total_evals = 0u64;
     let mut killed_evals = 0u64;
@@ -560,49 +532,55 @@ pub fn run_dse_profiled(
             // partition (and all later ones) never started.
             continue;
         }
-        let t = truncate_to_budget(outcome, budget, opts.budget_minutes);
+        let t = truncate_to_budget(outcome, budget);
         worker_clock[w] = start + t.elapsed_minutes;
         makespan = makespan.max(worker_clock[w]);
-        total_evals += t.evaluations;
+        total_evals += t.evaluations as u64;
         killed_evals += t.killed_evals;
-        techniques.merge(&t.techniques);
         sink.emit(&Event::PartitionStart {
             partition: job.index as u64,
             worker: w as u64,
             minute: start,
         });
-        for e in &t.events {
+        // One pass over the prefix: evaluation events, the convergence
+        // curve, the technique counters and the global winner. Only a
+        // point that improves its own partition can move the curve or the
+        // winner — an earlier point of the partition, at no later minute,
+        // is at least as good as any other.
+        let mut best_value = f64::INFINITY;
+        for (k, e) in outcome.history.evaluations()[..t.evaluations]
+            .iter()
+            .enumerate()
+        {
+            let minute = start + e.minute.min(budget);
+            let value = e.measurement.value;
+            if e.improved {
+                best_value = value;
+                improvements.push((minute, value));
+                if best_key.is_none_or(|(bv, _, _)| value < bv) {
+                    best_key = Some((value, j, k));
+                }
+            }
+            techniques.record(e.technique, value, e.improved);
             sink.emit(&Event::Eval {
-                minute: start + e.minute,
+                minute,
                 partition: job.index as u64,
                 iteration: e.iteration,
-                technique: e.technique.clone(),
-                value: e.value,
-                best_value: e.best_value,
+                technique: e.technique,
+                value,
+                best_value,
                 improved: e.improved,
             });
-            if e.value.is_finite() {
-                all_events.push((start + e.minute, e.value));
-            }
         }
         sink.emit(&Event::PartitionStop {
             partition: job.index as u64,
             worker: w as u64,
             minute: start + t.elapsed_minutes,
-            evaluations: t.evaluations,
+            evaluations: t.evaluations as u64,
             killed_evals: t.killed_evals,
-            best_value: t.best_value,
-            reason: format!("{:?}", t.reason),
+            best_value,
+            reason: t.reason.as_str(),
         });
-        for (k, e) in outcome.history.evaluations()[..t.evaluations as usize]
-            .iter()
-            .enumerate()
-        {
-            let v = e.measurement.value;
-            if v.is_finite() && best_key.is_none_or(|(bv, _, _)| v < bv) {
-                best_key = Some((v, j, k));
-            }
-        }
         per_partition.push(PartitionRun {
             index: job.index,
             rules: rule_descriptions
@@ -612,17 +590,18 @@ pub fn run_dse_profiled(
             worker: w,
             start_minute: start,
             elapsed_minutes: t.elapsed_minutes,
-            evaluations: t.evaluations,
+            evaluations: t.evaluations as u64,
             killed_evals: t.killed_evals,
-            best_value: t.best_value,
+            best_value,
             reason: t.reason,
         });
     }
     per_partition.sort_by_key(|p| p.index);
-    all_events.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut convergence = Vec::with_capacity(all_events.len());
+    // A stable sort: ties keep partition order, as the winner does.
+    improvements.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut convergence = Vec::with_capacity(improvements.len());
     let mut running = f64::INFINITY;
-    for (m, v) in all_events {
+    for (m, v) in improvements {
         if v < running {
             running = v;
             convergence.push((m, running));
@@ -632,7 +611,7 @@ pub fn run_dse_profiled(
     sink.emit(&Event::RunStop {
         minute: makespan,
         evaluations: total_evals,
-        reason: "merged".to_string(),
+        reason: "merged",
     });
 
     // Snapshot the counters before re-deriving the winning estimate so the
@@ -995,11 +974,11 @@ mod tests {
 
     /// The merge-layer contract: the truncated prefix of a full-budget
     /// trajectory is *the* trajectory of a live run under the shorter
-    /// budget — event for event, counter for counter, including the
-    /// deadline-kill bookkeeping at the cut.
+    /// budget — evaluation for evaluation, counter for counter, including
+    /// the deadline-kill bookkeeping at the cut.
     #[test]
     fn truncation_equals_live_run_at_shorter_budget() {
-        use s2fa_tuner::{Config, ParamDef, ParamKind, SearchSpace};
+        use s2fa_tuner::{Config, Evaluation, ParamDef, ParamKind, SearchSpace};
         let space = || {
             SearchSpace::new(vec![
                 ParamDef::new("a", ParamKind::IntRange { lo: 0, hi: 63 }),
@@ -1011,6 +990,13 @@ mod tests {
         let objective = |c: &Config| {
             let v = (c[0] as f64 - 40.0).powi(2) + (c[1] as f64 - 9.0).powi(2) + 1.0;
             Measurement::new(v, 2.0 + (c[0] % 7) as f64)
+        };
+        let table = |evals: &[Evaluation]| {
+            let mut t = TechniqueTable::new();
+            for e in evals {
+                t.record(e.technique, e.measurement.value, e.improved);
+            }
+            t.into_rows()
         };
         let full_budget = 300.0;
         for rng_seed in [11u64, 99, 2018] {
@@ -1029,19 +1015,38 @@ mod tests {
                 .run(&mut obj, &mut NoImprovement::new(40))
             };
             let full = mk(full_budget);
-            for budget in [5.0, 17.0, 42.0, 61.5, 120.0, 213.0, full_budget] {
+            // Fixed cuts, plus a cut exactly at every batch-completion
+            // minute: there the last included batch ends on the deadline,
+            // including the full run's final batch when it stopped early.
+            let mut budgets = vec![5.0, 17.0, 42.0, 61.5, 120.0, 213.0, full_budget];
+            budgets.extend(full.history.evaluations().iter().map(|e| e.minute));
+            budgets.dedup();
+            for budget in budgets {
                 let live = mk(budget);
-                let t = truncate_to_budget(&full, budget, full_budget);
-                assert_eq!(
-                    t.events, live.trace,
-                    "trace diverged at seed {rng_seed} budget {budget}"
-                );
-                assert_eq!(t.evaluations, live.evaluations);
+                let t = truncate_to_budget(&full, budget);
+                let prefix = &full.history.evaluations()[..t.evaluations];
+                let live_evals = live.history.evaluations();
+                assert_eq!(t.evaluations, live_evals.len());
+                for (i, (p, l)) in prefix.iter().zip(live_evals).enumerate() {
+                    let at = format!("seed {rng_seed} budget {budget} evaluation {i}");
+                    assert_eq!(p.config, l.config, "{at}");
+                    assert_eq!(p.measurement, l.measurement, "{at}");
+                    assert_eq!(p.minute.min(budget), l.minute.min(budget), "{at}");
+                    assert_eq!(p.iteration, l.iteration, "{at}");
+                    assert_eq!(p.technique, l.technique, "{at}");
+                    assert_eq!(p.improved, l.improved, "{at}");
+                    assert_eq!(p.mutated_params, l.mutated_params, "{at}");
+                }
                 assert_eq!(t.killed_evals, live.killed_evals);
                 assert_eq!(t.elapsed_minutes, live.elapsed_minutes);
                 assert_eq!(t.reason, live.reason);
-                assert_eq!(t.best_value, live.best_value());
-                assert_eq!(t.techniques, live.technique_stats);
+                let prefix_best = prefix
+                    .iter()
+                    .map(|e| e.measurement.value)
+                    .filter(|v| v.is_finite())
+                    .fold(f64::INFINITY, f64::min);
+                assert_eq!(prefix_best, live.best_value());
+                assert_eq!(table(prefix), table(live_evals));
             }
         }
     }

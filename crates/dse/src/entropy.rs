@@ -114,7 +114,7 @@ mod tests {
     use s2fa_tuner::Measurement;
 
     fn record(h: &mut History, cfg: Vec<u32>, value: f64, mutated: Vec<usize>) {
-        h.record(cfg, Measurement::new(value, 1.0), mutated);
+        h.record(cfg, Measurement::new(value, 1.0), mutated, 0.0, 0, "test");
     }
 
     #[test]

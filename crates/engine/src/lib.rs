@@ -135,7 +135,7 @@ impl EvalEngine {
                 self.pruned_by_rule[hit.rule.index()].fetch_add(1, Ordering::Relaxed);
                 if let Some(sink) = &self.sink {
                     sink.emit(&Event::Prune {
-                        rule: hit.rule.code().code.to_string(),
+                        rule: hit.rule.code().code,
                     });
                 }
                 return oracle.pruned_estimate(&hit);

@@ -10,15 +10,12 @@ use s2fa_merlin::DesignConfig;
 use std::fmt;
 
 /// Whether a design point synthesizes and routes.
-///
-/// The infeasible reason is reference-counted, so cloning an estimate
-/// never copies it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Feasibility {
     /// The design fits and routes.
     Feasible,
     /// Synthesis/implementation fails for the given reason.
-    Infeasible(std::sync::Arc<str>),
+    Infeasible(String),
 }
 
 impl Feasibility {
@@ -55,19 +52,17 @@ impl ResourceScreen {
     pub fn feasibility(&self, device: &Device) -> Feasibility {
         let util = self.resources.max_utilization(device);
         if util > device.max_util {
-            Feasibility::Infeasible(
-                format!(
-                    "{} utilization {:.0}% exceeds the {:.0}% cap",
-                    self.resources.bottleneck(device),
-                    util * 100.0,
-                    device.max_util * 100.0
-                )
-                .into(),
-            )
+            Feasibility::Infeasible(format!(
+                "{} utilization {:.0}% exceeds the {:.0}% cap",
+                self.resources.bottleneck(device),
+                util * 100.0,
+                device.max_util * 100.0
+            ))
         } else if self.max_replication > MAX_REPLICATION {
-            Feasibility::Infeasible(
-                format!("replication {} unroutable", self.max_replication as u64).into(),
-            )
+            Feasibility::Infeasible(format!(
+                "replication {} unroutable",
+                self.max_replication as u64
+            ))
         } else {
             Feasibility::Feasible
         }

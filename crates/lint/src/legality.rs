@@ -145,7 +145,7 @@ impl Legality {
                 };
                 Some(PruneHit {
                     rule,
-                    reason: reason.as_ref().to_owned(),
+                    reason,
                     screen,
                 })
             }
@@ -211,9 +211,11 @@ impl Legality {
             time_ms: f64::INFINITY,
             batch_tasks: self.summary.tasks_hint,
             resources: hit.screen.resources,
-            feasibility: Feasibility::Infeasible(
-                format!("pruned by {}: {}", hit.rule.code().code, hit.reason).into(),
-            ),
+            feasibility: Feasibility::Infeasible(format!(
+                "pruned by {}: {}",
+                hit.rule.code().code,
+                hit.reason
+            )),
             hls_minutes: 0.0,
         }
     }

@@ -28,8 +28,8 @@ impl TechniqueStats {
 
 /// An accumulator of [`TechniqueStats`] rows.
 ///
-/// Rows come back sorted by technique name, so tables merged from
-/// partitions explored in different orders compare equal.
+/// Rows come back sorted by technique name, so tables credited from
+/// partitions in different orders compare equal.
 #[derive(Debug, Clone, Default)]
 pub struct TechniqueTable {
     rows: Vec<TechniqueStats>,
@@ -41,35 +41,22 @@ impl TechniqueTable {
         Self::default()
     }
 
-    fn row_mut(&mut self, technique: &str) -> &mut TechniqueStats {
-        if let Some(i) = self.rows.iter().position(|r| r.technique == technique) {
-            return &mut self.rows[i];
-        }
-        self.rows.push(TechniqueStats::new(technique));
-        self.rows.last_mut().expect("just pushed")
-    }
-
     /// Credits one evaluation to `technique`.
     pub fn record(&mut self, technique: &str, value: f64, improved: bool) {
-        let row = self.row_mut(technique);
+        let i = match self.rows.iter().position(|r| r.technique == technique) {
+            Some(i) => i,
+            None => {
+                self.rows.push(TechniqueStats::new(technique));
+                self.rows.len() - 1
+            }
+        };
+        let row = &mut self.rows[i];
         row.evals += 1;
         if improved {
             row.improvements += 1;
         }
         if value < row.best_value {
             row.best_value = value;
-        }
-    }
-
-    /// Folds another table's rows into this one.
-    pub fn merge(&mut self, other: &[TechniqueStats]) {
-        for r in other {
-            let row = self.row_mut(&r.technique);
-            row.evals += r.evals;
-            row.improvements += r.improvements;
-            if r.best_value < row.best_value {
-                row.best_value = r.best_value;
-            }
         }
     }
 
@@ -102,22 +89,6 @@ mod tests {
         assert_eq!(rows[1].evals, 2);
         assert_eq!(rows[1].improvements, 2);
         assert_eq!(rows[1].best_value, 3.0);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = TechniqueTable::new();
-        a.record("greedy", 5.0, true);
-        let mut b = TechniqueTable::new();
-        b.record("greedy", 2.0, false);
-        b.record("swarm", 9.0, true);
-        a.merge(&b.into_rows());
-        let rows = a.into_rows();
-        assert_eq!(rows[0].technique, "greedy");
-        assert_eq!(rows[0].evals, 2);
-        assert_eq!(rows[0].improvements, 1);
-        assert_eq!(rows[0].best_value, 2.0);
-        assert_eq!(rows[1].technique, "swarm");
     }
 
     #[test]

@@ -1,11 +1,15 @@
 //! Typed pipeline events and their single-line JSON form.
 
 use crate::json::Json;
+use std::sync::Arc;
 
 /// One structured observability event.
 ///
 /// Events with a `minute` are stamped on the *virtual* clock (see the
-/// crate docs); `Prune` is host-side and carries no minute.
+/// crate docs); `Prune` is host-side and carries no minute. Fields drawn
+/// from a closed vocabulary (techniques, stop reasons, lint rules, serving
+/// causes) are `&'static str`, and accelerator ids are shared `Arc<str>`s,
+/// so building an event never allocates a string.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// A DSE/tuning run began.
@@ -26,7 +30,7 @@ pub enum Event {
         /// Iteration (batch) index within the run.
         iteration: u64,
         /// Technique that proposed the point (`"seed"` for seeds).
-        technique: String,
+        technique: &'static str,
         /// Objective value.
         value: f64,
         /// Incumbent best after this evaluation.
@@ -39,7 +43,7 @@ pub enum Event {
     /// analysis is free).
     Prune {
         /// The lint rule that fired (e.g. `S2FA-E201`).
-        rule: String,
+        rule: &'static str,
     },
     /// A partition started exploring on a virtual worker.
     PartitionStart {
@@ -64,8 +68,8 @@ pub enum Event {
         killed_evals: u64,
         /// Best objective found (ms).
         best_value: f64,
-        /// Why the partition's run ended.
-        reason: String,
+        /// Why the partition's run ended (a `StopReason` name).
+        reason: &'static str,
     },
     /// The whole run ended.
     RunStop {
@@ -75,7 +79,7 @@ pub enum Event {
         evaluations: u64,
         /// Stop reason (a tuning run's `StopReason`, or `"merged"` for a
         /// DSE outcome assembled from per-partition runs).
-        reason: String,
+        reason: &'static str,
     },
     // --- Serving events ------------------------------------------------
     //
@@ -92,7 +96,7 @@ pub enum Event {
         /// Submitting tenant index.
         tenant: u64,
         /// Target accelerator id.
-        accel: String,
+        accel: Arc<str>,
     },
     /// Admission control accepted the request.
     Admit {
@@ -112,7 +116,7 @@ pub enum Event {
         /// Submitting tenant index.
         tenant: u64,
         /// Why (`"inflight_limit"` / `"queue_full"`).
-        reason: String,
+        reason: &'static str,
     },
     /// The request entered its accelerator's FIFO queue.
     Enqueue {
@@ -121,7 +125,7 @@ pub enum Event {
         /// Request id.
         request: u64,
         /// Accelerator id the queue belongs to.
-        accel: String,
+        accel: Arc<str>,
         /// Queue depth after the enqueue.
         depth: u64,
     },
@@ -132,13 +136,13 @@ pub enum Event {
         /// Batch id (unique within a serving run).
         batch: u64,
         /// Accelerator id.
-        accel: String,
+        accel: Arc<str>,
         /// Requests coalesced into the batch.
         size: u64,
         /// Total records (tasks) across those requests.
         tasks: u64,
         /// Why the batch closed (`"full"` / `"deadline"`).
-        cause: String,
+        cause: &'static str,
     },
     /// A worker node started executing a batch.
     Execute {
@@ -163,7 +167,7 @@ pub enum Event {
         /// End-to-end virtual latency (delivery - submission) in ms.
         latency_ms: f64,
         /// Which path executed (`"accel"` / `"fallback"`).
-        path: String,
+        path: &'static str,
     },
 }
 
@@ -215,14 +219,14 @@ impl Event {
                     ("minute", Json::num(*minute)),
                     ("partition", Json::int(*partition)),
                     ("iteration", Json::int(*iteration)),
-                    ("technique", Json::str(technique)),
+                    ("technique", Json::str(*technique)),
                     ("value", Json::num(*value)),
                     ("best_value", Json::num(*best_value)),
                     ("improved", Json::Bool(*improved)),
                 ]);
             }
             Event::Prune { rule } => {
-                fields.push(("rule", Json::str(rule)));
+                fields.push(("rule", Json::str(*rule)));
             }
             Event::PartitionStart {
                 partition,
@@ -251,7 +255,7 @@ impl Event {
                     ("evaluations", Json::int(*evaluations)),
                     ("killed_evals", Json::int(*killed_evals)),
                     ("best_value", Json::num(*best_value)),
-                    ("reason", Json::str(reason)),
+                    ("reason", Json::str(*reason)),
                 ]);
             }
             Event::RunStop {
@@ -262,7 +266,7 @@ impl Event {
                 fields.extend([
                     ("minute", Json::num(*minute)),
                     ("evaluations", Json::int(*evaluations)),
-                    ("reason", Json::str(reason)),
+                    ("reason", Json::str(*reason)),
                 ]);
             }
             Event::Submit {
@@ -275,7 +279,7 @@ impl Event {
                     ("ms", Json::num(*ms)),
                     ("request", Json::int(*request)),
                     ("tenant", Json::int(*tenant)),
-                    ("accel", Json::str(accel)),
+                    ("accel", Json::str(&**accel)),
                 ]);
             }
             Event::Admit {
@@ -299,7 +303,7 @@ impl Event {
                     ("ms", Json::num(*ms)),
                     ("request", Json::int(*request)),
                     ("tenant", Json::int(*tenant)),
-                    ("reason", Json::str(reason)),
+                    ("reason", Json::str(*reason)),
                 ]);
             }
             Event::Enqueue {
@@ -311,7 +315,7 @@ impl Event {
                 fields.extend([
                     ("ms", Json::num(*ms)),
                     ("request", Json::int(*request)),
-                    ("accel", Json::str(accel)),
+                    ("accel", Json::str(&**accel)),
                     ("depth", Json::int(*depth)),
                 ]);
             }
@@ -326,10 +330,10 @@ impl Event {
                 fields.extend([
                     ("ms", Json::num(*ms)),
                     ("batch", Json::int(*batch)),
-                    ("accel", Json::str(accel)),
+                    ("accel", Json::str(&**accel)),
                     ("size", Json::int(*size)),
                     ("tasks", Json::int(*tasks)),
-                    ("cause", Json::str(cause)),
+                    ("cause", Json::str(*cause)),
                 ]);
             }
             Event::Execute {
@@ -357,7 +361,7 @@ impl Event {
                     ("request", Json::int(*request)),
                     ("tenant", Json::int(*tenant)),
                     ("latency_ms", Json::num(*latency_ms)),
-                    ("path", Json::str(path)),
+                    ("path", Json::str(*path)),
                 ]);
             }
         }
@@ -375,7 +379,7 @@ mod tests {
             minute: 12.5,
             partition: 3,
             iteration: 7,
-            technique: "greedy".into(),
+            technique: "greedy",
             value: 4.25,
             best_value: 4.25,
             improved: true,
@@ -393,7 +397,7 @@ mod tests {
             minute: 1.0,
             partition: 0,
             iteration: 0,
-            technique: "seed".into(),
+            technique: "seed",
             value: f64::INFINITY,
             best_value: f64::INFINITY,
             improved: false,
@@ -408,16 +412,14 @@ mod tests {
         let e = Event::RunStop {
             minute: 0.0,
             evaluations: 0,
-            reason: "a\"b\\c\nd".into(),
+            reason: "a\"b\\c\nd",
         };
         assert!(e.to_json().contains(r#""reason":"a\"b\\c\nd""#));
     }
 
     #[test]
     fn prune_carries_its_rule() {
-        let e = Event::Prune {
-            rule: "S2FA-E201".into(),
-        };
+        let e = Event::Prune { rule: "S2FA-E201" };
         assert_eq!(e.kind(), "prune");
         assert_eq!(e.to_json(), "{\"type\":\"prune\",\"rule\":\"S2FA-E201\"}");
     }
@@ -440,7 +442,7 @@ mod tests {
             accel: "S-W".into(),
             size: 4,
             tasks: 64,
-            cause: "full".into(),
+            cause: "full",
         };
         assert_eq!(
             e.to_json(),
@@ -452,7 +454,7 @@ mod tests {
             request: 42,
             tenant: 2,
             latency_ms: 7.75,
-            path: "accel".into(),
+            path: "accel",
         };
         assert_eq!(
             e.to_json(),
@@ -464,7 +466,7 @@ mod tests {
                 ms: 0.5,
                 request: 1,
                 tenant: 0,
-                reason: "inflight_limit".into()
+                reason: "inflight_limit"
             }
             .kind(),
             "reject"

@@ -24,8 +24,8 @@
 //!   post-hoc inspection), and [`JsonlSink`] (a JSONL flight recorder,
 //!   driven by `s2fa_cli --trace out.jsonl`).
 //! * [`TechniqueTable`] / [`TechniqueStats`] — per-technique counters
-//!   (evaluations, improvements) aggregated from the event stream onto
-//!   `TuningOutcome` and `DseOutcome`.
+//!   (evaluations, improvements, best value) the DSE merge credits from
+//!   every partition's replayed trajectory onto `DseOutcome`.
 //!
 //! ## Two time domains
 //!

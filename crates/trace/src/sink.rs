@@ -152,19 +152,17 @@ mod tests {
     #[test]
     fn ring_keeps_the_tail_and_counts_everything() {
         let ring = RingSink::new(3);
-        for i in 0..5u64 {
-            ring.emit(&Event::Prune {
-                rule: format!("t{i}"),
-            });
+        for rule in ["t0", "t1", "t2", "t3", "t4"] {
+            ring.emit(&Event::Prune { rule });
         }
         assert_eq!(ring.emitted(), 5);
         let evs = ring.events();
         assert_eq!(evs.len(), 3);
-        assert_eq!(evs[0], Event::Prune { rule: "t2".into() });
+        assert_eq!(evs[0], Event::Prune { rule: "t2" });
     }
 
-    fn prune(rule: &str) -> Event {
-        Event::Prune { rule: rule.into() }
+    fn prune(rule: &'static str) -> Event {
+        Event::Prune { rule }
     }
 
     #[test]
@@ -174,7 +172,7 @@ mod tests {
         ring.emit(&Event::RunStop {
             minute: 1.0,
             evaluations: 1,
-            reason: "merged".into(),
+            reason: "merged",
         });
         ring.emit(&prune("S2FA-E202"));
         assert_eq!(
@@ -199,7 +197,7 @@ mod tests {
         sink.emit(&Event::RunStop {
             minute: 3.0,
             evaluations: 2,
-            reason: "TimeLimit".into(),
+            reason: "TimeLimit",
         });
         sink.flush();
         assert_eq!(sink.emitted(), 2);

@@ -33,7 +33,7 @@ impl Measurement {
     }
 }
 
-/// One evaluated point.
+/// One evaluated point: the run's only record of it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Evaluation {
     /// The configuration evaluated.
@@ -45,6 +45,15 @@ pub struct Evaluation {
     pub mutated_params: Vec<usize>,
     /// Whether this evaluation improved on the incumbent best.
     pub improved: bool,
+    /// Virtual minute the evaluation's *batch* completed, as the clock
+    /// read it: every evaluation of one batch carries the same minute, and
+    /// the final batch's may lie past the budget (a deadline kill), so
+    /// readers clamp it to whatever budget they replay.
+    pub minute: f64,
+    /// Iteration (batch) index.
+    pub iteration: u64,
+    /// Technique that proposed the point (`"seed"` for seeds).
+    pub technique: &'static str,
 }
 
 /// Append-only history of a tuning run.
@@ -61,12 +70,17 @@ impl History {
         Self::default()
     }
 
-    /// Records an evaluation; returns `true` if it is a new best.
+    /// Records an evaluation proposed by `technique` whose batch
+    /// `iteration` completed at `minute`; returns `true` if it is a new
+    /// best.
     pub fn record(
         &mut self,
         config: Config,
         measurement: Measurement,
         mutated_params: Vec<usize>,
+        minute: f64,
+        iteration: u64,
+        technique: &'static str,
     ) -> bool {
         let improved = match &self.best {
             None => measurement.is_feasible(),
@@ -81,6 +95,9 @@ impl History {
             measurement,
             mutated_params,
             improved,
+            minute,
+            iteration,
+            technique,
         });
         improved
     }
@@ -120,12 +137,21 @@ impl History {
 mod tests {
     use super::*;
 
+    fn record(h: &mut History, config: Config, m: Measurement, mutated: Vec<usize>) -> bool {
+        h.record(config, m, mutated, 0.0, 0, "test")
+    }
+
     #[test]
     fn best_tracking() {
         let mut h = History::new();
-        assert!(h.record(vec![0], Measurement::new(10.0, 1.0), vec![]));
-        assert!(!h.record(vec![1], Measurement::new(20.0, 1.0), vec![0]));
-        assert!(h.record(vec![2], Measurement::new(5.0, 1.0), vec![0]));
+        assert!(record(&mut h, vec![0], Measurement::new(10.0, 1.0), vec![]));
+        assert!(!record(
+            &mut h,
+            vec![1],
+            Measurement::new(20.0, 1.0),
+            vec![0]
+        ));
+        assert!(record(&mut h, vec![2], Measurement::new(5.0, 1.0), vec![0]));
         assert_eq!(h.best().unwrap().1, 5.0);
         assert_eq!(h.len(), 3);
         assert!(h.seen(&vec![1]));
@@ -135,10 +161,20 @@ mod tests {
     #[test]
     fn infeasible_never_becomes_best() {
         let mut h = History::new();
-        assert!(!h.record(vec![0], Measurement::infeasible(3.0), vec![]));
+        assert!(!record(
+            &mut h,
+            vec![0],
+            Measurement::infeasible(3.0),
+            vec![]
+        ));
         assert!(h.best().is_none());
-        assert!(h.record(vec![1], Measurement::new(8.0, 1.0), vec![]));
-        assert!(!h.record(vec![2], Measurement::infeasible(3.0), vec![]));
+        assert!(record(&mut h, vec![1], Measurement::new(8.0, 1.0), vec![]));
+        assert!(!record(
+            &mut h,
+            vec![2],
+            Measurement::infeasible(3.0),
+            vec![]
+        ));
         assert_eq!(h.best().unwrap().1, 8.0);
         assert_eq!(h.feasible().count(), 1);
     }

@@ -35,10 +35,10 @@ pub mod stopping;
 pub mod technique;
 
 pub use bandit::AucBandit;
-pub use history::{History, Measurement};
+pub use history::{Evaluation, History, Measurement};
 pub use objective::{Objective, ThreadedObjective};
 pub use param::{Config, ParamDef, ParamKind, SearchSpace};
-pub use runtime::{TraceEvent, TuningOptions, TuningOutcome, TuningRun};
+pub use runtime::{TuningOptions, TuningOutcome, TuningRun};
 pub use stopping::{NoImprovement, StopReason, StoppingCriterion, TimeLimitOnly};
 pub use technique::{
     DifferentialEvolution, GreedyMutation, ParticleSwarm, RandomSearch, SearchTechnique,

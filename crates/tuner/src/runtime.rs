@@ -2,29 +2,29 @@
 //!
 //! Reproduces OpenTuner's run loop under the paper's timing regime: each
 //! evaluation is an HLS run costing minutes of wall-clock, so the driver
-//! charges every measurement's [`Measurement::minutes`] to a virtual clock.
-//! With `parallel_evals = k` the driver proposes `k` candidates per
-//! iteration and advances the clock by the *slowest* of the batch —
-//! footnote 3's "the OpenTuner ... uses the eight cores to evaluate top-8
-//! candidates at one iteration".
+//! charges every measurement's [`minutes`](crate::Measurement::minutes) to
+//! a virtual clock. With `parallel_evals = k` the driver proposes `k`
+//! candidates per iteration and advances the clock by the *slowest* of the
+//! batch — footnote 3's "the OpenTuner ... uses the eight cores to evaluate
+//! top-8 candidates at one iteration".
 //!
 //! Clock arithmetic is delegated to [`s2fa_trace::BatchClock`]: a batch
-//! completes as one unit, so every [`TraceEvent`] of a batch carries the
-//! same batch-completion minute. (Events used to be stamped with a running
-//! prefix-max of the batch's minutes, which handed out inconsistent,
-//! proposal-order-dependent timestamps inside one batch.) The run keeps
-//! its evaluations in [`TuningOutcome::trace`]; the DSE driver turns them
-//! into `s2fa_trace` events when it merges partitions.
+//! completes as one unit, so every [`Evaluation`](crate::history::Evaluation)
+//! of a batch carries the same batch-completion minute. The run's
+//! [`History`] is its only per-evaluation record — configuration,
+//! measurement, minute, iteration and proposing technique — and the DSE
+//! driver replays it into `s2fa_trace` events, convergence curves and
+//! per-technique counters when it merges partitions.
 
 use crate::bandit::AucBandit;
-use crate::history::{History, Measurement};
+use crate::history::History;
 use crate::objective::Objective;
 use crate::param::{Config, SearchSpace};
 use crate::stopping::{StopReason, StoppingCriterion};
 use crate::technique::{default_portfolio, SearchTechnique};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use s2fa_trace::{BatchClock, TechniqueStats, TechniqueTable};
+use s2fa_trace::BatchClock;
 
 /// Options controlling one tuning run.
 #[derive(Debug, Clone)]
@@ -55,68 +55,27 @@ impl Default for TuningOptions {
     }
 }
 
-/// One point on the convergence trace (the Fig. 3 series).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// Virtual minutes elapsed when the evaluation's *batch* completed —
-    /// every event of one batch carries the same minute.
-    pub minute: f64,
-    /// Iteration (batch) index.
-    pub iteration: u64,
-    /// Technique that proposed the point (`"seed"` for seeds).
-    pub technique: String,
-    /// Objective value of the point.
-    pub value: f64,
-    /// Incumbent best after this point.
-    pub best_value: f64,
-    /// Whether this point improved the incumbent.
-    pub improved: bool,
-}
-
 /// Result of a tuning run.
 #[derive(Debug, Clone)]
 pub struct TuningOutcome {
-    /// Best configuration and objective found (if any point was feasible).
-    pub best: Option<(Config, f64)>,
-    /// Full convergence trace.
-    pub trace: Vec<TraceEvent>,
-    /// Virtual minutes consumed.
+    /// Virtual minutes consumed, clamped to the budget.
     pub elapsed_minutes: f64,
-    /// Total evaluations performed.
-    pub evaluations: u64,
     /// Evaluations of the final batch that were still in flight when the
     /// budget ran out. Their measurements are *harvested* — recorded into
-    /// the history, counted in `evaluations`, eligible to become `best` —
-    /// but their trace minutes are clamped to the budget. See the
-    /// deadline-kill note in [`TuningRun::run`].
+    /// the history and eligible to become its best — but their batch
+    /// minute lies past the budget. See the deadline-kill note in
+    /// [`TuningRun::run`].
     pub killed_evals: u64,
-    /// Batch slots abandoned because proposal could not find an unseen
-    /// configuration (16 mutation retries plus one fresh redraw all landed
-    /// on evaluated points). A non-zero count means the search was grinding
-    /// against an exhausted (sub-)space; the run stops with
-    /// [`StopReason::SpaceExhausted`] once a whole batch is lost this way.
-    pub exhaustion_events: u64,
     /// Why the run ended.
     pub reason: StopReason,
-    /// Per-technique counters (evaluations, improvements, best value),
-    /// sorted by technique name; seeds appear as technique `"seed"`.
-    pub technique_stats: Vec<TechniqueStats>,
-    /// The final history (for post-hoc analysis).
+    /// Every evaluation, in order: the run's trajectory.
     pub history: History,
 }
 
 impl TuningOutcome {
     /// Best objective value, `+inf` if nothing was feasible.
     pub fn best_value(&self) -> f64 {
-        self.best.as_ref().map(|(_, v)| *v).unwrap_or(f64::INFINITY)
-    }
-
-    /// The trace downsampled to `(minute, best_value)` steps.
-    pub fn convergence(&self) -> Vec<(f64, f64)> {
-        self.trace
-            .iter()
-            .map(|e| (e.minute, e.best_value))
-            .collect()
+        self.history.best().map_or(f64::INFINITY, |(_, v)| v)
     }
 }
 
@@ -153,13 +112,12 @@ impl TuningRun {
     /// The final batch may straddle the budget: its evaluations were in
     /// flight when the deadline hit. Their measurements are still
     /// harvested — the HLS results existed by the time the driver noticed
-    /// the clock, so they are recorded into the history, counted in
-    /// `evaluations`, and may become `best` — but the clock and every
-    /// trace minute are clamped to the budget, and
-    /// [`TuningOutcome::killed_evals`] reports how many evaluations
-    /// overran it. `truncate_to_budget` in `s2fa-dse` mirrors exactly
-    /// these semantics when it replays a trajectory under a shorter
-    /// budget.
+    /// the clock, so they are recorded into the history and may become its
+    /// best — with their raw batch minute, past the budget. The outcome's
+    /// clock is clamped to the budget, and [`TuningOutcome::killed_evals`]
+    /// reports how many evaluations overran it. `truncate_to_budget` in
+    /// `s2fa-dse` mirrors exactly these semantics when it replays a
+    /// trajectory under a shorter budget.
     pub fn run(
         mut self,
         objective: &mut dyn Objective,
@@ -168,16 +126,12 @@ impl TuningRun {
         let mut rng = SmallRng::seed_from_u64(self.options.rng_seed);
         let mut bandit = AucBandit::new(self.techniques.len());
         let mut history = History::new();
-        let mut trace = Vec::new();
-        let mut techniques_seen = TechniqueTable::new();
         let mut clock = BatchClock::new(self.options.budget_minutes);
-        let mut evals = 0u64;
         let mut iteration = 0u64;
-        let mut exhaustion_events = 0u64;
         let mut reason = StopReason::TimeLimit;
 
         // Seed evaluations: one batch — the clock advances by the slowest
-        // member and every seed event carries the batch-completion minute.
+        // member and every seed carries the batch-completion minute.
         if !self.options.seeds.is_empty() {
             let mut seeds = std::mem::take(&mut self.options.seeds);
             for seed in seeds.iter_mut() {
@@ -186,23 +140,13 @@ impl TuningRun {
             let measurements = objective.measure_batch(&seeds);
             let minute = clock.complete_batch(measurements.iter().map(|m| m.minutes));
             for (seed, m) in seeds.into_iter().zip(measurements) {
-                evals += 1;
-                let improved = history.record(seed, m, vec![]);
-                record_eval(
-                    &mut trace,
-                    &mut techniques_seen,
-                    minute,
-                    iteration,
-                    "seed",
-                    m,
-                    &history,
-                    improved,
-                );
+                history.record(seed, m, vec![], minute, iteration, "seed");
             }
             iteration += 1;
         }
 
-        'outer: while clock.within_budget() && evals < self.options.max_evaluations {
+        'outer: while clock.within_budget() && (history.len() as u64) < self.options.max_evaluations
+        {
             if stop.should_stop(&history) {
                 reason = StopReason::Converged;
                 break;
@@ -214,7 +158,7 @@ impl TuningRun {
             let mut batch: Vec<(usize, Config, Vec<usize>)> = Vec::new();
             let mut batch_seen: Vec<Config> = Vec::new();
             for _ in 0..self.options.parallel_evals.max(1) {
-                if evals + batch.len() as u64 >= self.options.max_evaluations {
+                if (history.len() + batch.len()) as u64 >= self.options.max_evaluations {
                     break;
                 }
                 let arm = bandit.select();
@@ -231,10 +175,8 @@ impl TuningRun {
                     // the incumbent — draw fresh.
                     cfg = self.space.random(&mut rng);
                     if history.seen(&cfg) || batch_seen.contains(&cfg) {
-                        // The slot is abandoned, not silently: count it so
-                        // callers can see how hard the search ground
-                        // against an exhausted space.
-                        exhaustion_events += 1;
+                        // The slot is abandoned; a batch that loses every
+                        // slot this way ends the run as `SpaceExhausted`.
                         continue;
                     }
                 }
@@ -243,7 +185,7 @@ impl TuningRun {
                 batch.push((arm, cfg, mutated));
             }
             if batch.is_empty() {
-                reason = if evals >= self.options.max_evaluations {
+                reason = if history.len() as u64 >= self.options.max_evaluations {
                     StopReason::IterationLimit
                 } else {
                     StopReason::SpaceExhausted
@@ -253,52 +195,31 @@ impl TuningRun {
             // Phase 2: measure the whole batch (possibly on real threads),
             // and only then feed results back, in proposal order. The
             // batch completes as one unit: one clock advance, one shared
-            // event minute.
+            // minute.
             let configs: Vec<Config> = batch.iter().map(|(_, c, _)| c.clone()).collect();
             let measurements = objective.measure_batch(&configs);
             let minute = clock.complete_batch(measurements.iter().map(|m| m.minutes));
             for ((arm, cfg, mutated), m) in batch.into_iter().zip(measurements) {
-                evals += 1;
                 self.techniques[arm].feedback(&cfg, &m);
-                let improved = history.record(cfg, m, mutated);
+                let technique = self.techniques[arm].name();
+                let improved = history.record(cfg, m, mutated, minute, iteration, technique);
                 bandit.reward(arm, improved);
-                record_eval(
-                    &mut trace,
-                    &mut techniques_seen,
-                    minute,
-                    iteration,
-                    self.techniques[arm].name(),
-                    m,
-                    &history,
-                    improved,
-                );
             }
             iteration += 1;
         }
 
         // Deadline kill (see the method docs): count the final batch's
-        // overrunning evaluations, then clamp the clock and their event
-        // minutes to the budget — the clock never reads past it.
-        let killed_evals = trace
+        // overrunning evaluations, then clamp the clock to the budget — it
+        // never reads past it.
+        let killed_evals = history
+            .evaluations()
             .iter()
             .filter(|e| e.minute > self.options.budget_minutes)
             .count() as u64;
-        let elapsed = clock.clamp_to_budget();
-        for e in trace.iter_mut() {
-            if e.minute > elapsed {
-                e.minute = elapsed;
-            }
-        }
-
         TuningOutcome {
-            best: history.best().map(|(c, v)| (c.clone(), v)),
-            trace,
-            elapsed_minutes: elapsed,
-            evaluations: evals,
+            elapsed_minutes: clock.clamp_to_budget(),
             killed_evals,
-            exhaustion_events,
             reason,
-            technique_stats: techniques_seen.into_rows(),
             history,
         }
     }
@@ -319,34 +240,10 @@ fn mutated_params(history: &History, cfg: &Config) -> Vec<usize> {
     }
 }
 
-/// Books one evaluation in the convergence trace and the per-technique
-/// counters.
-#[allow(clippy::too_many_arguments)]
-fn record_eval(
-    trace: &mut Vec<TraceEvent>,
-    techniques: &mut TechniqueTable,
-    minute: f64,
-    iteration: u64,
-    technique: &str,
-    m: Measurement,
-    history: &History,
-    improved: bool,
-) {
-    let best_value = history.best().map(|(_, v)| v).unwrap_or(f64::INFINITY);
-    techniques.record(technique, m.value, improved);
-    trace.push(TraceEvent {
-        minute,
-        iteration,
-        technique: technique.to_string(),
-        value: m.value,
-        best_value,
-        improved,
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::Measurement;
     use crate::param::{ParamDef, ParamKind};
     use crate::stopping::{NoImprovement, TimeLimitOnly};
 
@@ -377,7 +274,7 @@ mod tests {
         assert!(out.elapsed_minutes >= 200.0);
         assert_eq!(out.reason, StopReason::TimeLimit);
         // 5 minutes per eval, sequential → ~40 evaluations
-        assert!(out.evaluations >= 38 && out.evaluations <= 42);
+        assert!((38..=42).contains(&out.history.len()));
     }
 
     #[test]
@@ -401,10 +298,10 @@ mod tests {
         )
         .run(&mut objective, &mut TimeLimitOnly);
         assert!(
-            par.evaluations >= seq.evaluations * 6,
+            par.history.len() >= seq.history.len() * 6,
             "8-wide should evaluate ~8x the points: {} vs {}",
-            par.evaluations,
-            seq.evaluations
+            par.history.len(),
+            seq.history.len()
         );
     }
 
@@ -419,8 +316,9 @@ mod tests {
             },
         );
         let out = run.run(&mut objective, &mut TimeLimitOnly);
-        assert_eq!(out.trace[0].technique, "seed");
-        assert_eq!(out.trace[1].technique, "seed");
+        let evals = out.history.evaluations();
+        assert_eq!(evals[0].technique, "seed");
+        assert_eq!(evals[1].technique, "seed");
         // the good seed is optimal; nothing beats value 1.0
         assert!((out.best_value() - 1.0).abs() < 1e-12);
     }
@@ -456,9 +354,9 @@ mod tests {
         let a = mk();
         let b = mk();
         assert_eq!(a.best_value(), b.best_value());
-        assert_eq!(a.evaluations, b.evaluations);
-        assert_eq!(a.convergence(), b.convergence());
-        assert_eq!(a.technique_stats, b.technique_stats);
+        // every field of every evaluation: config, measurement, minute,
+        // iteration, technique, `improved`, `mutated_params`
+        assert_eq!(a.history.evaluations(), b.history.evaluations());
     }
 
     #[test]
@@ -493,18 +391,17 @@ mod tests {
             &mut TimeLimitOnly,
         );
         assert!(
-            out.evaluations <= 5,
+            out.history.len() <= 5,
             "exhausted after ~3: {}",
-            out.evaluations
+            out.history.len()
         );
         assert_eq!(out.best_value(), 1.0);
         // the run must report *why* it ended: the whole space was
         // evaluated dry, well before the time/iteration limits.
         assert_eq!(out.reason, StopReason::SpaceExhausted);
-        assert!(out.exhaustion_events > 0);
     }
 
-    // --- trace integrity ------------------------------------------------
+    // --- trajectory integrity -------------------------------------------
 
     /// Per-eval minutes that differ within a batch: evaluation `i` of a
     /// batch takes `3 + (i % 5)` minutes, so a prefix-max stamping would
@@ -530,9 +427,9 @@ mod tests {
             },
         );
         let out = run.run(&mut jagged_objective(), &mut TimeLimitOnly);
-        assert!(out.evaluations > 16, "need several batches");
+        assert!(out.history.len() > 16, "need several batches");
         let mut by_iter: std::collections::BTreeMap<u64, Vec<f64>> = Default::default();
-        for e in &out.trace {
+        for e in out.history.evaluations() {
             by_iter.entry(e.iteration).or_default().push(e.minute);
         }
         for (iter, minutes) in &by_iter {
@@ -555,7 +452,7 @@ mod tests {
             },
         );
         let out = run.run(&mut jagged_objective(), &mut TimeLimitOnly);
-        for w in out.trace.windows(2) {
+        for w in out.history.evaluations().windows(2) {
             assert!(
                 w[1].minute >= w[0].minute,
                 "minutes went backwards: {} after {}",
@@ -581,13 +478,13 @@ mod tests {
             &mut |c: &Config| Measurement::new(objective(c).value, 7.0),
             &mut TimeLimitOnly,
         );
-        assert_eq!(out.evaluations, 2);
         assert_eq!(out.killed_evals, 1, "second batch overran the deadline");
-        // harvested: the measurement is in the history and may be best
+        // harvested: the measurement is in the history and may be best,
+        // stamped with its raw batch minute for readers to clamp
         assert_eq!(out.history.len(), 2);
-        // but the clock and the event minute never read past the budget
+        assert_eq!(out.history.evaluations()[1].minute, 14.0);
+        // but the clock never reads past the budget
         assert_eq!(out.elapsed_minutes, 10.0);
-        assert_eq!(out.trace[1].minute, 10.0);
         // a batch finishing exactly at the budget is not killed
         let exact = TuningRun::new(
             space(),
@@ -602,7 +499,7 @@ mod tests {
             &mut TimeLimitOnly,
         );
         assert_eq!(exact.killed_evals, 0);
-        assert_eq!(exact.evaluations, 2);
+        assert_eq!(exact.history.len(), 2);
     }
 
     #[test]
@@ -616,17 +513,25 @@ mod tests {
             },
         );
         let out = run.run(&mut objective, &mut TimeLimitOnly);
-        let total: u64 = out.technique_stats.iter().map(|t| t.evals).sum();
-        assert_eq!(total, out.evaluations);
-        let seed_row = out
-            .technique_stats
+        let mut table = s2fa_trace::TechniqueTable::new();
+        for e in out.history.evaluations() {
+            table.record(e.technique, e.measurement.value, e.improved);
+        }
+        assert_eq!(table.total_evals(), out.history.len() as u64);
+        let rows = table.into_rows();
+        let seed_row = rows
             .iter()
             .find(|t| t.technique == "seed")
             .expect("seed row present");
         assert_eq!(seed_row.evals, 2);
         assert_eq!(seed_row.best_value, 1.0);
+        // every non-seed point names a technique of the portfolio
+        let names: Vec<&str> = default_portfolio().iter().map(|t| t.name()).collect();
+        for e in &out.history.evaluations()[2..] {
+            assert!(names.contains(&e.technique), "{}", e.technique);
+        }
         // rows are sorted by name
-        for w in out.technique_stats.windows(2) {
+        for w in rows.windows(2) {
             assert!(w[0].technique < w[1].technique);
         }
     }

@@ -17,9 +17,21 @@ pub enum StopReason {
     Converged,
     /// The iteration cap was reached.
     IterationLimit,
-    /// Proposal could not find any unseen configuration: the (sub-)space
-    /// has been evaluated dry (see `TuningOutcome::exhaustion_events`).
+    /// Proposal could not find any unseen configuration for a whole
+    /// batch: the (sub-)space has been evaluated dry.
     SpaceExhausted,
+}
+
+impl StopReason {
+    /// The variant's name, as trace events and reports print it.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            StopReason::TimeLimit => "TimeLimit",
+            StopReason::Converged => "Converged",
+            StopReason::IterationLimit => "IterationLimit",
+            StopReason::SpaceExhausted => "SpaceExhausted",
+        }
+    }
 }
 
 /// A pluggable early-stopping criterion, consulted once per iteration.
@@ -93,6 +105,18 @@ mod tests {
     use crate::history::Measurement;
 
     #[test]
+    fn stop_reason_names_match_their_debug_form() {
+        for r in [
+            StopReason::TimeLimit,
+            StopReason::Converged,
+            StopReason::IterationLimit,
+            StopReason::SpaceExhausted,
+        ] {
+            assert_eq!(r.as_str(), format!("{r:?}"));
+        }
+    }
+
+    #[test]
     fn time_limit_only_never_stops() {
         let mut c = TimeLimitOnly;
         let h = History::new();
@@ -103,12 +127,12 @@ mod tests {
     fn no_improvement_counts_streaks() {
         let mut c = NoImprovement::new(3);
         let mut h = History::new();
-        h.record(vec![0], Measurement::new(10.0, 1.0), vec![]);
+        h.record(vec![0], Measurement::new(10.0, 1.0), vec![], 0.0, 0, "test");
         assert!(!c.should_stop(&h));
-        h.record(vec![1], Measurement::new(20.0, 1.0), vec![]);
-        h.record(vec![2], Measurement::new(21.0, 1.0), vec![]);
+        h.record(vec![1], Measurement::new(20.0, 1.0), vec![], 0.0, 0, "test");
+        h.record(vec![2], Measurement::new(21.0, 1.0), vec![], 0.0, 0, "test");
         assert!(!c.should_stop(&h)); // streak = 2
-        h.record(vec![3], Measurement::new(22.0, 1.0), vec![]);
+        h.record(vec![3], Measurement::new(22.0, 1.0), vec![], 0.0, 0, "test");
         assert!(c.should_stop(&h)); // streak = 3
     }
 
@@ -116,12 +140,12 @@ mod tests {
     fn improvement_resets_streak() {
         let mut c = NoImprovement::new(2);
         let mut h = History::new();
-        h.record(vec![0], Measurement::new(10.0, 1.0), vec![]);
-        h.record(vec![1], Measurement::new(11.0, 1.0), vec![]);
-        h.record(vec![2], Measurement::new(5.0, 1.0), vec![]); // improves
+        h.record(vec![0], Measurement::new(10.0, 1.0), vec![], 0.0, 0, "test");
+        h.record(vec![1], Measurement::new(11.0, 1.0), vec![], 0.0, 0, "test");
+        h.record(vec![2], Measurement::new(5.0, 1.0), vec![], 0.0, 0, "test"); // improves
         assert!(!c.should_stop(&h));
-        h.record(vec![3], Measurement::new(9.0, 1.0), vec![]);
-        h.record(vec![4], Measurement::new(9.5, 1.0), vec![]);
+        h.record(vec![3], Measurement::new(9.0, 1.0), vec![], 0.0, 0, "test");
+        h.record(vec![4], Measurement::new(9.5, 1.0), vec![], 0.0, 0, "test");
         assert!(c.should_stop(&h));
     }
 
@@ -129,9 +153,30 @@ mod tests {
     fn needs_a_feasible_best() {
         let mut c = NoImprovement::new(2);
         let mut h = History::new();
-        h.record(vec![0], Measurement::infeasible(1.0), vec![]);
-        h.record(vec![1], Measurement::infeasible(1.0), vec![]);
-        h.record(vec![2], Measurement::infeasible(1.0), vec![]);
+        h.record(
+            vec![0],
+            Measurement::infeasible(1.0),
+            vec![],
+            0.0,
+            0,
+            "test",
+        );
+        h.record(
+            vec![1],
+            Measurement::infeasible(1.0),
+            vec![],
+            0.0,
+            0,
+            "test",
+        );
+        h.record(
+            vec![2],
+            Measurement::infeasible(1.0),
+            vec![],
+            0.0,
+            0,
+            "test",
+        );
         assert!(!c.should_stop(&h));
     }
 }

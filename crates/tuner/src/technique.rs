@@ -421,7 +421,7 @@ mod tests {
             assert!(s.contains(&c), "{} proposed out-of-bounds", tech.name());
             let m = Measurement::new(objective(&c), 1.0);
             tech.feedback(&c, &m);
-            h.record(c, m, vec![]);
+            h.record(c, m, vec![], 0.0, 0, "test");
         }
         h.best().unwrap().1
     }
@@ -450,7 +450,14 @@ mod tests {
         let mut h = History::new();
         let mut rng = SmallRng::seed_from_u64(3);
         let seed: Config = vec![3, 1, 7];
-        h.record(seed.clone(), Measurement::new(5.0, 1.0), vec![]);
+        h.record(
+            seed.clone(),
+            Measurement::new(5.0, 1.0),
+            vec![],
+            0.0,
+            0,
+            "test",
+        );
         let mut g = GreedyMutation::new();
         let mut single = 0usize;
         const N: usize = 200;
@@ -481,7 +488,7 @@ mod tests {
             let c = sa.propose(&s, &h, &mut rng);
             let m = Measurement::new(objective(&c), 1.0);
             sa.feedback(&c, &m);
-            h.record(c, m, vec![]);
+            h.record(c, m, vec![], 0.0, 0, "test");
         }
         assert!(sa.temperature() < t0);
     }
@@ -492,7 +499,14 @@ mod tests {
         let mut h = History::new();
         let mut rng = SmallRng::seed_from_u64(11);
         // best from *outside* the partition (global seed) must be clamped
-        h.record(vec![7, 2, 15], Measurement::new(2.0, 1.0), vec![]);
+        h.record(
+            vec![7, 2, 15],
+            Measurement::new(2.0, 1.0),
+            vec![],
+            0.0,
+            0,
+            "test",
+        );
         for mut tech in default_portfolio() {
             for _ in 0..30 {
                 let c = tech.propose(&s, &h, &mut rng);
@@ -557,7 +571,7 @@ mod random_tests {
                 let c = tech.propose(&space, &h, &mut rng);
                 let m = Measurement::new(objective(&c), 1.0);
                 tech.feedback(&c, &m);
-                h.record(c, m, vec![]);
+                h.record(c, m, vec![], 0.0, 0, "test");
             }
             h.best().unwrap().1
         };
