@@ -17,10 +17,15 @@
 //! lookup and no dispatch on operator or kind. Names reappear only in
 //! error messages and in [`Observed`].
 //!
-//! Expression closures return a plain [`CVal`]. The first fault of a run
-//! is parked in the machine's fault slot, and the expression returns a
-//! placeholder; every statement checks the slot before it writes anything
-//! and stops the run when it is set.
+//! Expression closures are typed by their consumer: an index, a loop
+//! bound, a condition or an integer operand gets a closure returning
+//! `i64`, a float operand one returning `f64`, and only a store into a
+//! scalar or array slot, whose value keeps its kind, gets a [`CVal`]. Each
+//! node computes in the kind its operator and [`CNumKind`] fix and
+//! converts once on return; slot reads convert at the read. The first
+//! fault of a run is parked in the machine's fault slot, and the
+//! expression returns a placeholder; every statement checks the slot
+//! before it writes anything and stops the run when it is set.
 
 use crate::ast::{
     CBinOp, CFunction, CIntrinsic, CNumKind, CType, Expr, LValue, LoopId, ParamKind, Stmt,
@@ -39,20 +44,6 @@ pub enum CVal {
 }
 
 impl CVal {
-    fn as_i(self) -> i64 {
-        match self {
-            CVal::I(v) => v,
-            CVal::F(v) => v as i64,
-        }
-    }
-
-    fn as_f(self) -> f64 {
-        match self {
-            CVal::F(v) => v,
-            CVal::I(v) => v as f64,
-        }
-    }
-
     fn zero_of(ty: CType) -> CVal {
         if ty.is_float() {
             CVal::F(0.0)
@@ -202,9 +193,69 @@ impl<'a> Slots<'a> {
     }
 }
 
-/// A lowered expression. On a fault it parks the error in the machine's
-/// fault slot (keeping an earlier one) and returns a placeholder value.
-type ExprFn<'a> = Box<dyn Fn(&mut Machine) -> CVal + 'a>;
+/// A lowered expression returning `T`. On a fault it parks the error in
+/// the machine's fault slot (keeping an earlier one) and returns
+/// [`Scalar::PLACEHOLDER`].
+type ExprFn<'a, T> = Box<dyn Fn(&mut Machine) -> T + 'a>;
+
+/// The type a lowered expression returns, chosen by its consumer: `i64`
+/// where the consumer reads an integer, `f64` where it reads a float, and
+/// [`CVal`] where the value is stored into a slot that keeps its kind.
+/// Each conversion is the one the tagged value would get from the
+/// consumer (`as i64` from a float, `as f64` from an integer).
+trait Scalar: Copy + 'static {
+    /// What a faulting expression returns. No consumer sees it: the
+    /// statement that evaluated the expression writes nothing.
+    const PLACEHOLDER: Self;
+    /// A result of integral kind.
+    fn int(v: i64) -> Self;
+    /// A result of floating kind.
+    fn float(v: f64) -> Self;
+    /// A slot's value, of whichever kind it holds.
+    #[inline]
+    fn read(v: CVal) -> Self {
+        match v {
+            CVal::I(v) => Self::int(v),
+            CVal::F(v) => Self::float(v),
+        }
+    }
+}
+
+impl Scalar for i64 {
+    const PLACEHOLDER: i64 = 0;
+    #[inline]
+    fn int(v: i64) -> i64 {
+        v
+    }
+    #[inline]
+    fn float(v: f64) -> i64 {
+        v as i64
+    }
+}
+
+impl Scalar for f64 {
+    const PLACEHOLDER: f64 = 0.0;
+    #[inline]
+    fn int(v: i64) -> f64 {
+        v as f64
+    }
+    #[inline]
+    fn float(v: f64) -> f64 {
+        v
+    }
+}
+
+impl Scalar for CVal {
+    const PLACEHOLDER: CVal = CVal::I(0);
+    #[inline]
+    fn int(v: i64) -> CVal {
+        CVal::I(v)
+    }
+    #[inline]
+    fn float(v: f64) -> CVal {
+        CVal::F(v)
+    }
+}
 
 /// A lowered statement: charges one unit of fuel, runs, and returns
 /// `false` once the run has faulted.
@@ -274,7 +325,7 @@ impl<'a, const OBSERVE: bool> Lower<'a, OBSERVE> {
                 rhs,
             } => {
                 let var = self.scalars.slot(name);
-                let rhs = self.expr(rhs)?;
+                let rhs = self.expr::<CVal>(rhs)?;
                 Box::new(move |m: &mut Machine| {
                     if !m.charge() {
                         return false;
@@ -295,15 +346,15 @@ impl<'a, const OBSERVE: bool> Lower<'a, OBSERVE> {
                 rhs,
             } => {
                 let arr = self.arrays.slot(name);
-                let idx = self.expr(idx)?;
-                let rhs = self.expr(rhs)?;
+                let idx = self.expr::<i64>(idx)?;
+                let rhs = self.expr::<CVal>(rhs)?;
                 Box::new(move |m: &mut Machine| {
                     if !m.charge() {
                         return false;
                     }
                     // The right-hand side runs before the index.
                     let v = rhs(m);
-                    let i = idx(m).as_i();
+                    let i = idx(m);
                     if m.fault.is_some() {
                         return false;
                     }
@@ -334,14 +385,14 @@ impl<'a, const OBSERVE: bool> Lower<'a, OBSERVE> {
                 ..
             } => {
                 let var = self.scalars.slot(var);
-                let bound = self.expr(bound)?;
+                let bound = self.expr::<i64>(bound)?;
                 let order = self.orders.get(id).map(Vec::as_slice);
                 let body = self.stmts(body)?;
                 Box::new(move |m: &mut Machine| {
                     if !m.charge() {
                         return false;
                     }
-                    let n = bound(m).as_i();
+                    let n = bound(m);
                     if m.fault.is_some() {
                         return false;
                     }
@@ -359,14 +410,14 @@ impl<'a, const OBSERVE: bool> Lower<'a, OBSERVE> {
                 })
             }
             Stmt::If { cond, then, els } => {
-                let cond = self.expr(cond)?;
+                let cond = self.expr::<i64>(cond)?;
                 let then = self.stmts(then)?;
                 let els = self.stmts(els)?;
                 Box::new(move |m: &mut Machine| {
                     if !m.charge() {
                         return false;
                     }
-                    let taken = cond(m).as_i() != 0;
+                    let taken = cond(m) != 0;
                     if m.fault.is_some() {
                         return false;
                     }
@@ -376,10 +427,12 @@ impl<'a, const OBSERVE: bool> Lower<'a, OBSERVE> {
         })
     }
 
-    fn expr(&mut self, e: &'a Expr) -> Result<ExprFn<'a>, HlsirError> {
+    /// Lowers `e` to a closure returning `T`: its value exactly as the
+    /// consumer of a tagged [`CVal`] would read it.
+    fn expr<T: Scalar>(&mut self, e: &'a Expr) -> Result<ExprFn<'a, T>, HlsirError> {
         Ok(match e {
-            Expr::ConstI(v) => constant(CVal::I(*v)),
-            Expr::ConstF(v) => constant(CVal::F(*v)),
+            Expr::ConstI(v) => constant(T::int(*v)),
+            Expr::ConstF(v) => constant(T::float(*v)),
             Expr::Var(name) => {
                 let s = self.scalars.slot(name);
                 Box::new(move |m: &mut Machine| {
@@ -387,22 +440,22 @@ impl<'a, const OBSERVE: bool> Lower<'a, OBSERVE> {
                         m.track.scalar_reads[s] = true;
                     }
                     match m.scalars[s] {
-                        Some(v) => v,
+                        Some(v) => T::read(v),
                         None => m.fail(unknown_variable(name)),
                     }
                 })
             }
             Expr::Index(name, idx) => {
                 let a = self.arrays.slot(name);
-                let idx = self.expr(idx)?;
+                let idx = self.expr::<i64>(idx)?;
                 Box::new(move |m: &mut Machine| {
-                    let i = idx(m).as_i();
+                    let i = idx(m);
                     if OBSERVE && m.track.array_uninit[a].get(i as usize) == Some(&true) {
                         m.track.array_reads.insert((a, i));
                     }
                     let fault = match m.arrays[a].data.as_deref() {
                         Some(data) => match data.get(i as usize) {
-                            Some(v) => return *v,
+                            Some(v) => return T::read(*v),
                             None => out_of_bounds(name, i, data.len()),
                         },
                         None => unknown_array(name),
@@ -410,30 +463,44 @@ impl<'a, const OBSERVE: bool> Lower<'a, OBSERVE> {
                     m.fail(fault)
                 })
             }
-            Expr::Bin(op, kind, a, b) => {
-                let (a, b) = (self.expr(a)?, self.expr(b)?);
-                match (op.is_cmp(), kind) {
-                    (true, CNumKind::I32 | CNumKind::I64) => {
-                        compare(*op, a, b, |x, y| x.as_i().cmp(&y.as_i()))
-                    }
-                    // NaN compares neither less nor greater: equal, as in
-                    // the sjvm interpreter's sign test.
-                    (true, CNumKind::F32 | CNumKind::F64) => compare(*op, a, b, |x, y| {
-                        x.as_f().partial_cmp(&y.as_f()).unwrap_or(Ordering::Equal)
-                    }),
-                    (false, CNumKind::I32) => int_arith::<true>(*op, a, b),
-                    (false, CNumKind::I64) => int_arith::<false>(*op, a, b),
-                    (false, CNumKind::F32) => float_arith::<true>(*op, a, b),
-                    (false, CNumKind::F64) => float_arith::<false>(*op, a, b),
+            Expr::Bin(op, kind, a, b) => match (op.is_cmp(), kind) {
+                (true, CNumKind::I32 | CNumKind::I64) => {
+                    let (a, b) = (self.expr::<i64>(a)?, self.expr::<i64>(b)?);
+                    compare(*op, a, b, |x, y| x.cmp(&y))
                 }
-            }
+                // NaN compares neither less nor greater: equal, as in the
+                // sjvm interpreter's sign test.
+                (true, CNumKind::F32 | CNumKind::F64) => {
+                    let (a, b) = (self.expr::<f64>(a)?, self.expr::<f64>(b)?);
+                    compare(*op, a, b, |x, y| {
+                        x.partial_cmp(&y).unwrap_or(Ordering::Equal)
+                    })
+                }
+                (false, CNumKind::I32 | CNumKind::I64) => {
+                    let (a, b) = (self.expr::<i64>(a)?, self.expr::<i64>(b)?);
+                    if *kind == CNumKind::I32 {
+                        int_arith::<T, true>(*op, a, b)
+                    } else {
+                        int_arith::<T, false>(*op, a, b)
+                    }
+                }
+                (false, CNumKind::F32 | CNumKind::F64) => {
+                    let (a, b) = (self.expr::<f64>(a)?, self.expr::<f64>(b)?);
+                    if *kind == CNumKind::F32 {
+                        float_arith::<T, true>(*op, a, b)
+                    } else {
+                        float_arith::<T, false>(*op, a, b)
+                    }
+                }
+            },
             Expr::Neg(kind, a) => {
                 let kind = *kind;
-                let a = self.expr(a)?;
                 if kind.is_float() {
-                    unary(a, move |v| CVal::F(round(-v.as_f(), kind)))
+                    unary(self.expr::<f64>(a)?, move |v| T::float(round(-v, kind)))
                 } else {
-                    unary(a, move |v| CVal::I(wrap(v.as_i().wrapping_neg(), kind)))
+                    unary(self.expr::<i64>(a)?, move |v| {
+                        T::int(wrap(v.wrapping_neg(), kind))
+                    })
                 }
             }
             Expr::Call(f, kind, args) => {
@@ -445,63 +512,72 @@ impl<'a, const OBSERVE: bool> Lower<'a, OBSERVE> {
                         args.len()
                     )));
                 }
-                let mut args = args
-                    .iter()
-                    .map(|a| self.expr(a))
-                    .collect::<Result<Vec<_>, _>>()?
-                    .into_iter();
-                let mut arg = || args.next().expect("arity checked above");
-                match (f, kind.is_float()) {
-                    (CIntrinsic::Exp, _) => unary(arg(), |x| CVal::F(x.as_f().exp())),
-                    (CIntrinsic::Log, _) => unary(arg(), |x| CVal::F(x.as_f().ln())),
-                    (CIntrinsic::Sqrt, _) => unary(arg(), |x| CVal::F(x.as_f().sqrt())),
-                    (CIntrinsic::Abs, true) => unary(arg(), |x| CVal::F(x.as_f().abs())),
-                    (CIntrinsic::Abs, false) => unary(arg(), |x| CVal::I(x.as_i().wrapping_abs())),
-                    (CIntrinsic::Min, true) => {
-                        binary(arg(), arg(), |x, y| CVal::F(x.as_f().min(y.as_f())))
+                let (float, arg) = (kind.is_float(), &args[0]);
+                match f {
+                    CIntrinsic::Exp => unary(self.expr::<f64>(arg)?, |x| T::float(x.exp())),
+                    CIntrinsic::Log => unary(self.expr::<f64>(arg)?, |x| T::float(x.ln())),
+                    CIntrinsic::Sqrt => unary(self.expr::<f64>(arg)?, |x| T::float(x.sqrt())),
+                    CIntrinsic::Abs if float => {
+                        unary(self.expr::<f64>(arg)?, |x| T::float(x.abs()))
                     }
-                    (CIntrinsic::Min, false) => {
-                        binary(arg(), arg(), |x, y| CVal::I(x.as_i().min(y.as_i())))
+                    CIntrinsic::Abs => unary(self.expr::<i64>(arg)?, |x| T::int(x.wrapping_abs())),
+                    CIntrinsic::Min | CIntrinsic::Max if float => {
+                        let (a, b) = (self.expr::<f64>(arg)?, self.expr::<f64>(&args[1])?);
+                        if *f == CIntrinsic::Min {
+                            binary(a, b, |x, y| T::float(x.min(y)))
+                        } else {
+                            binary(a, b, |x, y| T::float(x.max(y)))
+                        }
                     }
-                    (CIntrinsic::Max, true) => {
-                        binary(arg(), arg(), |x, y| CVal::F(x.as_f().max(y.as_f())))
-                    }
-                    (CIntrinsic::Max, false) => {
-                        binary(arg(), arg(), |x, y| CVal::I(x.as_i().max(y.as_i())))
+                    CIntrinsic::Min | CIntrinsic::Max => {
+                        let (a, b) = (self.expr::<i64>(arg)?, self.expr::<i64>(&args[1])?);
+                        if *f == CIntrinsic::Min {
+                            binary(a, b, |x, y| T::int(x.min(y)))
+                        } else {
+                            binary(a, b, |x, y| T::int(x.max(y)))
+                        }
                     }
                 }
             }
             Expr::Cast(from, to, a) => {
-                let (from, to) = (*from, *to);
-                unary(self.expr(a)?, move |v| cast(v, from, to))
+                let to = *to;
+                match (from.is_float(), to.is_float()) {
+                    (false, false) => unary(self.expr::<i64>(a)?, move |v| T::int(wrap(v, to))),
+                    (false, true) => {
+                        unary(self.expr::<i64>(a)?, move |v| T::float(round(v as f64, to)))
+                    }
+                    (true, false) => unary(self.expr::<f64>(a)?, move |v| {
+                        T::int(wrap(if v.is_nan() { 0 } else { v as i64 }, to))
+                    }),
+                    (true, true) => unary(self.expr::<f64>(a)?, move |v| T::float(round(v, to))),
+                }
             }
+            // The branches return what the Select's consumer reads, so a
+            // store keeps each branch's own kind.
             Expr::Select(c, a, b) => {
-                let (c, a, b) = (self.expr(c)?, self.expr(a)?, self.expr(b)?);
-                Box::new(
-                    move |m: &mut Machine| {
-                        if c(m).as_i() != 0 {
-                            a(m)
-                        } else {
-                            b(m)
-                        }
-                    },
-                )
+                let c = self.expr::<i64>(c)?;
+                let (a, b) = (self.expr::<T>(a)?, self.expr::<T>(b)?);
+                Box::new(move |m: &mut Machine| if c(m) != 0 { a(m) } else { b(m) })
             }
         })
     }
 }
 
-fn constant<'a>(v: CVal) -> ExprFn<'a> {
+fn constant<'a, T: Scalar>(v: T) -> ExprFn<'a, T> {
     Box::new(move |_: &mut Machine| v)
 }
 
 /// Evaluates `a` and applies `f`.
-fn unary<'a>(a: ExprFn<'a>, f: impl Fn(CVal) -> CVal + 'a) -> ExprFn<'a> {
+fn unary<'a, X: 'a, T>(a: ExprFn<'a, X>, f: impl Fn(X) -> T + 'a) -> ExprFn<'a, T> {
     Box::new(move |m: &mut Machine| f(a(m)))
 }
 
 /// Evaluates `a`, then `b`, and combines them with `f`.
-fn binary<'a>(a: ExprFn<'a>, b: ExprFn<'a>, f: impl Fn(CVal, CVal) -> CVal + 'a) -> ExprFn<'a> {
+fn binary<'a, X: 'a, T>(
+    a: ExprFn<'a, X>,
+    b: ExprFn<'a, X>,
+    f: impl Fn(X, X) -> T + 'a,
+) -> ExprFn<'a, T> {
     Box::new(move |m: &mut Machine| {
         let x = a(m);
         let y = b(m);
@@ -510,13 +586,13 @@ fn binary<'a>(a: ExprFn<'a>, b: ExprFn<'a>, f: impl Fn(CVal, CVal) -> CVal + 'a)
 }
 
 /// A comparison: `ord` orders the operands, the result is 0 or 1.
-fn compare<'a>(
+fn compare<'a, X: 'a, T: Scalar>(
     op: CBinOp,
-    a: ExprFn<'a>,
-    b: ExprFn<'a>,
-    ord: impl Fn(CVal, CVal) -> Ordering + Copy + 'a,
-) -> ExprFn<'a> {
-    let flag = |hit: bool| CVal::I(hit as i64);
+    a: ExprFn<'a, X>,
+    b: ExprFn<'a, X>,
+    ord: impl Fn(X, X) -> Ordering + Copy + 'a,
+) -> ExprFn<'a, T> {
+    let flag = |hit: bool| T::int(hit as i64);
     match op {
         CBinOp::Lt => binary(a, b, move |x, y| flag(ord(x, y).is_lt())),
         CBinOp::Le => binary(a, b, move |x, y| flag(ord(x, y).is_le())),
@@ -531,42 +607,46 @@ fn compare<'a>(
 /// Integer arithmetic and bitwise operators. Arithmetic wraps to 32 bits
 /// when `I32`; shifts and bitwise ops act on the 64-bit representation
 /// (same deviation as the sjvm interpreter).
-fn int_arith<'a, const I32: bool>(op: CBinOp, a: ExprFn<'a>, b: ExprFn<'a>) -> ExprFn<'a> {
-    let wrap = |r: i64| CVal::I(if I32 { r as i32 as i64 } else { r });
-    let shift = |y: CVal| (y.as_i() & 63) as u32;
+fn int_arith<'a, T: Scalar, const I32: bool>(
+    op: CBinOp,
+    a: ExprFn<'a, i64>,
+    b: ExprFn<'a, i64>,
+) -> ExprFn<'a, T> {
+    let wrap = |r: i64| T::int(if I32 { r as i32 as i64 } else { r });
+    let shift = |y: i64| (y & 63) as u32;
     match op {
-        CBinOp::Add => binary(a, b, move |x, y| wrap(x.as_i().wrapping_add(y.as_i()))),
-        CBinOp::Sub => binary(a, b, move |x, y| wrap(x.as_i().wrapping_sub(y.as_i()))),
-        CBinOp::Mul => binary(a, b, move |x, y| wrap(x.as_i().wrapping_mul(y.as_i()))),
+        CBinOp::Add => binary(a, b, move |x, y| wrap(x.wrapping_add(y))),
+        CBinOp::Sub => binary(a, b, move |x, y| wrap(x.wrapping_sub(y))),
+        CBinOp::Mul => binary(a, b, move |x, y| wrap(x.wrapping_mul(y))),
         CBinOp::Div => int_divide(a, b, "integer division by zero", move |x, y| {
             wrap(x.wrapping_div(y))
         }),
         CBinOp::Rem => int_divide(a, b, "integer remainder by zero", move |x, y| {
             wrap(x.wrapping_rem(y))
         }),
-        CBinOp::Shl => binary(a, b, move |x, y| CVal::I(x.as_i().wrapping_shl(shift(y)))),
-        CBinOp::Shr => binary(a, b, move |x, y| CVal::I(x.as_i().wrapping_shr(shift(y)))),
+        CBinOp::Shl => binary(a, b, move |x, y| T::int(x.wrapping_shl(shift(y)))),
+        CBinOp::Shr => binary(a, b, move |x, y| T::int(x.wrapping_shr(shift(y)))),
         CBinOp::UShr => binary(a, b, move |x, y| {
-            CVal::I((x.as_i() as u64).wrapping_shr(shift(y)) as i64)
+            T::int((x as u64).wrapping_shr(shift(y)) as i64)
         }),
-        CBinOp::And => binary(a, b, |x, y| CVal::I(x.as_i() & y.as_i())),
-        CBinOp::Or => binary(a, b, |x, y| CVal::I(x.as_i() | y.as_i())),
-        CBinOp::Xor => binary(a, b, |x, y| CVal::I(x.as_i() ^ y.as_i())),
+        CBinOp::And => binary(a, b, |x, y| T::int(x & y)),
+        CBinOp::Or => binary(a, b, |x, y| T::int(x | y)),
+        CBinOp::Xor => binary(a, b, |x, y| T::int(x ^ y)),
         _ => unreachable!("comparisons are lowered by `compare`"),
     }
 }
 
 /// Integer division or remainder: faults with `zero` on a zero divisor
 /// once both operands have run.
-fn int_divide<'a>(
-    a: ExprFn<'a>,
-    b: ExprFn<'a>,
+fn int_divide<'a, T: Scalar>(
+    a: ExprFn<'a, i64>,
+    b: ExprFn<'a, i64>,
     zero: &'static str,
-    f: impl Fn(i64, i64) -> CVal + 'a,
-) -> ExprFn<'a> {
+    f: impl Fn(i64, i64) -> T + 'a,
+) -> ExprFn<'a, T> {
     Box::new(move |m: &mut Machine| {
-        let x = a(m).as_i();
-        let y = b(m).as_i();
+        let x = a(m);
+        let y = b(m);
         if y == 0 {
             return m.fail(HlsirError::Exec(zero.into()));
         }
@@ -576,13 +656,18 @@ fn int_divide<'a>(
 
 /// Float arithmetic: operands and result round through `f32` when
 /// `F32`. Bitwise operators fault once both operands have run.
-fn float_arith<'a, const F32: bool>(op: CBinOp, a: ExprFn<'a>, b: ExprFn<'a>) -> ExprFn<'a> {
+fn float_arith<'a, T: Scalar, const F32: bool>(
+    op: CBinOp,
+    a: ExprFn<'a, f64>,
+    b: ExprFn<'a, f64>,
+) -> ExprFn<'a, T> {
+    let r = |v: f64| if F32 { v as f32 as f64 } else { v };
     match op {
-        CBinOp::Add => float_op::<F32>(a, b, |x, y| x + y),
-        CBinOp::Sub => float_op::<F32>(a, b, |x, y| x - y),
-        CBinOp::Mul => float_op::<F32>(a, b, |x, y| x * y),
-        CBinOp::Div => float_op::<F32>(a, b, |x, y| x / y),
-        CBinOp::Rem => float_op::<F32>(a, b, |x, y| x % y),
+        CBinOp::Add => binary(a, b, move |x, y| T::float(r(r(x) + r(y)))),
+        CBinOp::Sub => binary(a, b, move |x, y| T::float(r(r(x) - r(y)))),
+        CBinOp::Mul => binary(a, b, move |x, y| T::float(r(r(x) * r(y)))),
+        CBinOp::Div => binary(a, b, move |x, y| T::float(r(r(x) / r(y)))),
+        CBinOp::Rem => binary(a, b, move |x, y| T::float(r(r(x) % r(y)))),
         _ => Box::new(move |m: &mut Machine| {
             a(m);
             b(m);
@@ -591,15 +676,6 @@ fn float_arith<'a, const F32: bool>(op: CBinOp, a: ExprFn<'a>, b: ExprFn<'a>) ->
             )))
         }),
     }
-}
-
-fn float_op<'a, const F32: bool>(
-    a: ExprFn<'a>,
-    b: ExprFn<'a>,
-    f: impl Fn(f64, f64) -> f64 + 'a,
-) -> ExprFn<'a> {
-    let r = |v: f64| if F32 { v as f32 as f64 } else { v };
-    binary(a, b, move |x, y| CVal::F(r(f(r(x.as_f()), r(y.as_f())))))
 }
 
 /// One array name's storage for the run.
@@ -712,11 +788,11 @@ impl Machine {
     }
 
     /// Records `e` unless an earlier fault is already recorded, and
-    /// returns the placeholder value the faulting expression yields.
+    /// returns the placeholder the faulting expression yields.
     #[cold]
-    fn fail(&mut self, e: HlsirError) -> CVal {
+    fn fail<T: Scalar>(&mut self, e: HlsirError) -> T {
         self.fault.get_or_insert(e);
-        CVal::I(0)
+        T::PLACEHOLDER
     }
 
     /// Hands the buffers back to the caller and maps the observations
@@ -776,19 +852,6 @@ fn round(v: f64, k: CNumKind) -> f64 {
     match k {
         CNumKind::F32 => v as f32 as f64,
         _ => v,
-    }
-}
-
-fn cast(v: CVal, from: CNumKind, to: CNumKind) -> CVal {
-    match (from.is_float(), to.is_float()) {
-        (false, false) => CVal::I(wrap(v.as_i(), to)),
-        (false, true) => CVal::F(round(v.as_i() as f64, to)),
-        (true, false) => {
-            let f = v.as_f();
-            let i = if f.is_nan() { 0 } else { f as i64 };
-            CVal::I(wrap(i, to))
-        }
-        (true, true) => CVal::F(round(v.as_f(), to)),
     }
 }
 

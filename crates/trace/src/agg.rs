@@ -65,11 +65,6 @@ impl TechniqueTable {
         self.rows.sort_by(|a, b| a.technique.cmp(&b.technique));
         self.rows
     }
-
-    /// Total evaluations across all rows.
-    pub fn total_evals(&self) -> u64 {
-        self.rows.iter().map(|r| r.evals).sum()
-    }
 }
 
 #[cfg(test)]
@@ -95,7 +90,8 @@ mod tests {
     fn infeasible_values_never_become_best() {
         let mut t = TechniqueTable::new();
         t.record("greedy", f64::INFINITY, false);
-        assert_eq!(t.total_evals(), 1);
-        assert!(t.into_rows()[0].best_value.is_infinite());
+        let rows = t.into_rows();
+        assert_eq!(rows[0].evals, 1);
+        assert!(rows[0].best_value.is_infinite());
     }
 }

@@ -54,12 +54,6 @@ impl BatchClock {
         self.clock
     }
 
-    /// True if the last batch ran past the budget — its evaluations were
-    /// in flight when the deadline hit.
-    pub fn overran(&self) -> bool {
-        self.clock > self.budget
-    }
-
     /// Clamps the clock to the budget (the deadline-kill: the clock never
     /// reads past the budget) and returns the final reading.
     pub fn clamp_to_budget(&mut self) -> f64 {
@@ -96,12 +90,10 @@ mod tests {
         let mut c = BatchClock::new(10.0);
         c.complete_batch([8.0]);
         assert!(c.within_budget());
-        assert!(!c.overran());
         c.complete_batch([5.0]);
         assert!(!c.within_budget());
-        assert!(c.overran());
+        assert_eq!(c.now(), 13.0);
         assert_eq!(c.clamp_to_budget(), 10.0);
-        assert!(!c.overran());
         assert_eq!(c.now(), 10.0);
     }
 
@@ -110,7 +102,7 @@ mod tests {
         let mut c = BatchClock::new(10.0);
         c.complete_batch([10.0]);
         assert!(!c.within_budget());
-        assert!(!c.overran());
+        assert_eq!(c.now(), 10.0);
         assert_eq!(c.clamp_to_budget(), 10.0);
     }
 }

@@ -145,8 +145,11 @@ impl TuningRun {
             iteration += 1;
         }
 
-        'outer: while clock.within_budget() && (history.len() as u64) < self.options.max_evaluations
-        {
+        while clock.within_budget() {
+            if history.len() as u64 >= self.options.max_evaluations {
+                reason = StopReason::IterationLimit;
+                break;
+            }
             if stop.should_stop(&history) {
                 reason = StopReason::Converged;
                 break;
@@ -184,13 +187,11 @@ impl TuningRun {
                 batch_seen.push(cfg.clone());
                 batch.push((arm, cfg, mutated));
             }
+            // The cap leaves room for at least one slot, so only
+            // abandoned slots can empty a batch.
             if batch.is_empty() {
-                reason = if history.len() as u64 >= self.options.max_evaluations {
-                    StopReason::IterationLimit
-                } else {
-                    StopReason::SpaceExhausted
-                };
-                break 'outer;
+                reason = StopReason::SpaceExhausted;
+                break;
             }
             // Phase 2: measure the whole batch (possibly on real threads),
             // and only then feed results back, in proposal order. The
@@ -401,6 +402,21 @@ mod tests {
         assert_eq!(out.reason, StopReason::SpaceExhausted);
     }
 
+    #[test]
+    fn evaluation_cap_ends_the_run_as_iteration_limit() {
+        let run = TuningRun::new(
+            space(),
+            TuningOptions {
+                budget_minutes: f64::INFINITY,
+                max_evaluations: 10,
+                ..TuningOptions::default()
+            },
+        );
+        let out = run.run(&mut objective, &mut TimeLimitOnly);
+        assert_eq!(out.history.len(), 10);
+        assert_eq!(out.reason, StopReason::IterationLimit);
+    }
+
     // --- trajectory integrity -------------------------------------------
 
     /// Per-eval minutes that differ within a batch: evaluation `i` of a
@@ -517,8 +533,9 @@ mod tests {
         for e in out.history.evaluations() {
             table.record(e.technique, e.measurement.value, e.improved);
         }
-        assert_eq!(table.total_evals(), out.history.len() as u64);
         let rows = table.into_rows();
+        let counted: u64 = rows.iter().map(|t| t.evals).sum();
+        assert_eq!(counted, out.history.len() as u64);
         let seed_row = rows
             .iter()
             .find(|t| t.technique == "seed")
