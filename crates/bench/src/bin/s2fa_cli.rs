@@ -23,21 +23,15 @@
 //! is appended to `<path>` as one JSON object per line.
 //!
 //! `--eval-threads <n>` sets the DSE's host executors: the calling thread
-//! plus a worker pool of `n - 1` threads that runs the partitions and
-//! their tuning batches (default: the host's available parallelism).
-//! Pool chunks are always sized from the job length and executor count.
+//! plus `n - 1` helper threads that price the partition probe and run the
+//! partitions (default: the host's available parallelism).
 //!
 //! `profile` runs one kernel's automatic flow under full host-side
 //! profiling and writes the flight-recorder artifacts:
 //! `results/PROFILE_<kernel>.json` (validated against
 //! `docs/profile.schema.json` before writing), a timing-free structure
 //! document for the CI golden diff, and folded stacks for flamegraph
-//! tooling — then prints the human-readable report. `profile` runs on 2
-//! eval threads unless `--eval-threads` says otherwise: with one, the
-//! first tuning batch runs serially and `batch/{submit,wait,merge}`
-//! drop out of the span tree, so the committed structure golden
-//! (`results/PROFILE_structure_S-W.json`) would not reproduce on a
-//! one-core host.
+//! tooling — then prints the human-readable report.
 //!
 //! `report` re-renders a previously written profile without running
 //! anything.
@@ -261,10 +255,7 @@ s2fa_cli lint [--kernel <name>] [--tasks <n>] [--format text|json] [--save]\n   
 s2fa_cli profile --kernel <name> [--budget <minutes>] [--tasks <n>] [--eval-threads <n>]\n       \
 s2fa_cli report (--kernel <name> | --profile <path>)\n       \
 s2fa_cli serve [--kernel <name>] [--requests <n>] [--util <x>] [--nodes <n>] \
-[--trace <path>]\n\
-profile's --eval-threads defaults to 2: with one eval thread the first tuning batch runs \
-serially, its batch/{submit,wait,merge} spans disappear, and \
-results/PROFILE_structure_S-W.json does not reproduce.";
+[--trace <path>]";
 
 fn main() {
     let args = match parse_args() {
@@ -293,25 +284,16 @@ fn main() {
         }
         return;
     }
-    let Some(name) = args.kernel else {
+    let Some(name) = &args.kernel else {
         eprintln!("{USAGE}");
         std::process::exit(2);
     };
-    let Some(w) = all_workloads().into_iter().find(|w| w.name == name) else {
+    let Some(w) = all_workloads().into_iter().find(|w| w.name == *name) else {
         eprintln!("unknown kernel `{name}` — try --list");
         std::process::exit(2);
     };
 
-    let mut options = S2faOptions {
-        tasks_hint: args.tasks,
-        ..S2faOptions::default()
-    };
-    options.dse.budget_minutes = args.budget;
-    options.dse.prescreen = args.prescreen;
-    options.dse.dataflow_prescreen = args.dataflow_prescreen;
-    if let Some(t) = args.eval_threads {
-        options.dse.eval_threads = t;
-    }
+    let options = compile_options(&args);
     let sink: Option<Arc<JsonlSink>> = args.trace.as_deref().map(|path| {
         Arc::new(JsonlSink::create(path).unwrap_or_else(|e| {
             eprintln!("cannot open trace file `{path}`: {e}");
@@ -614,6 +596,22 @@ fn conforms(doc: &Json, schema: &str, what: &str) -> bool {
     violations.is_empty()
 }
 
+/// The framework options of an automatic-flow compile (`--kernel` and
+/// `profile`): the defaults with the DSE flags applied.
+fn compile_options(args: &Args) -> S2faOptions {
+    let mut options = S2faOptions {
+        tasks_hint: args.tasks,
+        ..S2faOptions::default()
+    };
+    options.dse.budget_minutes = args.budget;
+    options.dse.prescreen = args.prescreen;
+    options.dse.dataflow_prescreen = args.dataflow_prescreen;
+    if let Some(t) = args.eval_threads {
+        options.dse.eval_threads = t;
+    }
+    options
+}
+
 /// The `profile` subcommand: run the kernel's automatic flow under full
 /// profiling and write the flight-recorder artifacts. Returns the
 /// process exit code.
@@ -627,19 +625,9 @@ fn run_profile(args: &Args) -> i32 {
         return 2;
     };
 
-    let mut options = S2faOptions {
-        tasks_hint: args.tasks,
-        ..S2faOptions::default()
-    };
-    options.dse.budget_minutes = args.budget;
-    options.dse.prescreen = args.prescreen;
-    options.dse.dataflow_prescreen = args.dataflow_prescreen;
-    // Two by default, whatever the host: see the module docs.
-    options.dse.eval_threads = args.eval_threads.unwrap_or(2);
-
     // 1. The profiled pipeline run.
     let profiler = Profiler::enabled();
-    let framework = S2fa::new(options).with_profiler(profiler.clone());
+    let framework = S2fa::new(compile_options(args)).with_profiler(profiler.clone());
     if let Err(e) = framework.compile(&w.spec) {
         eprintln!("{}: {e}", w.name);
         return 1;

@@ -15,7 +15,8 @@ use s2fa_sjvm::{HostValue, KernelSpec};
 pub struct ServingConfig {
     /// Simulated accelerator worker nodes sharing the registry.
     pub nodes: usize,
-    /// OS threads used for functional batch execution (timing-neutral).
+    /// Executors of functional batch execution, the calling thread
+    /// included (timing-neutral).
     pub exec_threads: usize,
     /// The batch former closes a batch at this many requests.
     pub max_batch: usize,

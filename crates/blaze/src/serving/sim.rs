@@ -30,8 +30,9 @@
 //! deadlines at equal timestamps — the same heap-key discipline the
 //! DSE's virtual scheduler uses. All timing comes from time models, so
 //! the *functional* execution of batches (and of fallback requests) can
-//! be farmed out to `exec_threads` OS threads after (before) the loop
-//! without any thread schedule leaking into outcomes: replies, trace
+//! be farmed out to `exec_threads` executors (the calling thread and
+//! `exec_threads - 1` helpers of [`parallel_map`]) after (before) the
+//! loop without any thread schedule leaking into outcomes: replies, trace
 //! events, and latencies are bit-identical across `exec_threads`
 //! values. `nodes`, by contrast, is part of the model — more simulated
 //! nodes legitimately means less queueing delay.
@@ -49,9 +50,9 @@ use crate::service::AcceleratorRegistry;
 use crate::BlazeError;
 use s2fa_obs::{Lane, Profiler};
 use s2fa_sjvm::{HostValue, RddOp};
+use s2fa_trace::par::parallel_map;
 use s2fa_trace::{Event, TraceSink};
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The multi-tenant serving runtime over one accelerator registry.
@@ -291,7 +292,9 @@ impl<'r> ServingRuntime<'r> {
         let computed = parallel_map(self.config.exec_threads, &in_order, |k| {
             let req = &requests[idxs[k]];
             run_jvm(&tenants[req.tenant].fallback, &req.records)
-        })?;
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
         let mut table = vec![None; requests.len()];
         for (k, result) in computed.into_iter().enumerate() {
             table[idxs[k]] = Some(result);
@@ -594,7 +597,9 @@ impl<'r> ServingRuntime<'r> {
                         .collect()
                 }
             }
-        })?;
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
         for batch_out in produced {
             for (rid, out) in batch_out {
                 match outcomes[rid as usize].as_mut() {
@@ -749,47 +754,6 @@ fn claim_order(costs: &[f64]) -> Vec<usize> {
     order
 }
 
-/// Index-parallel map with deterministic assembly: up to `threads` OS
-/// threads claim the work items `0..order.len()` off a shared counter
-/// in the sequence `order` (a permutation) gives, but results are
-/// re-sorted by index before being returned (and the error at the
-/// smallest index wins), so the caller sees the same value regardless
-/// of the claim order and the thread schedule.
-fn parallel_map<T, F>(threads: usize, order: &[usize], f: F) -> Result<Vec<T>, BlazeError>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T, BlazeError> + Sync,
-{
-    let n = order.len();
-    if threads <= 1 || n <= 1 {
-        return (0..n).map(&f).collect();
-    }
-    let counter = AtomicUsize::new(0);
-    let mut indexed: Vec<(usize, Result<T, BlazeError>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads.min(n))
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let k = counter.fetch_add(1, Ordering::Relaxed);
-                        let Some(&i) = order.get(k) else {
-                            break;
-                        };
-                        local.push((i, f(i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("serving exec thread panicked"))
-            .collect()
-    });
-    indexed.sort_by_key(|(i, _)| *i);
-    indexed.into_iter().map(|(_, r)| r).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -824,17 +788,27 @@ mod tests {
         (0..n).collect()
     }
 
+    /// Serving's use of the shared map: fallible items collected into one
+    /// `Result`, as `precompute_fallback` and `execute_batches` do.
+    fn try_map<T: Send>(
+        threads: usize,
+        order: &[usize],
+        f: impl Fn(usize) -> Result<T, BlazeError> + Sync,
+    ) -> Result<Vec<T>, BlazeError> {
+        parallel_map(threads, order, f).into_iter().collect()
+    }
+
     #[test]
     fn parallel_map_matches_serial() {
-        let serial = parallel_map(1, &in_order(100), |i| Ok(i * i)).unwrap();
-        let threaded = parallel_map(4, &in_order(100), |i| Ok(i * i)).unwrap();
+        let serial = try_map(1, &in_order(100), |i| Ok(i * i)).unwrap();
+        let threaded = try_map(4, &in_order(100), |i| Ok(i * i)).unwrap();
         assert_eq!(serial, threaded);
         assert_eq!(serial[7], 49);
     }
 
     #[test]
     fn parallel_map_surfaces_the_lowest_index_error() {
-        let r = parallel_map(4, &in_order(50), |i| {
+        let r = try_map(4, &in_order(50), |i| {
             if i >= 10 {
                 Err(BlazeError::Accel(format!("boom {i}")))
             } else {
@@ -851,9 +825,9 @@ mod tests {
         let strided: Vec<usize> = (0..50).map(|k| k * 7 % 50).collect();
         for order in [reversed, strided] {
             for threads in [1, 2, 4] {
-                let squares = parallel_map(threads, &order, |i| Ok(i * i)).unwrap();
+                let squares = try_map(threads, &order, |i| Ok(i * i)).unwrap();
                 assert_eq!(squares, (0..50).map(|i| i * i).collect::<Vec<_>>());
-                let r = parallel_map(threads, &order, |i| {
+                let r = try_map(threads, &order, |i| {
                     if i % 10 == 3 {
                         Err(BlazeError::Accel(format!("boom {i}")))
                     } else {

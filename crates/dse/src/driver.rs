@@ -12,11 +12,12 @@
 //!
 //! All estimator calls go through one shared [`EvalEngine`]: the
 //! partitioner's probe pass, every partition's seeds, and the tuning loops
-//! share its per-kernel invariants and its counters. The probe sample is
-//! priced as one batch on the run's single [`WorkerPool`]
-//! (`eval_threads - 1` workers plus the calling thread);
-//! then partitions run with *full* budget as one job on the same pool
-//! (each tuning batch fans out as a nested job on it), and the
+//! share its per-kernel invariants and its counters. The run uses the host
+//! in parallel for exactly two things, both through
+//! [`parallel_map`] on `eval_threads` executors (the calling thread
+//! and `eval_threads - 1` helpers): pricing the probe sample, and running
+//! the partitions with *full* budget, each tuning its batches serially on
+//! the thread that claimed it. The
 //! virtual FCFS schedule of Fig. 2 over `workers` virtual cores is then
 //! *simulated* deterministically at merge time: partitions are assigned in
 //! index order to the virtual worker that frees first, and each
@@ -43,19 +44,20 @@
 use crate::entropy::EntropyStop;
 use crate::partition::DecisionTree;
 use crate::space::DesignSpace;
+use crate::EvalEngine;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use s2fa_engine::{EvalEngine, WorkerPool};
 use s2fa_hlsir::KernelSummary;
 use s2fa_hlssim::{Estimate, Estimator};
 use s2fa_merlin::DesignConfig;
-use s2fa_obs::Profiler;
+use s2fa_obs::{Lane, Profiler};
+use s2fa_trace::par::parallel_map;
 use s2fa_trace::{Event, NullSink, TechniqueStats, TechniqueTable, TraceSink};
 use s2fa_tuner::{
-    Measurement, NoImprovement, Objective, StopReason, StoppingCriterion, ThreadedObjective,
-    TimeLimitOnly, TuningOptions, TuningOutcome, TuningRun,
+    Config, Measurement, NoImprovement, Objective, StopReason, StoppingCriterion, TimeLimitOnly,
+    TuningOptions, TuningOutcome, TuningRun,
 };
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Which early-stopping criterion a DSE run uses.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,9 +100,9 @@ pub struct DseOptions {
     pub budget_minutes: f64,
     /// RNG seed (everything downstream derives from it).
     pub rng_seed: u64,
-    /// Host executors of the run: its one [`WorkerPool`] gets
-    /// `eval_threads - 1` workers, and the calling thread is the last.
-    /// Partitions and tuning batches share them. Purely a wall-clock
+    /// Host executors of the run: the calling thread plus
+    /// `eval_threads - 1` helper threads of [`parallel_map`], which price
+    /// the probe sample and then run the partitions. Purely a wall-clock
     /// knob: outcomes are identical for any value (the virtual clock is
     /// governed by `parallel_evals` and `workers`). Defaults to the
     /// host's available parallelism.
@@ -334,6 +336,31 @@ fn truncate_to_budget(out: &TuningOutcome, budget: f64) -> Truncated {
     }
 }
 
+/// The objective of one partition's tuning run: it measures each batch
+/// serially on the partition's thread and records it on its own lane.
+struct SerialObjective<'a, M> {
+    measure: &'a M,
+    lane: Lane,
+}
+
+impl<M: Fn(&Config) -> Measurement> Objective for SerialObjective<'_, M> {
+    fn measure(&mut self, config: &Config) -> Measurement {
+        (self.measure)(config)
+    }
+
+    fn measure_batch(&mut self, configs: &[Config]) -> Vec<Measurement> {
+        priced(&mut self.lane, || {
+            configs.iter().map(self.measure).collect()
+        })
+    }
+}
+
+/// Runs `price` inside a `batch` span with one `estimate` child on
+/// `lane`: the shape of every priced batch, probe and tuning alike.
+fn priced<T>(lane: &mut Lane, price: impl FnOnce() -> T) -> T {
+    lane.in_span("batch", |lane| lane.in_span("estimate", |_| price()))
+}
+
 /// Runs a DSE for one kernel and returns the merged outcome.
 ///
 /// Deterministic given `opts.rng_seed` — independent of `eval_threads`
@@ -368,9 +395,9 @@ pub fn run_dse_traced(
 /// With an enabled profiler the driver records a span forest over the
 /// whole exploration — a `dse` root lane with
 /// `space_identification` / `partition` / `seeds` / `explore` / `merge`
-/// stage children, a `tune` span per partition on its own lane, and the
-/// evaluator's `batch`/`pool_chunk` shape from
-/// [`ThreadedObjective`].
+/// stage children, a `tune` span per partition on its own lane, and a
+/// `batch` span with one `estimate` child per priced batch (the probe
+/// sample, and every tuning batch of every partition).
 ///
 /// Profiling is strictly observational: with the disabled profiler every
 /// instrumentation point is one branch, and the returned [`DseOutcome`]
@@ -394,7 +421,7 @@ pub fn run_dse_profiled(
         e.set_sink(Some(sink.clone()));
         e
     };
-    let measure = |cfg: &s2fa_tuner::Config| -> Measurement {
+    let measure = |cfg: &Config| -> Measurement {
         let est = engine.evaluate(&ds.decode(cfg));
         Measurement {
             value: est.objective(),
@@ -402,21 +429,15 @@ pub fn run_dse_profiled(
         }
     };
 
-    // The run's only host executor: `eval_threads - 1` workers plus this
-    // thread. It prices the probe sample, then runs the partitions.
-    let pool = WorkerPool::new(opts.eval_threads.max(1) - 1);
-
-    // 1. Partition (or not). The probe sample is one batch on the pool,
-    // priced like a tuning batch.
+    // 1. Partition (or not). The probe sample is one batch, priced on
+    // every executor.
     let part_span = lane.open("partition");
     let (subspaces, rule_descriptions) = if opts.partition {
         let tree = DecisionTree::build(&ds, summary, |cfgs| {
-            ThreadedObjective::new(&measure, &pool)
-                .with_profiler(profiler)
-                .measure_batch(cfgs)
-                .into_iter()
-                .map(|m| m.value)
-                .collect()
+            let order: Vec<usize> = (0..cfgs.len()).collect();
+            priced(&mut profiler.lane(), || {
+                parallel_map(opts.eval_threads, &order, |i| measure(&cfgs[i]).value)
+            })
         });
         (tree.leaves(), tree.describe())
     } else {
@@ -427,23 +448,22 @@ pub fn run_dse_profiled(
     // 2. Seeds per partition.
     let seeds_span = lane.open("seeds");
     let mut rng = SmallRng::seed_from_u64(opts.rng_seed ^ 0x9E3779B97F4A7C15);
-    let seeds_for =
-        |space: &s2fa_tuner::SearchSpace, rng: &mut SmallRng| -> Vec<s2fa_tuner::Config> {
-            if opts.seeds {
-                let mut perf = ds.encode(&DesignConfig::perf_seed(summary));
-                let mut area = ds.encode(&DesignConfig::area_seed(summary));
-                space.clamp(&mut perf);
-                space.clamp(&mut area);
-                vec![perf, area]
-            } else {
-                vec![space.random(rng)]
-            }
-        };
+    let seeds_for = |space: &s2fa_tuner::SearchSpace, rng: &mut SmallRng| -> Vec<Config> {
+        if opts.seeds {
+            let mut perf = ds.encode(&DesignConfig::perf_seed(summary));
+            let mut area = ds.encode(&DesignConfig::area_seed(summary));
+            space.clamp(&mut perf);
+            space.clamp(&mut area);
+            vec![perf, area]
+        } else {
+            vec![space.random(rng)]
+        }
+    };
 
     struct Job {
         index: usize,
         space: s2fa_tuner::SearchSpace,
-        seeds: Vec<s2fa_tuner::Config>,
+        seeds: Vec<Config>,
     }
     let jobs: Vec<Job> = subspaces
         .into_iter()
@@ -465,41 +485,32 @@ pub fn run_dse_profiled(
     lane.close(seeds_span);
 
     let explore_span = lane.open("explore");
-    // 3. Explore every partition at full budget as one job on the run's
-    // only host executor: pool workers and this thread claim partitions
-    // first-come-first-served, and each tuning batch of more than one
-    // point fans out as a nested job on the same pool. Each partition's
-    // trajectory depends only on its own RNG stream, so claim order is
-    // irrelevant.
-    let slots: Vec<OnceLock<TuningOutcome>> = jobs.iter().map(|_| OnceLock::new()).collect();
-    let explore = |start: usize, end: usize, _is_worker: bool| {
-        for (job, slot) in jobs[start..end].iter().zip(&slots[start..end]) {
-            let mut obj = ThreadedObjective::new(&measure, &pool).with_profiler(profiler);
-            let mut stopper = make_stopper(opts.stopping, job.space.params().len());
-            let run = TuningRun::new(
-                job.space.clone(),
-                TuningOptions {
-                    budget_minutes: opts.budget_minutes,
-                    parallel_evals: opts.parallel_evals,
-                    seeds: job.seeds.clone(),
-                    rng_seed: opts.rng_seed.wrapping_add(job.index as u64 * 7919),
-                    max_evaluations: 1_000_000,
-                },
-            );
-            let mut tune_lane = profiler.lane();
-            let tune_span = tune_lane.open("tune");
-            let outcome = run.run(&mut obj, stopper.as_mut());
-            tune_lane.close(tune_span);
-            assert!(slot.set(outcome).is_ok(), "partition explored twice");
-        }
-    };
-    let handle = pool.submit(jobs.len(), 1, &explore);
-    handle.help();
-    handle.wait();
-    let full: Vec<TuningOutcome> = slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("every partition explored"))
-        .collect();
+    // 3. Explore every partition at full budget: the executors claim
+    // partitions first-come-first-served, and each tunes its batches
+    // serially. Each partition's trajectory depends only on its own RNG
+    // stream, so claim order is irrelevant.
+    let order: Vec<usize> = (0..jobs.len()).collect();
+    let full: Vec<TuningOutcome> = parallel_map(opts.eval_threads, &order, |j| {
+        let job = &jobs[j];
+        let mut obj = SerialObjective {
+            measure: &measure,
+            lane: profiler.lane(),
+        };
+        let mut stopper = make_stopper(opts.stopping, job.space.params().len());
+        let run = TuningRun::new(
+            job.space.clone(),
+            TuningOptions {
+                budget_minutes: opts.budget_minutes,
+                parallel_evals: opts.parallel_evals,
+                seeds: job.seeds.clone(),
+                rng_seed: opts.rng_seed.wrapping_add(job.index as u64 * 7919),
+                max_evaluations: 1_000_000,
+            },
+        );
+        profiler
+            .lane()
+            .in_span("tune", |_| run.run(&mut obj, stopper.as_mut()))
+    });
     lane.close(explore_span);
 
     let merge_span = lane.open("merge");
@@ -854,10 +865,9 @@ mod tests {
     fn outcome_invariant_to_eval_threads() {
         // `eval_threads` is a pure wall-clock knob: the virtual schedule,
         // RNG streams, and hence the whole outcome — estimator calls
-        // included — must be bit-identical at every thread count, even on
-        // the pool, whose real execution order varies run to run. The
-        // `parallel_evals = 4` row runs batch jobs nested inside the
-        // partition job.
+        // included — must be bit-identical at every thread count, whose
+        // real claim order varies run to run. The `parallel_evals = 4`
+        // row tunes 4-point batches.
         let s = summary();
         let est = Estimator::new();
         for parallel_evals in [1, 4] {
@@ -905,8 +915,9 @@ mod tests {
     fn partitions_run_only_on_the_caller_and_the_pool() {
         // The engine emits each prune on the thread that evaluated the
         // point, so the names of those threads are the run's host thread
-        // budget: the caller plus `eval_threads - 1` pool workers,
-        // whatever `workers` says about the virtual schedule.
+        // budget: the caller plus the `eval_threads - 1` helpers that
+        // `parallel_map` names, whatever `workers` says about the virtual
+        // schedule.
         let s = summary();
         let est = Estimator::new();
         let caller = std::thread::current().name().map(str::to_string);
@@ -924,7 +935,7 @@ mod tests {
             for name in names.iter() {
                 let ok = *name == caller
                     || (eval_threads > 1
-                        && name.as_deref().is_some_and(|n| n.starts_with("s2fa-eval-")));
+                        && name.as_deref().is_some_and(|n| n.starts_with("s2fa-par-")));
                 assert!(
                     ok,
                     "partition ran on {name:?} at eval_threads={eval_threads}"
@@ -1148,6 +1159,26 @@ mod tests {
         ] {
             assert!(names.contains(&stage), "missing span {stage:?}");
         }
+    }
+
+    /// A partition's tuning batch is measured in input order and recorded
+    /// as one `batch` span with one `estimate` child, at any batch size.
+    #[test]
+    fn profiled_serial_path_is_one_estimate_phase() {
+        let measure = |c: &Config| Measurement::new(c[0] as f64, 1.0);
+        let profiler = Profiler::enabled();
+        let mut obj = SerialObjective {
+            measure: &measure,
+            lane: profiler.lane(),
+        };
+        let configs = vec![vec![3], vec![1], vec![2]];
+        let want: Vec<Measurement> = configs.iter().map(measure).collect();
+        assert_eq!(obj.measure_batch(&configs), want);
+        drop(obj);
+        let spans = profiler.take_spans();
+        s2fa_obs::verify_spans(&spans).unwrap();
+        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["batch", "estimate"]);
     }
 
     #[test]

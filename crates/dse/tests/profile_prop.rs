@@ -8,14 +8,14 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use s2fa_dse::{run_dse, run_dse_profiled, DesignSpace, DseOptions, DseOutcome, EvalEngine};
-use s2fa_engine::WorkerPool;
 use s2fa_hlsir::{
     Access, BufferDir, BufferInfo, CarriedDep, KernelSummary, LoopId, LoopInfo, OpCounts,
 };
 use s2fa_hlssim::Estimator;
 use s2fa_obs::{verify_spans, Profiler};
+use s2fa_trace::par::parallel_map;
 use s2fa_trace::NullSink;
-use s2fa_tuner::{Measurement, Objective, ThreadedObjective};
+use s2fa_tuner::Measurement;
 use std::sync::Arc;
 
 /// A dot-product-shaped kernel: a 1024-task loop over a 64-trip MAC.
@@ -211,11 +211,11 @@ fn bits(ms: &[Measurement]) -> Vec<(u64, u64)> {
         .collect()
 }
 
-// Determinism property: the engine on the pooled batch path is
-// bit-identical to `Estimator::evaluate` on each raw point, called
-// serially — across random kernels, batch sizes, thread counts (chunks
-// are auto-sized from the batch), and chains of single-factor neighbor
-// mutations.
+// Determinism property: the engine on the parallel batch path (the
+// shared map that prices the DSE's probe sample) is bit-identical to
+// `Estimator::evaluate` on each raw point, called serially — across
+// random kernels, batch sizes, thread counts, and chains of
+// single-factor neighbor mutations.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -256,15 +256,15 @@ proptest! {
             })
             .collect();
 
-        // Candidate: the engine on a persistent pool.
+        // Candidate: the engine on the shared parallel map.
         let engine = EvalEngine::new(&s, &est);
         let eval = |cfg: &s2fa_tuner::Config| -> Measurement {
             let e = engine.evaluate(&ds.decode(cfg));
             Measurement { value: e.objective(), minutes: e.hls_minutes }
         };
-        let pool = WorkerPool::new(threads - 1);
-        let got = ThreadedObjective::new(&eval, &pool).measure_batch(&configs);
+        let order: Vec<usize> = (0..configs.len()).collect();
+        let got = parallel_map(threads, &order, |i| eval(&configs[i]));
 
-        prop_assert_eq!(bits(&want), bits(&got), "pooled pass diverged");
+        prop_assert_eq!(bits(&want), bits(&got), "parallel pass diverged");
     }
 }

@@ -3,7 +3,7 @@
 //! engine and the direct estimator return the identical `Estimate`.
 
 use proptest::prelude::*;
-use s2fa_engine::EvalEngine;
+use s2fa_dse::EvalEngine;
 use s2fa_hlsir::{
     Access, BufferDir, BufferInfo, KernelSummary, LoopId, LoopInfo, OpCounts, PipelineMode,
 };

@@ -1032,6 +1032,17 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(r, CVal::F((0.1f32 + 0.2f32) as f64));
+        // Each operand rounds to f32 before the add: 16 777 217 is not an
+        // f32, so it reads 16 777 216, and 16 777 216 + 1 rounds back
+        // down. Adding first and rounding once would give 16 777 218.
+        let r = eval(Expr::bin(
+            CBinOp::Add,
+            CNumKind::F32,
+            Expr::ConstF(16_777_217.0),
+            Expr::ConstF(1.0),
+        ))
+        .unwrap();
+        assert_eq!(r, CVal::F(16_777_216.0));
     }
 
     #[test]

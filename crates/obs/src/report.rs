@@ -159,17 +159,10 @@ impl Profile {
     /// scheduling or timing jitter never breaks the build — only a real
     /// shape change (a stage appearing, disappearing, or moving) does.
     pub fn structure(&self) -> Json {
-        // Spans whose *presence* depends on host scheduling rather than
-        // pipeline shape are excluded: a `pool_chunk` span exists only
-        // when a pool worker wins a chunk claim against the submitting
-        // thread, which a 1-core host never shows and a 16-core host
-        // always does. The golden must diff clean on both.
-        const SCHEDULING_DEPENDENT: &[&str] = &["pool_chunk"];
         let mut paths = Vec::new();
         for node in &self.tree {
             structure_paths(&mut paths, node, "");
         }
-        paths.retain(|p| !p.split('/').any(|seg| SCHEDULING_DEPENDENT.contains(&seg)));
         paths.sort();
         paths.dedup();
         Json::obj([
@@ -283,41 +276,39 @@ mod tests {
         }
     }
 
-    /// A synthetic pooled batch at 3 executors: submit 0-10, the caller
-    /// helps under `estimate` 10-90, blocks in `wait` to 110, merges to
-    /// 120; two worker chunks overlap the window on their own lanes.
-    fn threaded_batch() -> Vec<SpanRecord> {
+    /// A synthetic DSE at 3 executors: the `dse` lane partitions 0-10,
+    /// explores 10-110 and merges to 120; two partitions tune inside the
+    /// explore window, one fresh lane each.
+    fn parallel_explore() -> Vec<SpanRecord> {
         vec![
-            rec(1, None, "batch", 0, 0, 120),
-            rec(2, Some(1), "submit", 0, 0, 10),
-            rec(3, Some(1), "estimate", 0, 10, 90),
-            rec(4, Some(1), "wait", 0, 90, 110),
-            rec(5, Some(1), "merge", 0, 110, 120),
-            // worker chunks, one fresh lane each
-            rec(6, None, "pool_chunk", 1, 12, 100),
-            rec(7, None, "pool_chunk", 2, 15, 105),
+            rec(1, None, "dse", 0, 0, 120),
+            rec(2, Some(1), "partition", 0, 0, 10),
+            rec(3, Some(1), "explore", 0, 10, 110),
+            rec(4, Some(1), "merge", 0, 110, 120),
+            rec(5, None, "tune", 1, 12, 100),
+            rec(6, None, "tune", 2, 15, 105),
         ]
     }
 
     #[test]
     fn aggregation_merges_by_name_path() {
-        let tree = aggregate_spans(&threaded_batch());
-        assert_eq!(tree.len(), 2, "batch + pool_chunk roots");
-        let batch = tree.iter().find(|n| n.name == "batch").unwrap();
-        let chunk = tree.iter().find(|n| n.name == "pool_chunk").unwrap();
-        assert_eq!(batch.count, 1);
-        assert_eq!(chunk.count, 2, "two lanes merged into one node");
-        assert_eq!(chunk.total_ns, 88 + 90);
+        let tree = aggregate_spans(&parallel_explore());
+        assert_eq!(tree.len(), 2, "dse + tune roots");
+        let dse = tree.iter().find(|n| n.name == "dse").unwrap();
+        let tune = tree.iter().find(|n| n.name == "tune").unwrap();
+        assert_eq!(dse.count, 1);
+        assert_eq!(tune.count, 2, "two lanes merged into one node");
+        assert_eq!(tune.total_ns, 88 + 90);
         // children sorted by name
-        let names: Vec<&str> = batch.children.iter().map(|n| n.name.as_str()).collect();
-        assert_eq!(names, ["estimate", "merge", "submit", "wait"]);
+        let names: Vec<&str> = dse.children.iter().map(|n| n.name.as_str()).collect();
+        assert_eq!(names, ["explore", "merge", "partition"]);
     }
 
     #[test]
     fn profile_json_round_trips() {
         let profile = Profile {
             kernel: "S-W".into(),
-            tree: aggregate_spans(&threaded_batch()),
+            tree: aggregate_spans(&parallel_explore()),
         };
         let j = profile.to_json();
         assert_keys_sorted(&j);
@@ -355,7 +346,7 @@ mod tests {
     fn structure_is_paths_only() {
         let profile = Profile {
             kernel: "S-W".into(),
-            tree: aggregate_spans(&threaded_batch()),
+            tree: aggregate_spans(&parallel_explore()),
         };
         let s = profile.structure();
         let paths: Vec<&str> = s
@@ -366,18 +357,9 @@ mod tests {
             .iter()
             .filter_map(Json::as_str)
             .collect();
-        // `pool_chunk` is recorded in the tree but excluded from the
-        // structure golden: whether a worker (vs the submitter) claims
-        // a chunk is host scheduling, not pipeline shape.
         assert_eq!(
             paths,
-            [
-                "batch",
-                "batch/estimate",
-                "batch/merge",
-                "batch/submit",
-                "batch/wait",
-            ]
+            ["dse", "dse/explore", "dse/merge", "dse/partition", "tune"]
         );
         assert!(s.render().find("_ns").is_none(), "no timings in structure");
     }
@@ -386,11 +368,11 @@ mod tests {
     fn folded_stacks_use_self_time() {
         let profile = Profile {
             kernel: "S-W".into(),
-            tree: aggregate_spans(&threaded_batch()),
+            tree: aggregate_spans(&parallel_explore()),
         };
         let folded = profile.folded();
-        assert!(folded.contains("batch;submit 10"));
-        assert!(folded.contains("pool_chunk 178"));
+        assert!(folded.contains("dse;partition 10"));
+        assert!(folded.contains("tune 178"));
         for line in folded.lines() {
             assert!(line.rsplit_once(' ').unwrap().1.parse::<u64>().is_ok());
         }
@@ -400,11 +382,11 @@ mod tests {
     fn render_text_mentions_every_section() {
         let profile = Profile {
             kernel: "S-W".into(),
-            tree: aggregate_spans(&threaded_batch()),
+            tree: aggregate_spans(&parallel_explore()),
         };
         let text = profile.render_text();
         assert!(text.starts_with("flight record: S-W\n"));
         assert!(text.contains("span tree"));
-        assert!(text.contains("- batch"));
+        assert!(text.contains("- dse"));
     }
 }

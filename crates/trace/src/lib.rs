@@ -26,6 +26,8 @@
 //! * [`TechniqueTable`] / [`TechniqueStats`] — per-technique counters
 //!   (evaluations, improvements, best value) the DSE merge credits from
 //!   every partition's replayed trajectory onto `DseOutcome`.
+//! * [`par::parallel_map`] — the one host-parallel map: the DSE's probe
+//!   and partitions and Blaze serving's batch execution run through it.
 //!
 //! ## Two time domains
 //!
@@ -44,6 +46,7 @@ pub mod agg;
 pub mod clock;
 pub mod event;
 pub mod json;
+pub mod par;
 pub mod sink;
 
 pub use agg::{TechniqueStats, TechniqueTable};

@@ -36,7 +36,7 @@ pub mod technique;
 
 pub use bandit::AucBandit;
 pub use history::{Evaluation, History, Measurement};
-pub use objective::{Objective, ThreadedObjective};
+pub use objective::Objective;
 pub use param::{Config, ParamDef, ParamKind, SearchSpace};
 pub use runtime::{TuningOptions, TuningOutcome, TuningRun};
 pub use stopping::{NoImprovement, StopReason, StoppingCriterion, TimeLimitOnly};

@@ -98,14 +98,11 @@ impl TuningRun {
 
     /// Runs to completion.
     ///
-    /// `objective` evaluates configurations ("runs HLS"); batches are
-    /// handed to [`Objective::measure_batch`], so a parallel objective
-    /// (e.g. [`ThreadedObjective`](crate::ThreadedObjective)) measures a
-    /// whole iteration concurrently. `stop` is the early-stopping
-    /// criterion consulted once per iteration. The run's decisions depend
-    /// only on the *order* of batch results, which every `Objective` must
-    /// preserve — outcomes are byte-identical across serial and threaded
-    /// objectives.
+    /// `objective` evaluates configurations ("runs HLS"); each iteration
+    /// is handed to [`Objective::measure_batch`] whole. `stop` is the
+    /// early-stopping criterion consulted once per iteration. The run's
+    /// decisions depend only on the *order* of batch results, which every
+    /// `Objective` must preserve.
     ///
     /// ## Deadline-kill semantics
     ///
@@ -193,10 +190,9 @@ impl TuningRun {
                 reason = StopReason::SpaceExhausted;
                 break;
             }
-            // Phase 2: measure the whole batch (possibly on real threads),
-            // and only then feed results back, in proposal order. The
-            // batch completes as one unit: one clock advance, one shared
-            // minute.
+            // Phase 2: measure the whole batch, and only then feed
+            // results back, in proposal order. The batch completes as one
+            // unit: one clock advance, one shared minute.
             let configs: Vec<Config> = batch.iter().map(|(_, c, _)| c.clone()).collect();
             let measurements = objective.measure_batch(&configs);
             let minute = clock.complete_batch(measurements.iter().map(|m| m.minutes));

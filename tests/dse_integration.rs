@@ -163,7 +163,7 @@ fn different_rng_seeds_explore_differently_but_converge_similarly() {
 
 #[test]
 fn outcome_invariant_to_eval_threads_on_every_table2_kernel() {
-    // The probe sample and every tuning batch run on the DSE's one pool;
+    // The probe sample and the partitions run on the DSE's parallel map;
     // how many executors share that work must not reach the outcome.
     let est = Estimator::new();
     for w in s2fa_workloads::all_workloads() {

@@ -8,6 +8,7 @@
 use s2fa::{S2fa, S2faOptions};
 use s2fa_blaze::{AccCall, AcceleratorRegistry, BlazeContext, ExecutionPath, Rdd};
 use s2fa_dse::DseOptions;
+use s2fa_obs::{aggregate_spans, Profile, Profiler};
 use s2fa_workloads::{kmeans, sw};
 
 fn fast_options() -> S2faOptions {
@@ -260,4 +261,28 @@ fn framework_types_are_send_and_sync() {
     check::<s2fa_sjvm::KernelSpec>();
     check::<s2fa_hlsir::KernelSummary>();
     check::<s2fa_merlin::DesignConfig>();
+}
+
+/// The profile's span shape is pipeline shape, not host shape: an S-W
+/// compile records the same span paths on one executor as on three.
+#[test]
+fn profile_structure_is_the_same_at_every_eval_thread_count() {
+    let structure = |eval_threads: usize| {
+        let mut options = fast_options();
+        options.dse.eval_threads = eval_threads;
+        let profiler = Profiler::enabled();
+        S2fa::new(options)
+            .with_profiler(profiler.clone())
+            .compile(&sw::workload().spec)
+            .expect("S-W compiles");
+        Profile {
+            kernel: "S-W".into(),
+            tree: aggregate_spans(&profiler.take_spans()),
+        }
+        .structure()
+        .render()
+    };
+    let one = structure(1);
+    assert!(one.contains("\"batch/estimate\""), "{one}");
+    assert_eq!(one, structure(3));
 }

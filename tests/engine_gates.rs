@@ -1,6 +1,6 @@
 //! Evaluation-engine gates: the engine must price a point exactly as the
-//! raw estimator does, and the worker pool must scale on hosts that have
-//! the cores.
+//! raw estimator does, and the shared parallel map must scale on hosts
+//! that have the cores.
 //!
 //! ```text
 //! cargo test -p s2fa --test engine_gates                       # chain gate
@@ -18,10 +18,10 @@
 use rand::{rngs::SmallRng, SeedableRng};
 use s2fa::compile_kernel;
 use s2fa_dse::{DesignSpace, EvalEngine};
-use s2fa_engine::WorkerPool;
 use s2fa_hlsir::analysis;
 use s2fa_hlssim::Estimator;
-use s2fa_tuner::{Config, Measurement, Objective, ThreadedObjective};
+use s2fa_trace::par::parallel_map;
+use s2fa_tuner::{Config, Measurement};
 use s2fa_workloads::{all_workloads, sw};
 use std::time::Instant;
 
@@ -72,9 +72,11 @@ fn mutation_chain_estimates_are_bit_identical_engine_and_raw() {
     }
 }
 
-/// On a host with ≥ 4 cores, the pooled batch path at 4 threads beats
-/// 1 thread by `SCALING_FLOOR` on 512-point batches of an S-W engine (one warm-up batch, then `ROUNDS` timed ones). Smaller hosts
-/// skip: thread counts above the core count only time-slice.
+/// On a host with ≥ 4 cores, pricing 512-point batches of an S-W engine
+/// through the shared parallel map (as the DSE prices its probe sample)
+/// at 4 threads beats 1 thread by `SCALING_FLOOR` (one warm-up batch,
+/// then `ROUNDS` timed ones). Smaller hosts skip: thread counts above the
+/// core count only time-slice.
 #[test]
 #[ignore = "wall-time gate, run by CI in release"]
 fn four_threads_beat_one_on_the_pooled_batch_path() {
@@ -91,20 +93,20 @@ fn four_threads_beat_one_on_the_pooled_batch_path() {
             minutes: e.hls_minutes,
         }
     };
+    let order: Vec<usize> = (0..BATCH).collect();
+    let batch = |threads: usize| parallel_map(threads, &order, |i| eval(&configs[i]));
     let rate_at = |threads: usize| -> f64 {
-        let pool = WorkerPool::new(threads - 1);
-        let mut obj = ThreadedObjective::new(&eval, &pool);
-        std::hint::black_box(obj.measure_batch(&configs));
+        std::hint::black_box(batch(threads));
         let t0 = Instant::now();
         for _ in 0..ROUNDS {
-            std::hint::black_box(obj.measure_batch(&configs));
+            std::hint::black_box(batch(threads));
         }
         (BATCH * ROUNDS) as f64 / t0.elapsed().as_secs_f64()
     };
     let (r1, r4) = (rate_at(1), rate_at(4));
     let ratio = r4 / r1.max(1e-9);
     println!(
-        "pooled batch path ({cores} cores): 1 thread {r1:.0}/s, 4 threads {r4:.0}/s ({ratio:.2}x)"
+        "parallel batch path ({cores} cores): 1 thread {r1:.0}/s, 4 threads {r4:.0}/s ({ratio:.2}x)"
     );
     if cores < 4 {
         println!("SKIP: the scaling floor needs >= 4 host cores, found {cores}");
