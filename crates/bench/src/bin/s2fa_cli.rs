@@ -180,6 +180,9 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or("--tasks needs a count")?
                     .parse()
                     .map_err(|e| format!("bad --tasks: {e}"))?;
+                if args.tasks == 0 {
+                    return Err("--tasks needs at least 1".to_string());
+                }
             }
             "--trace" => {
                 args.trace = Some(it.next().ok_or("--trace needs a path")?);
@@ -188,12 +191,15 @@ fn parse_args() -> Result<Args, String> {
                 args.profile_path = Some(it.next().ok_or("--profile needs a path")?);
             }
             "--eval-threads" => {
-                args.eval_threads = Some(
-                    it.next()
-                        .ok_or("--eval-threads needs a count")?
-                        .parse()
-                        .map_err(|e| format!("bad --eval-threads: {e}"))?,
-                );
+                let threads = it
+                    .next()
+                    .ok_or("--eval-threads needs a count")?
+                    .parse()
+                    .map_err(|e| format!("bad --eval-threads: {e}"))?;
+                if threads == 0 {
+                    return Err("--eval-threads needs at least 1".to_string());
+                }
+                args.eval_threads = Some(threads);
             }
             "--format" => {
                 args.format = match it.next().ok_or("--format needs text|json")?.as_str() {
@@ -341,7 +347,7 @@ fn main() {
             );
         }
         println!(
-            "dse: {:.0} evals/sec wall-clock, {} estimator calls",
+            "dse: {:.0} evals/sec wall-clock, {} charged evaluations",
             dse.total_evaluations as f64 / wall.as_secs_f64().max(1e-9),
             dse.cache.misses
         );

@@ -13,7 +13,14 @@
 //!
 //! * `light`    — 25% of the cluster's modelled capacity,
 //! * `moderate` — 75%,
-//! * `overload` — 150% (queues saturate; admission control rejects).
+//! * `overload` — 150%.
+//!
+//! The capacity these shares refer to is *unbatched*: one request per
+//! accelerator invocation. Batching amortizes each invocation's setup
+//! over up to `max_batch` requests, so even `overload` stays short of
+//! saturation — its queues stay shallow and admission control rejects
+//! nothing (`rejected: 0` in all three regimes of the committed
+//! artifact).
 //!
 //! Per-tenant arrival rates are sized from each design's own time model
 //! (`setup_ms + per_task_ms × records`), so every workload contributes

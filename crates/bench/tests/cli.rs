@@ -31,6 +31,22 @@ fn budget_must_be_positive_and_finite() {
 }
 
 #[test]
+fn counts_must_be_at_least_one() {
+    for sub in [&[][..], &["lint"], &["profile"], &["serve"]] {
+        let args = [sub, &["--kernel", "S-W", "--tasks", "0"]].concat();
+        rejects(&args, "--tasks needs at least 1");
+    }
+    rejects(
+        &["--kernel", "LR", "--eval-threads", "0"],
+        "--eval-threads needs at least 1",
+    );
+    rejects(
+        &["profile", "--kernel", "LR", "--eval-threads", "0"],
+        "--eval-threads needs at least 1",
+    );
+}
+
+#[test]
 fn profile_has_no_thread_sweep() {
     rejects(
         &["profile", "--kernel", "S-W", "--threads", "1,2,4,8"],

@@ -107,17 +107,18 @@ pub struct DseOptions {
     /// governed by `parallel_evals` and `workers`). Defaults to the
     /// host's available parallelism.
     pub eval_threads: usize,
-    /// Enable the `s2fa-lint` legality pre-screen ahead of the estimator:
-    /// statically infeasible points keep their `+inf` objective but charge
-    /// zero virtual HLS minutes and never invoke the estimator. Off by
-    /// default so existing outcomes stay bit-identical; the screen is
-    /// exact, so turning it on can only shrink the virtual clock, never
-    /// change an objective value.
+    /// Enable the `s2fa-lint` legality pre-screen on each estimate:
+    /// infeasible points keep their `+inf` objective but charge zero
+    /// virtual HLS minutes. Off by default so existing outcomes stay
+    /// bit-identical; the screen reads the estimator's own verdict, so
+    /// turning it on can only shrink the virtual clock, never change an
+    /// objective value.
     pub prescreen: bool,
     /// Enable the dependence-aware pre-screen: with dataflow facts
     /// attached to the summary (`hlsir::dataflow::attach`), points that
     /// replicate a loop with a proven cross-iteration write-race are
-    /// pruned as nondeterministic (`S2FA-E303`) ahead of the estimator.
+    /// pruned as nondeterministic (`S2FA-E303`) ahead of the resource
+    /// verdict.
     /// Implies `prescreen`. Off by default; without attached facts the
     /// verdict degenerates to the resource screen, so existing goldens
     /// stay bit-identical.
@@ -202,7 +203,8 @@ pub struct CacheStats {
     /// Always 0: no estimate is reused. Kept because the benchmark still
     /// reads it (`engine.cache_lookups`, `engine.cache_hit_rate`).
     pub hits: u64,
-    /// Estimator calls: one per evaluation the pre-screen did not reject.
+    /// Evaluations charged virtual HLS minutes: one per evaluation the
+    /// pre-screen did not reject.
     pub misses: u64,
 }
 
@@ -241,11 +243,11 @@ pub struct DseOutcome {
     /// Total evaluations that were in flight at a partition deadline
     /// (sum of `PartitionRun::killed_evals`).
     pub killed_evals: u64,
-    /// Estimator calls of the whole search: the probe pass, seeds, and
-    /// every partition.
+    /// Evaluations of the whole search charged virtual HLS minutes: the
+    /// probe pass, seeds, and every partition.
     pub cache: CacheStats,
-    /// Design points the legality pre-screen rejected before the
-    /// estimator ran (0 when `DseOptions::prescreen` is off): the sum of
+    /// Design points the legality pre-screen rejected, charged no virtual
+    /// minutes (0 when `DseOptions::prescreen` is off): the sum of
     /// `pruned_by_rule`.
     pub pruned_illegal: u64,
     /// Per-rule pre-screen hit counts as `(lint code, hits)`, in stable

@@ -37,12 +37,13 @@
 //! * the engine is `Sync`, so the driver's probe and partitions share it
 //!   across the executors of [`s2fa_trace::par::parallel_map`].
 //!
-//! Ahead of the estimator sits an optional `s2fa-lint` legality pre-screen
-//! ([`EvalEngine::set_prescreen`]): points the static screen proves
-//! infeasible return the same `+inf` objective a full evaluation would,
-//! but charge zero virtual minutes and never reach the estimator. Because
-//! the screen is exact, enabling it changes the virtual *clock*, not the
-//! search values.
+//! After the estimator sits an optional `s2fa-lint` legality pre-screen
+//! ([`EvalEngine::set_prescreen`]): the engine walks the model once per
+//! point and asks [`s2fa_lint::prune_verdict`] what that walk is charged.
+//! A point the screen rejects keeps the `+inf` objective of its estimate
+//! but charges zero virtual minutes. Because the screen reads the
+//! estimator's own verdict, enabling it changes the virtual *clock*, not
+//! the search values.
 //!
 //! [`DesignConfig::perf_seed`]: s2fa_merlin::DesignConfig::perf_seed
 //! [`DesignConfig::area_seed`]: s2fa_merlin::DesignConfig::area_seed
@@ -61,8 +62,8 @@ pub use partition::DecisionTree;
 pub use space::DesignSpace;
 
 use s2fa_hlsir::KernelSummary;
-use s2fa_hlssim::{Estimate, Estimator, KernelInvariants};
-use s2fa_lint::{Legality, PruneRule};
+use s2fa_hlssim::{Estimate, Estimator, Feasibility, KernelInvariants};
+use s2fa_lint::{prune_verdict, PruneRule};
 use s2fa_merlin::DesignConfig;
 use s2fa_trace::{Event, TraceSink};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,7 +79,7 @@ pub struct EvalEngine {
     summary: KernelSummary,
     estimator: Estimator,
     invariants: KernelInvariants,
-    prescreen: Option<Legality>,
+    prescreen: bool,
     estimator_calls: AtomicU64,
     pruned_by_rule: [AtomicU64; PruneRule::ALL.len()],
     sink: Option<Arc<dyn TraceSink>>,
@@ -91,7 +92,7 @@ impl EvalEngine {
             invariants: estimator.invariants(summary),
             summary: summary.clone(),
             estimator: estimator.clone(),
-            prescreen: None,
+            prescreen: false,
             estimator_calls: AtomicU64::new(0),
             pruned_by_rule: Default::default(),
             sink: None,
@@ -108,20 +109,19 @@ impl EvalEngine {
 
     /// Enables or disables the `s2fa-lint` legality pre-screen.
     ///
-    /// When on, points the static screen proves infeasible skip the
-    /// estimator: the engine returns a synthetic infeasible estimate whose
-    /// objective (`+inf`) equals what the estimator would have reported,
-    /// but with **zero** virtual HLS minutes charged. The screen is exact
-    /// (it rejects iff the estimator reports infeasible — property-tested),
-    /// so search *values* are unchanged; only the virtual clock and the
-    /// estimator invocation counts shrink. Off by default.
+    /// When on, every estimate is handed to [`prune_verdict`]; a point it
+    /// rejects comes back as the estimator priced it — infeasible,
+    /// objective `+inf` — but with **zero** virtual HLS minutes charged
+    /// (a write-race hit is also marked infeasible, with the `E303`
+    /// reason). Search *values* are unchanged; only the virtual clock and
+    /// the evaluations charged virtual HLS minutes shrink. Off by default.
     pub fn set_prescreen(&mut self, enabled: bool) {
-        self.prescreen = enabled.then(|| Legality::new(&self.summary, &self.estimator));
+        self.prescreen = enabled;
     }
 
     /// Whether the legality pre-screen is enabled.
     pub fn prescreen(&self) -> bool {
-        self.prescreen.is_some()
+        self.prescreen
     }
 
     /// Per-rule pre-screen hit counts as `(lint code, hits)`, in stable
@@ -138,8 +138,8 @@ impl EvalEngine {
             .collect()
     }
 
-    /// Estimator invocations so far: one per [`evaluate`](Self::evaluate)
-    /// call the pre-screen did not reject.
+    /// Evaluations charged virtual HLS minutes so far: one per
+    /// [`evaluate`](Self::evaluate) call the pre-screen did not reject.
     pub fn estimator_calls(&self) -> u64 {
         self.estimator_calls.load(Ordering::Relaxed)
     }
@@ -156,28 +156,42 @@ impl EvalEngine {
 
     /// Evaluates one design point on its canonical form.
     ///
-    /// Equal to `self.estimator().evaluate(self.summary(), config)` in all
-    /// cases: normalization is idempotent, so the canonical point
-    /// evaluates to the same estimate as the raw one.
+    /// Equal to `self.estimator().evaluate(self.summary(), config)`:
+    /// normalization is idempotent, so the canonical point evaluates to
+    /// the same estimate as the raw one. A point the pre-screen rejects
+    /// differs only in what it is charged (see
+    /// [`set_prescreen`](Self::set_prescreen)).
     pub fn evaluate(&self, config: &DesignConfig) -> Estimate {
-        // The only clone and normalize: the prescreen and the estimator
-        // both read this canonical point.
+        // The only clone and normalize, and the only model walk.
         let mut cfg = config.clone();
         cfg.normalize(&self.summary);
-        if let Some(oracle) = &self.prescreen {
-            if let Some(hit) = oracle.prescreen_normalized(&cfg) {
-                self.pruned_by_rule[hit.rule.index()].fetch_add(1, Ordering::Relaxed);
-                if let Some(sink) = &self.sink {
-                    sink.emit(&Event::Prune {
-                        rule: hit.rule.code().code,
-                    });
-                }
-                return oracle.pruned_estimate(&hit);
-            }
+        let mut estimate = self
+            .estimator
+            .evaluate_with(&self.summary, &self.invariants, &cfg);
+        let hit = if self.prescreen {
+            prune_verdict(&self.summary, self.estimator.device(), &cfg, &estimate)
+        } else {
+            None
+        };
+        let Some(hit) = hit else {
+            self.estimator_calls.fetch_add(1, Ordering::Relaxed);
+            return estimate;
+        };
+        self.pruned_by_rule[hit.rule.index()].fetch_add(1, Ordering::Relaxed);
+        if let Some(sink) = &self.sink {
+            sink.emit(&Event::Prune {
+                rule: hit.rule.code().code,
+            });
         }
-        self.estimator_calls.fetch_add(1, Ordering::Relaxed);
-        self.estimator
-            .evaluate_with(&self.summary, &self.invariants, &cfg)
+        if hit.rule == PruneRule::WriteRace {
+            estimate.feasibility = Feasibility::Infeasible(format!(
+                "pruned by {}: {}",
+                hit.rule.code().code,
+                hit.reason
+            ));
+        }
+        estimate.hls_minutes = 0.0;
+        estimate
     }
 }
 
@@ -314,7 +328,7 @@ mod tests {
         assert_eq!(
             engine.estimator_calls(),
             0,
-            "pruned points must never reach the estimator"
+            "a pruned point is not a charged evaluation"
         );
         let by_rule: u64 = engine.prune_counts().iter().map(|(_, n)| n).sum();
         assert_eq!(by_rule, 1);
@@ -323,6 +337,34 @@ mod tests {
         let ok = DesignConfig::area_seed(&s);
         assert_eq!(engine.evaluate(&ok), est.evaluate(&s, &ok));
         assert_eq!(engine.estimator_calls(), 1);
+    }
+
+    #[test]
+    fn resource_pruned_estimate_is_the_estimators_at_no_charge() {
+        // An E201 hit returns the estimate of the one model walk: cycles,
+        // clock, resources and verdict as the estimator reports them, and
+        // only the virtual minutes zeroed.
+        let s = summary();
+        let est = Estimator::new();
+        let mut engine = EvalEngine::new(&s, &est);
+        engine.set_prescreen(true);
+        let mut dead = DesignConfig::perf_seed(&s);
+        dead.loop_directive_mut(LoopId(0)).parallel = 512;
+        dead.loop_directive_mut(LoopId(1)).parallel = 64;
+        let pruned = engine.evaluate(&dead);
+        assert_eq!(
+            engine.prune_counts()[PruneRule::ResourceCap.index()],
+            ("S2FA-E201".to_string(), 1)
+        );
+        let direct = est.evaluate(&s, &dead);
+        assert!(direct.hls_minutes > 0.0);
+        assert_eq!(
+            pruned,
+            Estimate {
+                hls_minutes: 0.0,
+                ..direct
+            }
+        );
     }
 
     #[test]

@@ -29,46 +29,6 @@ impl Feasibility {
 /// "unroutable" feasibility bound.
 pub const MAX_REPLICATION: f64 = 1024.0;
 
-/// The statically derivable half of an [`Estimate`]: the exact resource
-/// accounting and replication product the feasibility verdict is computed
-/// from, with no virtual HLS minutes charged.
-///
-/// Produced by [`Estimator::resource_screen_with`]. The `s2fa-lint`
-/// legality pre-screen is built on this type so that its verdict can never
-/// diverge from [`Estimator::evaluate`]: both run the same model walk and
-/// both call [`ResourceScreen::feasibility`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResourceScreen {
-    /// Absolute resource usage of the (normalized) design point.
-    pub resources: ResourceUsage,
-    /// Largest PE replication product reached at any loop.
-    pub max_replication: f64,
-}
-
-impl ResourceScreen {
-    /// The feasibility verdict for these resources on `device` — the
-    /// utilization cap, then the routing sanity bound, in the same order
-    /// and with the same messages as a full evaluation.
-    pub fn feasibility(&self, device: &Device) -> Feasibility {
-        let util = self.resources.max_utilization(device);
-        if util > device.max_util {
-            Feasibility::Infeasible(format!(
-                "{} utilization {:.0}% exceeds the {:.0}% cap",
-                self.resources.bottleneck(device),
-                util * 100.0,
-                device.max_util * 100.0
-            ))
-        } else if self.max_replication > MAX_REPLICATION {
-            Feasibility::Infeasible(format!(
-                "replication {} unroutable",
-                self.max_replication as u64
-            ))
-        } else {
-            Feasibility::Feasible
-        }
-    }
-}
-
 /// The report returned for one design point — the information a DSE gets
 /// back from the Xilinx SDx flow.
 #[derive(Debug, Clone, PartialEq)]
@@ -199,42 +159,6 @@ impl Estimator {
         self.evaluate_with(summary, &inv, &cfg)
     }
 
-    /// Runs only the resource-accounting half of the model for one design
-    /// point: the [`ResourceScreen`] holds exactly the `resources` and
-    /// `max_replication` that [`evaluate`](Self::evaluate) bases its
-    /// feasibility verdict on, but no timing, frequency, or virtual HLS
-    /// minutes are produced. This is the basis of the `s2fa-lint` legality
-    /// pre-screen.
-    pub fn resource_screen(
-        &self,
-        summary: &KernelSummary,
-        config: &DesignConfig,
-    ) -> ResourceScreen {
-        let inv = self.invariants(summary);
-        let mut cfg = config.clone();
-        cfg.normalize(summary);
-        self.resource_screen_with(summary, &inv, &cfg)
-    }
-
-    /// [`resource_screen`](Self::resource_screen) of an already
-    /// normalized `config` against precomputed invariants (the hot path;
-    /// see [`evaluate_with`](Self::evaluate_with) for the contract).
-    pub fn resource_screen_with(
-        &self,
-        summary: &KernelSummary,
-        inv: &KernelInvariants,
-        config: &DesignConfig,
-    ) -> ResourceScreen {
-        debug_assert_normalized(summary, config);
-        let mut ctx = ModelCtx::new(summary, config, &self.costs, inv);
-        ctx.evaluate();
-        ctx.charge_tiling();
-        ResourceScreen {
-            resources: ctx.resources,
-            max_replication: ctx.max_replication,
-        }
-    }
-
     /// [`evaluate`](Self::evaluate) of an already normalized `config`
     /// against precomputed invariants — the hot path, one model walk and
     /// nothing else. `inv` must come from [`invariants`](Self::invariants)
@@ -280,14 +204,25 @@ impl Estimator {
             compute + transfer
         };
 
-        // Feasibility: the 75 % utilization cap plus a routing sanity
-        // bound, computed through the same [`ResourceScreen`] the lint
-        // pre-screen uses so the two can never disagree.
-        let screen = ResourceScreen {
-            resources,
-            max_replication: ctx.max_replication,
+        // Feasibility: the 75 % utilization cap, then a routing sanity
+        // bound. The `s2fa-lint` pre-screen reads this verdict, in this
+        // order, off the estimate.
+        let util = resources.max_utilization(&self.device);
+        let feasibility = if util > self.device.max_util {
+            Feasibility::Infeasible(format!(
+                "{} utilization {:.0}% exceeds the {:.0}% cap",
+                resources.bottleneck(&self.device),
+                util * 100.0,
+                self.device.max_util * 100.0
+            ))
+        } else if ctx.max_replication > MAX_REPLICATION {
+            Feasibility::Infeasible(format!(
+                "replication {} unroutable",
+                ctx.max_replication as u64
+            ))
+        } else {
+            Feasibility::Feasible
         };
-        let feasibility = screen.feasibility(&self.device);
 
         // Virtual HLS wall-clock. Calibrated to Impediment 1: "only tens
         // of design points can be evaluated in one hour" → a few minutes
@@ -549,24 +484,6 @@ mod tests {
         let t2 = e.time_ms_for_tasks(2048);
         assert!((t2 / e.time_ms - 2.0).abs() < 1e-9);
         assert!(e.tasks_per_second() > 0.0);
-    }
-
-    #[test]
-    fn resource_screen_agrees_with_evaluate() {
-        let s = summary();
-        let est = Estimator::new();
-        let mut cfgs = vec![DesignConfig::area_seed(&s), DesignConfig::perf_seed(&s)];
-        // a clearly unroutable point and a cap-blowing point
-        let mut huge = DesignConfig::perf_seed(&s);
-        huge.loop_directive_mut(LoopId(0)).parallel = 512;
-        huge.loop_directive_mut(LoopId(1)).parallel = 64;
-        cfgs.push(huge);
-        for cfg in &cfgs {
-            let e = est.evaluate(&s, cfg);
-            let screen = est.resource_screen(&s, cfg);
-            assert_eq!(screen.resources, e.resources);
-            assert_eq!(screen.feasibility(est.device()), e.feasibility);
-        }
     }
 
     #[test]

@@ -33,6 +33,6 @@ pub mod resource;
 
 pub use cost::HlsCosts;
 pub use device::Device;
-pub use estimate::{Estimate, Estimator, Feasibility, ResourceScreen, MAX_REPLICATION};
+pub use estimate::{Estimate, Estimator, Feasibility, MAX_REPLICATION};
 pub use invariants::KernelInvariants;
 pub use resource::ResourceUsage;

@@ -7,16 +7,15 @@
 //!   irreducible recurrence, factors the structural transform rejects,
 //!   narrow ports. These never prune anything: the pipeline is defined to
 //!   survive them.
-//! * **Errors (`E201`/`E202`)** are the [`Legality::prescreen`]: a design
-//!   point is marked statically dead **iff** a full
-//!   [`Estimator::evaluate`] would report it infeasible. The screen calls
-//!   [`Estimator::resource_screen_with`] — the exact resource accounting
-//!   the estimator's own feasibility verdict reads — so there can be no
-//!   false positives by construction (property-tested across workloads).
+//! * **Errors (`E201`/`E202`, and `E303` with attached write races)** are
+//!   the pre-screen, [`prune_verdict`]: it reads the estimator's own
+//!   feasibility verdict off the point's [`Estimate`], so a design point
+//!   is marked statically dead **iff** [`Estimator::evaluate`] reports it
+//!   infeasible — no second resource model, no false positives.
 
 use crate::diag::{codes, Diagnostic, LintReport, Span};
 use s2fa_hlsir::{CFunction, KernelSummary, LoopId, PipelineMode};
-use s2fa_hlssim::{Estimate, Estimator, Feasibility, KernelInvariants, ResourceScreen};
+use s2fa_hlssim::{Device, Estimate, Estimator, Feasibility, KernelInvariants};
 use s2fa_merlin::{check_factors, DesignConfig, TransformError};
 
 /// Why the pre-screen rejected a point. The first two variants mirror the
@@ -62,24 +61,101 @@ impl PruneRule {
     }
 }
 
-/// One pre-screen rejection: the rule, the estimator's reason string, and
-/// the resource screen that proved it.
+/// One pre-screen rejection: the rule and why it fired.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PruneHit {
     /// Which rule fired.
     pub rule: PruneRule,
-    /// The reason a full evaluation would have reported.
+    /// For `E201`/`E202`, the estimator's infeasibility reason; for
+    /// `E303`, the replicated loop and its race.
     pub reason: String,
-    /// The resource accounting behind the verdict.
-    pub screen: ResourceScreen,
 }
 
-/// The design-point legality oracle for one kernel.
+/// The pre-screen verdict on one design point, read off the estimate the
+/// estimator returned for it. `config` must be the normalized point that
+/// `estimate` prices on `device`. Two rules, in this precedence:
+///
+/// 1. `E303`, only when write races are attached
+///    (`KernelSummary::dataflow`, the `--dataflow-prescreen` path): the
+///    point *replicates* a loop with a proven cross-iteration write-write
+///    race — a parallel factor above one on the loop, or `flatten` on a
+///    strict ancestor — so it is nondeterministic even when it would
+///    synthesize (the estimator prices performance, not correctness).
+/// 2. `E201`/`E202`: the estimate is infeasible; `E201` when it exceeds
+///    the utilization cap, `E202` when only the routing bound fails.
+///
+/// Without attached facts the verdict is exactly the estimator's.
+pub fn prune_verdict(
+    summary: &KernelSummary,
+    device: &Device,
+    config: &DesignConfig,
+    estimate: &Estimate,
+) -> Option<PruneHit> {
+    if let Some((id, reason)) = replicated_race(summary, config) {
+        return Some(PruneHit {
+            rule: PruneRule::WriteRace,
+            reason: format!("replicating {id} is nondeterministic: {reason}"),
+        });
+    }
+    let Feasibility::Infeasible(reason) = &estimate.feasibility else {
+        return None;
+    };
+    let rule = if estimate.resources.max_utilization(device) > device.max_util {
+        PruneRule::ResourceCap
+    } else {
+        PruneRule::Unroutable
+    };
+    Some(PruneHit {
+        rule,
+        reason: reason.clone(),
+    })
+}
+
+/// `Some((loop, why))` when the normalized `config` replicates a loop
+/// carrying a proven write-write race: a parallel factor above one on the
+/// racy loop itself, or `flatten` on a strict ancestor (which fully
+/// unrolls it). `None` without attached write races.
+fn replicated_race(summary: &KernelSummary, config: &DesignConfig) -> Option<(LoopId, String)> {
+    let df = summary.dataflow.as_ref()?;
+    for (&id, race) in &df.loops {
+        let Some(race) = race else {
+            continue;
+        };
+        let replicated = config.loop_directive(id).parallel_factor() > 1
+            || flattened_ancestor(summary, config, id);
+        if replicated {
+            return Some((
+                id,
+                format!(
+                    "two iterations provably write the same element of `{}` \
+                     (statements #{} and #{})",
+                    race.array, race.stmt_a, race.stmt_b
+                ),
+            ));
+        }
+    }
+    None
+}
+
+/// True when a strict ancestor of `id` is flattened in `config`.
+fn flattened_ancestor(summary: &KernelSummary, config: &DesignConfig, id: LoopId) -> bool {
+    let mut cur = summary.loop_info(id).and_then(|l| l.parent);
+    while let Some(p) = cur {
+        if config.loop_directive(p).pipeline == PipelineMode::Flatten {
+            return true;
+        }
+        cur = summary.loop_info(p).and_then(|l| l.parent);
+    }
+    false
+}
+
+/// The design-point legality oracle for one kernel, for `s2fa_cli lint`.
 ///
 /// Build once per kernel (it precomputes the estimator invariants) and
-/// query many configurations. All methods are pure: the oracle keeps no
-/// counters and emits no events, so diagnostic sampling (e.g. a
-/// partition's statically-dead fraction) can never perturb a search.
+/// query many raw configurations: each query normalizes the point, prices
+/// it, and asks [`prune_verdict`]. All methods are pure: the oracle keeps
+/// no counters and emits no events, so diagnostic sampling (e.g. a
+/// space's statically-dead fraction) can never perturb a search.
 #[derive(Debug, Clone)]
 pub struct Legality {
     summary: KernelSummary,
@@ -102,54 +178,17 @@ impl Legality {
         &self.summary
     }
 
-    /// The pre-screen: `Some` iff the estimator would report `config`
-    /// infeasible (after normalization, like every evaluation). The rule
-    /// order matches the estimator's verdict order: utilization cap first,
-    /// routing bound second.
-    ///
-    /// When write races are attached to the summary
-    /// (`KernelSummary::dataflow`, the `--dataflow-prescreen` path), a
-    /// third rule runs first: a point that *replicates* a loop with a
-    /// proven cross-iteration write-write race is pruned as
-    /// nondeterministic (`E303`) even when it would synthesize — the
-    /// estimator prices performance, not correctness. Without attached
-    /// facts the verdict is exactly the estimator's, bit for bit.
+    /// The pre-screen of a raw `config`: [`prune_verdict`] on its
+    /// normalized form and that form's estimate. `Some` iff the estimator
+    /// reports the point infeasible, or (with attached write races) the
+    /// point replicates a racy loop.
     pub fn prescreen(&self, config: &DesignConfig) -> Option<PruneHit> {
         let mut norm = config.clone();
         norm.normalize(&self.summary);
-        self.prescreen_normalized(&norm)
-    }
-
-    /// [`prescreen`](Self::prescreen) of an already normalized `config`
-    /// (the evaluation engine's path, which normalizes every point once
-    /// before the screen and the estimator).
-    pub fn prescreen_normalized(&self, config: &DesignConfig) -> Option<PruneHit> {
-        let screen = self
+        let estimate = self
             .estimator
-            .resource_screen_with(&self.summary, &self.invariants, config);
-        if let Some((id, reason)) = self.replicated_race(config) {
-            return Some(PruneHit {
-                rule: PruneRule::WriteRace,
-                reason: format!("replicating {id} is nondeterministic: {reason}"),
-                screen,
-            });
-        }
-        match screen.feasibility(self.estimator.device()) {
-            Feasibility::Feasible => None,
-            Feasibility::Infeasible(reason) => {
-                let util = screen.resources.max_utilization(self.estimator.device());
-                let rule = if util > self.estimator.device().max_util {
-                    PruneRule::ResourceCap
-                } else {
-                    PruneRule::Unroutable
-                };
-                Some(PruneHit {
-                    rule,
-                    reason,
-                    screen,
-                })
-            }
-        }
+            .evaluate_with(&self.summary, &self.invariants, &norm);
+        prune_verdict(&self.summary, self.estimator.device(), &norm, &estimate)
     }
 
     /// True iff [`prescreen`](Self::prescreen) rejects the point.
@@ -157,72 +196,9 @@ impl Legality {
         self.prescreen(config).is_some()
     }
 
-    /// `Some((loop, why))` when the normalized `config` replicates a
-    /// loop carrying a proven write-write race: a parallel factor above
-    /// one on the racy loop itself, or `flatten` on a strict ancestor
-    /// (which fully unrolls it). Requires attached write races;
-    /// returns `None` otherwise, keeping the default prescreen bit-
-    /// identical to the estimator's verdict.
-    fn replicated_race(&self, config: &DesignConfig) -> Option<(LoopId, String)> {
-        let df = self.summary.dataflow.as_ref()?;
-        for (&id, race) in &df.loops {
-            let Some(race) = race else {
-                continue;
-            };
-            let replicated = config.loop_directive(id).parallel_factor() > 1
-                || self.flattened_ancestor(config, id);
-            if replicated {
-                return Some((
-                    id,
-                    format!(
-                        "two iterations provably write the same element of `{}` \
-                         (statements #{} and #{})",
-                        race.array, race.stmt_a, race.stmt_b
-                    ),
-                ));
-            }
-        }
-        None
-    }
-
-    /// True when a strict ancestor of `id` is flattened in `config`.
-    fn flattened_ancestor(&self, config: &DesignConfig, id: LoopId) -> bool {
-        let mut cur = self.summary.loop_info(id).and_then(|l| l.parent);
-        while let Some(p) = cur {
-            if config.loop_directive(p).pipeline == PipelineMode::Flatten {
-                return true;
-            }
-            cur = self.summary.loop_info(p).and_then(|l| l.parent);
-        }
-        false
-    }
-
-    /// The synthetic estimate the evaluation engine returns for a pruned
-    /// point: infeasible (objective `+inf`, exactly what the estimator
-    /// would report) with **zero virtual HLS minutes** — static analysis
-    /// is free, which is the entire value of pruning.
-    pub fn pruned_estimate(&self, hit: &PruneHit) -> Estimate {
-        Estimate {
-            compute_cycles: 0,
-            transfer_cycles: 0,
-            total_cycles: 0,
-            ii_critical: 0.0,
-            freq_mhz: 0.0,
-            time_ms: f64::INFINITY,
-            batch_tasks: self.summary.tasks_hint,
-            resources: hit.screen.resources,
-            feasibility: Feasibility::Infeasible(format!(
-                "pruned by {}: {}",
-                hit.rule.code().code,
-                hit.reason
-            )),
-            hls_minutes: 0.0,
-        }
-    }
-
     /// Full diagnostic check of one (raw) design point: `W21x` warnings
     /// for directives normalization will repair or the estimator will
-    /// price as waste, plus the `E20x` pre-screen verdict.
+    /// price as waste, plus the pre-screen verdict.
     pub fn check(&self, config: &DesignConfig) -> LintReport {
         let mut report = LintReport::new(&self.summary.name);
         self.warn_directives(config, &mut report);

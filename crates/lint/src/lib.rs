@@ -14,13 +14,14 @@
 //!   arity, silent truncation, dead loops. Runs after
 //!   bytecode→C codegen, and differentially ([`wellformed::new_errors`])
 //!   after every `merlin::apply_structural` rewrite.
-//! * [`legality::Legality`] — a design-point pre-screen over
-//!   `(KernelSummary, DesignConfig)`. Warnings flag directives the Merlin
-//!   normalization repairs (they are never pruned); the `E201`/`E202`
-//!   errors mark a point statically dead **iff** the estimator would
-//!   report it infeasible — the screen shares the estimator's own
-//!   resource accounting ([`s2fa_hlssim::ResourceScreen`]), so it has no
-//!   false positives by construction.
+//! * [`legality::prune_verdict`] — a design-point pre-screen over
+//!   `(KernelSummary, DesignConfig)` and the point's estimate. The
+//!   `E201`/`E202` errors mark a point statically dead **iff** the
+//!   estimator reports it infeasible — the verdict is read off the
+//!   estimate itself, so it has no false positives by construction.
+//!   [`legality::Legality`] wraps it for raw points and adds the
+//!   warnings: directives the Merlin normalization repairs (they are
+//!   never pruned).
 //! * [`dataflow_rules::dataflow_checks`] — dataflow-backed rules
 //!   (`E3xx`/`W310`) over the CFG, reaching-definitions/liveness facts,
 //!   and the affine dependence engine of `hlsir::dataflow`: provably
@@ -33,10 +34,10 @@
 //! `merlin::apply_structural` rewrite that combines the two: the rewrite
 //! must introduce neither `E1xx` nor `E3xx` errors.
 //!
-//! The evaluation engine consults the oracle ahead of the estimator
-//! (`pruned_illegal` on `DseOutcome`, `Event::Prune` in the trace stream),
-//! the DSE reports each partition's statically-dead fraction, and
-//! `s2fa_cli lint` prints the per-kernel reports. The severity split is
+//! The evaluation engine asks [`prune_verdict`] after each estimate and
+//! charges a pruned point no virtual minutes (`pruned_illegal` on
+//! `DseOutcome`, `Event::Prune` in the trace stream), and `s2fa_cli lint`
+//! prints the per-kernel reports. The severity split is
 //! load-bearing: only verdicts that provably match the dynamic pipeline
 //! (`E`) may prune; everything heuristic stays `W`.
 
@@ -47,7 +48,7 @@ pub mod wellformed;
 
 pub use dataflow_rules::{dataflow_checks, dataflow_errors, new_dataflow_errors};
 pub use diag::{codes, Diagnostic, LintCode, LintReport, Severity, Span};
-pub use legality::{factor_diagnostics, Legality, PruneHit, PruneRule};
+pub use legality::{factor_diagnostics, prune_verdict, Legality, PruneHit, PruneRule};
 pub use wellformed::{new_errors, verify_function};
 
 use s2fa_hlsir::CFunction;
@@ -84,7 +85,7 @@ mod tests {
         Access, BufferDir, BufferInfo, CarriedDep, KernelSummary, LoopId, LoopInfo, OpCounts,
         PipelineMode,
     };
-    use s2fa_hlssim::Estimator;
+    use s2fa_hlssim::{Estimator, Feasibility};
     use s2fa_merlin::DesignConfig;
 
     /// The dot-product fixture shared with the hlssim/engine test suites:
@@ -169,6 +170,14 @@ mod tests {
         }
     }
 
+    /// The verdict on raw `cfg`: its normalized form and that form's
+    /// estimate, as the evaluation engine hands them over.
+    fn verdict(s: &KernelSummary, est: &Estimator, cfg: &DesignConfig) -> Option<PruneHit> {
+        let mut norm = cfg.clone();
+        norm.normalize(s);
+        prune_verdict(s, est.device(), &norm, &est.evaluate(s, cfg))
+    }
+
     #[test]
     fn prescreen_matches_the_estimator_verdict() {
         let s = summary();
@@ -179,16 +188,22 @@ mod tests {
         huge.loop_directive_mut(LoopId(0)).parallel = 512;
         huge.loop_directive_mut(LoopId(1)).parallel = 64;
         cfgs.push(huge);
+        let mut pruned = 0;
         for cfg in &cfgs {
-            let dead = oracle.prescreen(cfg);
+            let hit = verdict(&s, &est, cfg);
             let eval = est.evaluate(&s, cfg);
-            assert_eq!(dead.is_some(), !eval.is_feasible(), "{cfg:?}");
-            if let Some(hit) = dead {
-                let est = oracle.pruned_estimate(&hit);
-                assert_eq!(est.objective(), eval.objective());
-                assert_eq!(est.hls_minutes, 0.0, "pruning must be free");
+            assert_eq!(hit.is_some(), !eval.is_feasible(), "{cfg:?}");
+            if let Some(hit) = &hit {
+                assert_ne!(hit.rule, PruneRule::WriteRace);
+                assert_eq!(
+                    eval.feasibility,
+                    Feasibility::Infeasible(hit.reason.clone())
+                );
+                pruned += 1;
             }
+            assert_eq!(oracle.prescreen(cfg), hit, "the oracle asks the same rule");
         }
+        assert!(pruned > 0, "the fixture must prune a point");
     }
 
     #[test]
@@ -215,7 +230,8 @@ mod tests {
         let mut par = DesignConfig::area_seed(&s);
         par.loop_directive_mut(LoopId(1)).parallel = 4;
         // Without attached facts the verdict is the estimator's: feasible.
-        assert!(Legality::new(&s, &est).prescreen(&par).is_none());
+        assert!(est.evaluate(&s, &par).is_feasible());
+        assert!(verdict(&s, &est, &par).is_none());
         // Attach a proven race on L1.
         let mut loops = std::collections::BTreeMap::new();
         loops.insert(
@@ -228,23 +244,21 @@ mod tests {
             }),
         );
         s.dataflow = Some(KernelDataflow { loops });
-        let oracle = Legality::new(&s, &est);
         // Sequential execution of a racy loop stays legal...
-        assert!(oracle.prescreen(&DesignConfig::area_seed(&s)).is_none());
+        assert!(verdict(&s, &est, &DesignConfig::area_seed(&s)).is_none());
         // ...but replicating it is pruned as nondeterministic.
-        let hit = oracle.prescreen(&par).expect("replicated race");
+        let hit = verdict(&s, &est, &par).expect("replicated race");
         assert_eq!(hit.rule, PruneRule::WriteRace);
         assert_eq!(hit.rule.code().code, "S2FA-E303");
-        assert!(!oracle.pruned_estimate(&hit).is_feasible());
         // Flatten on the parent fully unrolls the racy child: pruned too.
         let mut flat = DesignConfig::area_seed(&s);
         flat.loop_directive_mut(LoopId(0)).pipeline = PipelineMode::Flatten;
         assert_eq!(
-            oracle.prescreen(&flat).expect("flattened race").rule,
+            verdict(&s, &est, &flat).expect("flattened race").rule,
             PruneRule::WriteRace
         );
-        // The full check reports it under E303.
-        assert!(oracle
+        // The oracle's full check reports it under E303.
+        assert!(Legality::new(&s, &est)
             .check(&par)
             .diagnostics
             .iter()

@@ -107,8 +107,8 @@ fn transforms_never_introduce_errors() {
 #[test]
 fn prescreen_agrees_with_the_estimator_on_every_workload() {
     // The exactness property behind the DSE's pruning: Legality rejects a
-    // design point iff the estimator reports it infeasible. Both sides
-    // share the `ResourceScreen` accounting, so this must hold for seeds
+    // design point iff the estimator reports it infeasible. The verdict
+    // is read off the point's own estimate, so this must hold for seeds
     // and for arbitrary random points alike.
     let est = Estimator::new();
     for fx in fixtures() {
