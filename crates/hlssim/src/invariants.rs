@@ -1,20 +1,20 @@
 //! Per-kernel invariants hoisted out of the evaluation hot path.
 //!
-//! [`Estimator::evaluate`](crate::Estimator::evaluate) is called tens of
-//! thousands of times per DSE run with the *same* [`KernelSummary`]; only
-//! the [`DesignConfig`](s2fa_merlin::DesignConfig) changes between calls.
+//! The model is evaluated tens of thousands of times per DSE run with the
+//! *same* [`KernelSummary`]; only the
+//! [`DesignConfig`](s2fa_merlin::DesignConfig) changes between calls.
 //! Everything the model derives from the summary alone — interface byte
 //! totals, subtree operation counts, flattening trip products, recurrence
-//! chain latencies, per-loop operator classes — is recomputed from scratch
-//! on every call, and the subtree walks (`descendants`, `subtree_ops`)
-//! allocate.
+//! chain latencies, per-loop operator classes — would otherwise be
+//! re-derived by allocating subtree walks on every call.
 //!
-//! [`KernelInvariants`] computes those facts once. The model replays the
-//! exact arithmetic of the non-hoisted path (same expressions, same
-//! accumulation order), so an estimate of a normalized point produced
-//! through [`Estimator::evaluate_with`](crate::Estimator::evaluate_with)
-//! is identical to one from `evaluate` — a property the test suite pins
-//! down.
+//! [`KernelInvariants`] computes those facts once per kernel.
+//! [`Estimator::evaluate`](crate::Estimator::evaluate) is
+//! [`Estimator::invariants`](crate::Estimator::invariants) followed by
+//! [`Estimator::evaluate_with`](crate::Estimator::evaluate_with) on the
+//! normalized point, so there is one model and the DSE engine only skips
+//! recomputing the invariants; `crates/hlssim/tests/prop.rs` pins that
+//! `evaluate` on a raw point equals `evaluate_with` on its normal form.
 
 use crate::cost::{HlsCosts, OpProfile};
 use s2fa_hlsir::{BufferDir, KernelSummary, LoopId};

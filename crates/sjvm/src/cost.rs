@@ -14,8 +14,9 @@ use crate::bytecode::{MathFn, Op};
 
 /// Cost model mapping bytecode operations to nanoseconds.
 ///
-/// All fields are public so experiments can recalibrate; [`Default`] gives
-/// the values used throughout the reproduction.
+/// The interpreter charges the [`Default`] values, resolved into each
+/// decoded instruction; the fields are public so the calibration is
+/// readable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JvmCostModel {
     /// Constant push / stack shuffle.
@@ -81,9 +82,9 @@ impl JvmCostModel {
     /// Cost in nanoseconds of executing `op` once.
     ///
     /// Allocation instructions additionally charge
-    /// [`ns_alloc_per_slot`](Self::ns_alloc_per_slot) per slot; the caller
-    /// (the interpreter) passes the slot count via [`Self::alloc_cost`]
-    /// instead for those.
+    /// [`ns_alloc_per_slot`](Self::ns_alloc_per_slot) per slot: the
+    /// interpreter adds that second term after this one, once it knows the
+    /// slot count.
     pub fn op_cost(&self, op: &Op) -> f64 {
         match op {
             Op::ConstI(_) | Op::ConstF(_) | Op::ConstNull | Op::Pop | Op::Dup => self.ns_const,

@@ -2,16 +2,29 @@
 //!
 //! A lightweight structural verifier in the spirit of the JVM's: it checks
 //! that every branch target is in range, that the operand stack never
-//! underflows, that stack depths agree at control-flow joins, and that
-//! local-variable indices are in bounds. The S2FA compiler runs it before
-//! attempting bytecode-to-C translation so the decompiler can assume a
-//! well-formed method.
+//! underflows, that stack depths agree at control-flow joins, that
+//! local-variable indices are in bounds and that every called method
+//! exists. The S2FA compiler runs it before attempting bytecode-to-C
+//! translation so the decompiler can assume a well-formed method, and the
+//! interpreter runs it once per method to turn the stack depths it proves
+//! into fixed frame slots.
 
 use crate::bytecode::Op;
 use crate::method::{Method, MethodTable};
 use crate::SjvmError;
 
-/// Verifies a method's bytecode.
+/// The operand-stack depths of a verified method.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StackDepths {
+    /// Depth on entry to each instruction; `None` where control never
+    /// reaches.
+    pub entry: Vec<Option<u32>>,
+    /// The deepest the stack gets anywhere in the method.
+    pub max: u32,
+}
+
+/// Verifies a method's bytecode and returns the stack depth at each
+/// instruction.
 ///
 /// # Errors
 ///
@@ -30,10 +43,12 @@ use crate::SjvmError;
 ///     code: vec![Op::Load(0), Op::Return],
 /// };
 /// let table = MethodTable::new();
-/// verify::verify_method(&m, &table)?;
+/// let depths = verify::verify_method(&m, &table)?;
+/// assert_eq!(depths.entry, vec![Some(0), Some(1)]);
+/// assert_eq!(depths.max, 1);
 /// # Ok::<(), s2fa_sjvm::SjvmError>(())
 /// ```
-pub fn verify_method(method: &Method, methods: &MethodTable) -> Result<(), SjvmError> {
+pub fn verify_method(method: &Method, methods: &MethodTable) -> Result<StackDepths, SjvmError> {
     let code = &method.code;
     if code.is_empty() {
         return Err(SjvmError::Verify {
@@ -41,9 +56,20 @@ pub fn verify_method(method: &Method, methods: &MethodTable) -> Result<(), SjvmE
             reason: "empty method body".into(),
         });
     }
+    if (method.n_locals as usize) < method.params.len() {
+        return Err(SjvmError::Verify {
+            pc: 0,
+            reason: format!(
+                "{} local slots cannot hold {} parameters",
+                method.n_locals,
+                method.params.len()
+            ),
+        });
+    }
     // depth[pc] = Some(stack depth on entry), propagated by worklist.
     let mut depth: Vec<Option<i32>> = vec![None; code.len()];
     depth[0] = Some(0);
+    let mut max = 0i32;
     let mut work = vec![0usize];
     while let Some(pc) = work.pop() {
         let d_in = depth[pc].expect("only scheduled with a known depth");
@@ -57,6 +83,7 @@ pub fn verify_method(method: &Method, methods: &MethodTable) -> Result<(), SjvmE
                 reason: format!("stack underflow: depth {d_in}, pops {pops}"),
             });
         }
+        max = max.max(d_in).max(d_out);
         if let Op::Load(n) | Op::Store(n) = op {
             if *n >= method.n_locals {
                 return Err(SjvmError::Verify {
@@ -75,7 +102,7 @@ pub fn verify_method(method: &Method, methods: &MethodTable) -> Result<(), SjvmE
             }
             continue;
         }
-        let mut succs: Vec<usize> = Vec::with_capacity(2);
+        let mut succs = [None; 2];
         if let Some(t) = op.branch_target() {
             if t as usize >= code.len() {
                 return Err(SjvmError::Verify {
@@ -83,7 +110,7 @@ pub fn verify_method(method: &Method, methods: &MethodTable) -> Result<(), SjvmE
                     reason: format!("branch target {t} out of range"),
                 });
             }
-            succs.push(t as usize);
+            succs[0] = Some(t as usize);
         }
         if !op.is_terminator() {
             if pc + 1 >= code.len() {
@@ -92,9 +119,9 @@ pub fn verify_method(method: &Method, methods: &MethodTable) -> Result<(), SjvmE
                     reason: "control falls off the end of the method".into(),
                 });
             }
-            succs.push(pc + 1);
+            succs[1] = Some(pc + 1);
         }
-        for s in succs {
+        for s in succs.into_iter().flatten() {
             match depth[s] {
                 None => {
                     depth[s] = Some(d_out);
@@ -112,7 +139,10 @@ pub fn verify_method(method: &Method, methods: &MethodTable) -> Result<(), SjvmE
             }
         }
     }
-    Ok(())
+    Ok(StackDepths {
+        entry: depth.into_iter().map(|d| d.map(|d| d as u32)).collect(),
+        max: max as u32,
+    })
 }
 
 /// `(pops, pushes)` of an instruction.
@@ -128,6 +158,11 @@ fn stack_effect(op: &Op, methods: &MethodTable) -> Result<(i32, i32), String> {
         Op::New(_) => (0, 1),
         Op::GetField(..) => (1, 1),
         Op::PutField(..) => (2, 0),
+        Op::InvokeVirtual { method, .. } | Op::InvokeStatic { method }
+            if method.0 as usize >= methods.len() =>
+        {
+            return Err(format!("call to unknown {method}"));
+        }
         Op::InvokeVirtual { method, .. } => {
             let m = methods.get(*method);
             // receiver + declared params (slot 0 of the callee is `this`).
@@ -151,43 +186,6 @@ fn stack_effect(op: &Op, methods: &MethodTable) -> Result<(i32, i32), String> {
         Op::Pop => (1, 0),
         Op::Dup => (1, 2),
     })
-}
-
-/// Maximum operand-stack depth reached by a verified method.
-///
-/// # Panics
-///
-/// Panics if the method does not verify; call [`verify_method`] first.
-pub fn max_stack(method: &Method, methods: &MethodTable) -> u32 {
-    let code = &method.code;
-    let mut depth: Vec<Option<i32>> = vec![None; code.len()];
-    depth[0] = Some(0);
-    let mut work = vec![0usize];
-    let mut max = 0i32;
-    while let Some(pc) = work.pop() {
-        let d_in = depth[pc].unwrap();
-        let op = &code[pc];
-        let (pops, pushes) = stack_effect(op, methods).expect("method must verify");
-        let d_out = d_in - pops + pushes;
-        max = max.max(d_in).max(d_out);
-        if matches!(op, Op::Return) {
-            continue;
-        }
-        let mut succs = Vec::new();
-        if let Some(t) = op.branch_target() {
-            succs.push(t as usize);
-        }
-        if !op.is_terminator() {
-            succs.push(pc + 1);
-        }
-        for s in succs {
-            if depth[s].is_none() {
-                depth[s] = Some(d_out);
-                work.push(s);
-            }
-        }
-    }
-    max as u32
 }
 
 #[cfg(test)]
@@ -220,8 +218,9 @@ mod tests {
             0,
             Some(JType::Int),
         );
-        verify_method(&m, &MethodTable::new()).unwrap();
-        assert_eq!(max_stack(&m, &MethodTable::new()), 2);
+        let depths = verify_method(&m, &MethodTable::new()).unwrap();
+        assert_eq!(depths.entry, vec![Some(0), Some(1), Some(2), Some(1)]);
+        assert_eq!(depths.max, 2);
     }
 
     #[test]
@@ -278,6 +277,24 @@ mod tests {
         assert!(verify_method(&m, &MethodTable::new()).is_err());
         let m = method(vec![Op::ConstI(1), Op::Return], 0, None);
         assert!(verify_method(&m, &MethodTable::new()).is_err());
+    }
+
+    #[test]
+    fn rejects_params_that_do_not_fit_the_locals() {
+        let mut m = method(vec![Op::ConstI(0), Op::Return], 0, Some(JType::Int));
+        m.params = vec![JType::Int];
+        let e = verify_method(&m, &MethodTable::new()).unwrap_err();
+        assert!(e.to_string().contains("cannot hold 1 parameters"), "{e}");
+    }
+
+    #[test]
+    fn rejects_call_to_unknown_method() {
+        let call = Op::InvokeStatic {
+            method: crate::method::MethodId(3),
+        };
+        let m = method(vec![call, Op::Return], 0, None);
+        let e = verify_method(&m, &MethodTable::new()).unwrap_err();
+        assert!(e.to_string().contains("unknown method#3"), "{e}");
     }
 
     #[test]

@@ -95,10 +95,10 @@ proptest! {
         let body = to_builder(&e, x);
         b.ret(body);
         let id = b.finish(&mut classes, &mut methods).expect("builds");
-        verify::verify_method(methods.get(id), &methods).expect("verifies");
-        // max stack is bounded and sane
-        let depth = verify::max_stack(methods.get(id), &methods);
-        prop_assert!(depth >= 1);
+        let depths = verify::verify_method(methods.get(id), &methods).expect("verifies");
+        // every instruction is reached, and the stack holds the result
+        prop_assert!(depths.entry.iter().all(Option::is_some));
+        prop_assert!(depths.max >= 1);
     }
 
     #[test]

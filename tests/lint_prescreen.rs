@@ -1,12 +1,12 @@
 //! The legality pre-screen inside the DSE: exact pruning must be free.
 //!
-//! `DseOptions::prescreen` routes every candidate through the
-//! `s2fa-lint` legality oracle before the estimator. Because the oracle
-//! shares the estimator's own `ResourceScreen` accounting, a pruned point
-//! keeps the exact `+inf` objective the estimator would have produced —
-//! the search trajectory is value-identical, only the virtual HLS clock
-//! (and the real estimator invocations) shrink. These tests pin that
-//! bargain down over the paper's eight workloads.
+//! `DseOptions::prescreen` hands every candidate's estimate to the
+//! `s2fa-lint` legality verdict (`prune_verdict`). The verdict reads the
+//! estimate of the engine's one model walk, so a pruned point keeps the
+//! exact `+inf` objective the estimator gave it — the search trajectory
+//! is value-identical, and only the virtual HLS clock shrinks: a pruned
+//! point is charged zero minutes. These tests pin that bargain down over
+//! the paper's eight workloads.
 
 use s2fa::compile_kernel;
 use s2fa_dse::{
