@@ -6,6 +6,7 @@
 
 use s2fa::{compile_kernel, S2fa, S2faError, S2faOptions};
 use s2fa_blaze::Accelerator;
+use s2fa_lint::dataflow_checks;
 use s2fa_sjvm::{
     ClassTable, Cond, HostValue, Interp, JType, KernelSpec, Method, MethodTable, NumKind, Op,
     RddOp, Shape,
@@ -214,4 +215,45 @@ fn stack_juggling_with_dup_and_pop_compiles() {
     };
     let spec = spec_from(method, Shape::Scalar(JType::Int), Shape::Scalar(JType::Int));
     check_equivalent(&spec, &[HostValue::I(7), HostValue::I(-3)]);
+}
+
+#[test]
+fn unfilled_new_array_read_is_e301() {
+    // int call(int x) { int[] a = new int[4]; return a[1] + x; }
+    // The JVM zero-fills `new[]`; the generated C declares the array with
+    // no initializer, so the dataflow lint must flag the read of a[1].
+    let method = Method {
+        name: "call".into(),
+        params: vec![JType::Int],
+        ret: Some(JType::Int),
+        n_locals: 2,
+        local_names: vec!["x".into(), "a".into()],
+        local_types: vec![JType::Int, JType::Array(Box::new(JType::Int))],
+        code: vec![
+            Op::NewArray {
+                elem: JType::Int,
+                len: 4,
+            },
+            Op::Store(1),
+            Op::Load(1),
+            Op::ConstI(1),
+            Op::ALoad,
+            Op::Load(0),
+            Op::Add(NumKind::Int),
+            Op::Return,
+        ],
+    };
+    let spec = spec_from(method, Shape::Scalar(JType::Int), Shape::Scalar(JType::Int));
+    let g = compile_kernel(&spec).expect("compiles");
+    let report = dataflow_checks(&g.cfunc, 64);
+    assert!(
+        report.diagnostics.iter().any(|d| d.code.code == "S2FA-E301"
+            && d.span
+                .subject
+                .as_deref()
+                .is_some_and(|s| s.ends_with("[1]"))),
+        "{}\n{}",
+        report.render(),
+        s2fa_hlsir::printer::to_c(&g.cfunc)
+    );
 }
