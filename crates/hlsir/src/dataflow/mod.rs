@@ -1,22 +1,15 @@
-//! Dataflow analysis over the HLS IR — the static-analysis substrate
+//! Dependence analysis over the HLS IR — the static-analysis substrate
 //! S2FA's design-space identification implies (§4.1: ROSE + polyhedral
 //! facts).
 //!
-//! Layered bottom-up:
-//!
-//! * [`cfg`](mod@cfg) — a control-flow graph lowered from the structured AST, with
-//!   the [`KernelIndex`]'s pre-order statement ids and loop trips, loop
-//!   back-edges, and a variable table that resolves constant-indexed local
-//!   arrays per element;
-//! * [`solver`] — a generic forward/backward iterative fixpoint solver
-//!   over bitsets;
-//! * [`analyses`] — reaching definitions (with explicit *uninitialized*
-//!   definition sites) and liveness;
-//! * [`depend`] — the affine array-dependence engine over the index's
-//!   access sites: GCD + Banerjee bounds + budgeted exact search over
-//!   static iteration domains, distinguishing loop-independent from
-//!   loop-carried dependences, plus the conservative recurrence scan that
-//!   bounds the estimator's II.
+//! [`depend`] is the affine array-dependence engine over the
+//! [`KernelIndex`]'s access sites: GCD + Banerjee bounds + budgeted exact
+//! search over static iteration domains, distinguishing loop-independent
+//! from loop-carried dependences, plus the conservative recurrence scan
+//! that bounds the estimator's II. The scalar dataflow rules (E301's
+//! uninitialized reads and W310's dead stores) need no graph: the IR is
+//! structured, so `lint::dataflow_rules` computes them in one
+//! syntax-directed pass over the kernel body.
 //!
 //! The one dependence verdict the DSE consumes is which loops may not be
 //! replicated: [`attach`] records each loop's proven write race in a
@@ -24,18 +17,12 @@
 //! prescreen's E303 rule reads it. The estimator never reads it, so
 //! estimates are the same with or without attached facts.
 
-pub mod analyses;
-pub mod cfg;
 pub mod depend;
-pub mod solver;
 
-pub use analyses::{DefSite, Liveness, ReachingDefs};
-pub use cfg::{ArrayMode, Cfg, StmtId, StmtKind, VarId};
 pub use depend::{
     affine_form, cross_iteration_overlap, find_write_race, replication_safe, AffineForm,
     RaceFinding, Tri,
 };
-pub use solver::{solve, BitSet, DataflowProblem, Direction, Solution};
 
 use crate::analysis::KernelSummary;
 use crate::ast::{CFunction, LoopId};

@@ -5,12 +5,12 @@
 //! (§4.1) and feeds that one result to design-space identification and the
 //! later passes. [`KernelIndex`] is that result here: the loop table, the
 //! local-array declarations and every array access site with its enclosing
-//! loops. [`crate::analysis::summarize`], [`crate::dataflow::Cfg::build`],
-//! [`crate::dataflow::attach`] and the lint's dataflow rules all
-//! read it instead of walking the AST themselves.
+//! loops. [`crate::analysis::summarize`], [`crate::dataflow::attach`] and
+//! the lint's dataflow rules all read it instead of walking the AST
+//! themselves.
 //!
 //! Statements are numbered in source pre-order, compound statements before
-//! their children: the numbering of [`crate::dataflow::StmtId`].
+//! their children; lint findings carry these ids.
 
 use crate::ast::{CFunction, CType, Expr, LValue, LoopId, Stmt};
 

@@ -14,8 +14,8 @@
 //!   vendor flow;
 //! * [`index`] — one pre-order walk of a kernel recording its loop table
 //!   (with the one static trip-count rule), local arrays and array access
-//!   sites, read by [`analysis`], the CFG, the dependence engine and the
-//!   lint's dataflow rules;
+//!   sites, read by [`analysis`], the dependence engine and the lint's
+//!   dataflow rules;
 //! * [`analysis`] — the ROSE/polyhedral substitute: loop-nest extraction,
 //!   trip counts, per-iteration operation counts and buffer accesses, and
 //!   loop-carried-dependence detection, summarized in a [`KernelSummary`]
@@ -24,10 +24,8 @@
 //! * [`exec`] — a functional executor for the IR, used to prove that the
 //!   generated C is equivalent to the original bytecode (same numeric
 //!   semantics as the `s2fa-sjvm` interpreter);
-//! * [`dataflow`] — CFG lowering, a generic fixpoint solver, reaching
-//!   definitions / liveness, and the affine
-//!   array-dependence engine behind the E3xx lint rules and the
-//!   dependence-aware DSE prescreen.
+//! * [`dataflow`] — the affine array-dependence engine behind the E302
+//!   and E303 lint rules and the dependence-aware DSE prescreen.
 
 pub mod analysis;
 pub mod ast;

@@ -23,8 +23,9 @@
 //!   warnings: directives the Merlin normalization repairs (they are
 //!   never pruned).
 //! * [`dataflow_rules::dataflow_checks`] — dataflow-backed rules
-//!   (`E3xx`/`W310`) over the CFG, reaching-definitions/liveness facts,
-//!   and the affine dependence engine of `hlsir::dataflow`: provably
+//!   (`E3xx`/`W310`) from one syntax-directed pass over the kernel body
+//!   (definite initialization forward, liveness backward) and the affine
+//!   dependence engine of `hlsir::dataflow`: provably
 //!   uninitialized reads, provably out-of-bounds affine indices,
 //!   cross-iteration replication write-races, dead stores. The `E3xx`
 //!   verdicts are validated dynamically against the IR interpreter

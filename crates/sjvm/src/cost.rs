@@ -132,23 +132,12 @@ impl JvmCostModel {
             Op::Return => self.ns_branch,
         }
     }
-
-    /// Cost of an allocation of `slots` fields/elements.
-    pub fn alloc_cost(&self, slots: usize) -> f64 {
-        self.ns_alloc + self.ns_alloc_per_slot * slots as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bytecode::NumKind;
-
-    #[test]
-    fn allocation_dominates_alu() {
-        let m = JvmCostModel::default();
-        assert!(m.alloc_cost(2) > 20.0 * m.ns_int_alu);
-    }
 
     #[test]
     fn transcendental_is_expensive() {
@@ -163,11 +152,5 @@ mod tests {
     fn float_div_costs_more_than_mul() {
         let m = JvmCostModel::default();
         assert!(m.op_cost(&Op::Div(NumKind::Float)) > m.op_cost(&Op::Mul(NumKind::Float)));
-    }
-
-    #[test]
-    fn per_slot_alloc_scales() {
-        let m = JvmCostModel::default();
-        assert!(m.alloc_cost(100) > m.alloc_cost(1));
     }
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full repository health check: formatting, lints, docs, tests, examples,
-# and the experiment binaries. Everything must be green.
+# the experiment binaries, and a diff of the goldens they regenerate.
+# Everything must be green.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,5 +30,12 @@ for b in table1 table2 fig3 fig4; do
 done
 cargo run --release -p s2fa-bench --bin s2fa_cli -- --list > /dev/null
 echo "  bin s2fa_cli ok"
+cargo run --release -p s2fa-bench --bin s2fa_cli -- lint --format json --save > /dev/null
+echo "  bin s2fa_cli lint ok"
+
+echo "== goldens =="
+git diff --exit-code -- results/fig3.json results/table2.json results/lint_report.json \
+  results/table1.json results/fig4.json
+echo "  goldens unchanged"
 
 echo "ALL CHECKS PASSED"

@@ -16,9 +16,10 @@
 //! 4. The paper's eight workloads carry zero dataflow *defects*
 //!    (E301/E302), and no structural transform the DSE can request
 //!    introduces a new `E3xx` finding (satellite differential).
-//! 5. The kernel index, the CFG and the summary agree on statements,
-//!    loop paths, branch flags and the loop table, on every random kernel
-//!    above and on the workloads before and after their expert transforms.
+//! 5. The kernel index and the summary agree on the loop table, and every
+//!    access site's loop path is a chain of the index's loops, on every
+//!    random kernel above and on the workloads before and after their
+//!    expert transforms.
 //! 6. The errors-only dataflow report equals the error subset of the full
 //!    one, diagnostic for diagnostic, on the same kernels; and the lazy
 //!    differential check (`transform_new_errors`) finds exactly what the
@@ -31,9 +32,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use s2fa::compile_kernel;
 use s2fa_dse::DesignSpace;
-use s2fa_hlsir::dataflow::{
-    cross_iteration_overlap, find_write_race, replication_safe, Cfg, StmtId, StmtKind, Tri,
-};
+use s2fa_hlsir::dataflow::{cross_iteration_overlap, find_write_race, replication_safe, Tri};
 use s2fa_hlsir::index::KernelIndex;
 use s2fa_hlsir::{
     analysis, CFunction, CType, CVal, Executor, Expr, HlsirError, LValue, LoopId, Observed, Param,
@@ -151,37 +150,31 @@ fn observed_has(obs: &Observed, subject: &str) -> bool {
     }
 }
 
-/// Asserts that the index, the CFG and the summary describe `f` alike:
-/// every access site sits at a CFG statement with the site's loop path and
-/// branch flag, every indexed loop heads a CFG statement with the same
-/// trip, and the summary's loop table is the index's with the task-loop
-/// hint applied.
+/// Asserts that the index and the summary describe `f` alike: every
+/// access site's loop path is a parent chain of the index's loops with
+/// their trips, and the summary's loop table is the index's with the
+/// task-loop hint applied.
 fn assert_views_agree(f: &CFunction, hint: u32) {
     let index = KernelIndex::build(f);
-    let cfg = Cfg::build(&index);
-    assert_eq!(index.stmt_count as usize, cfg.stmt_count(), "{}", f.name);
     for site in &index.sites {
-        let st = cfg.stmt(StmtId(site.stmt));
-        let frames: Vec<LoopId> = site.loops.iter().map(|fr| fr.id).collect();
-        assert_eq!(
-            st.loop_path, frames,
-            "{}: `{}` at s{}",
-            f.name, site.array, site.stmt
-        );
-        assert_eq!(
-            st.in_branch, site.in_branch,
-            "{}: `{}` at s{}",
-            f.name, site.array, site.stmt
-        );
-    }
-    for l in &index.loops {
-        assert_eq!(
-            cfg.stmt(StmtId(l.stmt)).kind,
-            StmtKind::LoopHeader(l.id),
-            "{}",
-            f.name
-        );
-        assert_eq!(cfg.loop_trips[&l.id], l.trip, "{}: {}", f.name, l.id);
+        let mut parent = None;
+        for fr in &site.loops {
+            let l = index
+                .loops
+                .iter()
+                .find(|l| l.id == fr.id)
+                .expect("an enclosing loop is indexed");
+            assert_eq!(
+                (l.parent, l.var, l.trip),
+                (parent, fr.var, fr.trip),
+                "{}: `{}` at s{}",
+                f.name,
+                site.array,
+                site.stmt
+            );
+            assert!(l.stmt < site.stmt, "{}: {}", f.name, l.id);
+            parent = Some(fr.id);
+        }
     }
     let summary = analysis::summarize(f, hint).expect("kernel analyzes");
     let from_summary: Vec<_> = summary
@@ -748,10 +741,10 @@ fn errors_only_report_and_lazy_diff_agree_on_workloads() {
     }
 }
 
-/// The index, the CFG and the summary agree on every workload's expert
-/// kernel, before and after the expert design's structural transforms.
+/// The index and the summary agree on every workload's expert kernel,
+/// before and after the expert design's structural transforms.
 #[test]
-fn index_cfg_and_summary_agree_on_workloads() {
+fn index_and_summary_agree_on_workloads() {
     for w in all_workloads() {
         let g = compile_kernel(&w.manual_spec).expect(w.name);
         assert_views_agree(&g.cfunc, 1024);
